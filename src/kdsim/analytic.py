@@ -4,12 +4,14 @@ In the thin-grating limit the standing wave acts as a pure phase mask
 exp(i alpha (a_c cos 2x + a_s sin 2x)) on the incoming wave, so the order
 amplitudes are Fourier coefficients of that mask.  Three ways to get them:
 
-* ``distribution_pattern`` -- double Bessel sum over the cos and sin
-  quadratures (dipole + quadrupole case), convolved numerically;
 * ``closed_form_pattern`` -- both quadratures merged into one harmonic of
   effective amplitude r_eff = hypot(a_c, a_s), giving P_p = J_p(alpha r_eff)^2;
+* ``distribution_pattern`` -- double Bessel sum over the cos and sin
+  quadratures (dipole + quadrupole case), convolved numerically;
 * ``grating_oracle`` -- brute-force FFT of the sampled phase mask, kept
   deliberately independent of the Bessel code path.
+
+The command line serves the closed form; the other two are its test oracles.
 
 Probabilities depend on the moments only through r_eff; the fitting module
 leans on exactly that degeneracy.

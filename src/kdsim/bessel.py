@@ -5,7 +5,7 @@ downward from a start order far above both the requested order and the
 turning point (where J_n(x) begins to decay), seeded with an arbitrary
 tiny value, then fix the overall scale with J_0 + 2 sum_k J_2k = 1.
 Downward recursion keeps the recessive solution, so the seed error dies
-superexponentially.  Target: absolute error <= 1e-12 for |x| <= 50 and
+superexponentially.  Target: absolute error <= 1e-12 for |x| <= 200 and
 orders up to 80.
 """
 from __future__ import annotations
@@ -29,8 +29,10 @@ class BesselRow:
 
 
 def _raw_row(order_max: int, x: float) -> np.ndarray:
-    # x > 0 here.  Start even and well past the turning point max(x, 20).
-    start = order_max + int(math.ceil(max(x, 20.0))) + 30
+    # x > 0 here.  Start even and well past the turning point max(x, 20);
+    # above x = 50 the margin grows with x so the seed error still dies out.
+    margin = 30 + max(0, math.ceil((x - 50.0) / 3.0))
+    start = order_max + int(math.ceil(max(x, 20.0))) + margin
     if start % 2:
         start += 1
     v = np.zeros(start + 2)

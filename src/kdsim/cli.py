@@ -2,7 +2,7 @@
 
 One JSON config document (plus per-leaf flag overrides) drives five modes:
 
-* analytic -- thin-grating pattern from the Bessel route
+* analytic -- thin-grating pattern from the closed form J_p(alpha r_eff)^2
 * tdse     -- split-operator propagation, binned into orders
 * fit      -- chi-square estimate of r_eff from observed patterns
 * validate -- regime report only
@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv as _csvmod
+import inspect
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -82,20 +84,18 @@ def _cast_str(key, v) -> str:
     raise ConfigError(f"config key '{key}': expected a string, got {type(v).__name__}")
 
 
-def _cast_float_list(key, v) -> list[float]:
-    if isinstance(v, str):
-        v = [part for part in v.split(",") if part.strip() != ""]
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"config key '{key}': expected a list of numbers")
-    return [_cast_float(f"{key}[{i}]", item) for i, item in enumerate(v)]
+def _cast_list(cast_item, noun: str):
+    """Caster for a list (or comma-separated string) of cast_item values."""
+    def cast(key, v) -> list:
+        if isinstance(v, str):
+            v = [part for part in v.split(",") if part.strip() != ""]
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"config key '{key}': expected a list of {noun}")
+        return [cast_item(f"{key}[{i}]", item) for i, item in enumerate(v)]
+    return cast
 
 
-def _cast_int_list(key, v) -> list[int]:
-    if isinstance(v, str):
-        v = [part for part in v.split(",") if part.strip() != ""]
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"config key '{key}': expected a list of integers")
-    return [_cast_int(f"{key}[{i}]", item) for i, item in enumerate(v)]
+_cast_float_list = _cast_list(_cast_float, "numbers")
 
 
 def _cast_dict(key, v) -> dict:
@@ -104,66 +104,79 @@ def _cast_dict(key, v) -> dict:
     raise ConfigError(f"config key '{key}': expected an object, got {type(v).__name__}")
 
 
-# leaf name -> (caster, has a CLI flag)
+def _default(func, name: str):
+    """Default of parameter name in func's signature."""
+    return inspect.signature(func).parameters[name].default
+
+
+# caster, default when absent, has a CLI flag.  A default that feeds a
+# library call is read from that call, so it is defined in one place.
+_Leaf = namedtuple("_Leaf", "cast default flag", defaults=(None, True))
+
 _LEAVES = {
-    "mode": (_cast_str, False),
-    "wavelength_m": (_cast_float, True),
-    "field_V_per_m": (_cast_float, True),
-    "time_s": (_cast_float, True),
-    "u0": (_cast_float, True),
-    "tau": (_cast_float, True),
-    "alpha": (_cast_float, True),
-    "recoil_energy_J": (_cast_float, True),
-    "v0_V": (_cast_float, True),
-    "d_tilde": (_cast_float, True),
-    "q_tilde": (_cast_float, True),
-    "higher": (_cast_float_list, True),
-    "n_points": (_cast_int, True),
-    "n_periods": (_cast_int, True),
-    "d_tau": (_cast_float, True),
-    "max_step_phase": (_cast_float, True),
-    "include_kinetic": (_cast_bool, True),
-    "envelope": (_cast_str, True),
-    "ramp_fraction": (_cast_float, True),
-    "init_state": (_cast_str, True),
-    "order_offset": (_cast_int, True),
-    "gauss_center": (_cast_float, True),
-    "gauss_sigma": (_cast_float, True),
-    "gauss_k0": (_cast_float, True),
-    "snapshot_every": (_cast_int, True),
-    "snapshot_prefix": (_cast_str, True),
-    "data": (_cast_str, True),
-    "datasets": (_cast_dict, False),   # {"entries": [{"path":..., "alpha":...}, ...]}
-    "synthetic": (_cast_dict, False),
-    "bounds": (_cast_float_list, True),
-    "delta_chi2": (_cast_float, True),
-    "n_grid": (_cast_int, True),
-    "region_samples": (_cast_int, True),
-    "region_out": (_cast_str, True),
-    "d_range": (_cast_float_list, True),
-    "q_range": (_cast_float_list, True),
-    "order_cutoff": (_cast_int, True),
-    "out": (_cast_str, True),
-    "format": (_cast_str, True),
-    "seed": (_cast_int, True),
-    "constants": (_cast_str, True),
+    "mode": _Leaf(_cast_str, flag=False),
+    "wavelength_m": _Leaf(_cast_float),
+    "field_V_per_m": _Leaf(_cast_float),
+    "time_s": _Leaf(_cast_float),
+    "u0": _Leaf(_cast_float),
+    "tau": _Leaf(_cast_float),
+    "alpha": _Leaf(_cast_float),
+    "recoil_energy_J": _Leaf(_cast_float),
+    "v0_V": _Leaf(_cast_float),
+    "d_tilde": _Leaf(_cast_float),
+    "q_tilde": _Leaf(_cast_float),
+    "higher": _Leaf(_cast_float_list),
+    "n_points": _Leaf(_cast_int, tdse.Grid1D.n_points),
+    "n_periods": _Leaf(_cast_int, tdse.Grid1D.n_periods),
+    "d_tau": _Leaf(_cast_float),
+    "max_step_phase": _Leaf(_cast_float, _default(tdse.plan_propagation, "max_step_phase")),
+    "include_kinetic": _Leaf(_cast_bool, tdse.PropagationConfig.include_kinetic),
+    "envelope": _Leaf(_cast_str, tdse.PropagationConfig.envelope),
+    "ramp_fraction": _Leaf(_cast_float, tdse.PropagationConfig.ramp_fraction),
+    "init_state": _Leaf(_cast_str, "plane"),
+    "order_offset": _Leaf(_cast_int, _default(tdse.init_plane_wave, "order_offset")),
+    "gauss_center": _Leaf(_cast_float),
+    "gauss_sigma": _Leaf(_cast_float),
+    "gauss_k0": _Leaf(_cast_float, _default(tdse.init_gaussian, "k0")),
+    "snapshot_every": _Leaf(_cast_int, tdse.PropagationConfig.snapshot_every),
+    "snapshot_prefix": _Leaf(_cast_str, "snapshot"),
+    "data": _Leaf(_cast_str),
+    "datasets": _Leaf(_cast_dict, flag=False),  # {"entries": [{"path":..., "alpha":...}, ...]}
+    "synthetic": _Leaf(_cast_dict, flag=False),
+    "bounds": _Leaf(_cast_float_list, _default(fit_mod.joint_fit, "bounds")),
+    "delta_chi2": _Leaf(_cast_float, _default(fit_mod.joint_fit, "delta_chi2")),
+    "n_grid": _Leaf(_cast_int, _default(fit_mod.joint_fit, "n_grid")),
+    "region_samples": _Leaf(_cast_int, _default(fit_mod.moment_region, "n_samples")),
+    "region_out": _Leaf(_cast_str),
+    "d_range": _Leaf(_cast_float_list),
+    "q_range": _Leaf(_cast_float_list),
+    "order_cutoff": _Leaf(_cast_int),
+    "out": _Leaf(_cast_str),
+    "format": _Leaf(_cast_str, "json"),
+    "seed": _Leaf(_cast_int),
+    "constants": _Leaf(_cast_str),
 }
 
 _PHYSICAL_KEYS = ("wavelength_m", "field_V_per_m", "time_s")
 _DIMLESS_KEYS = ("u0", "tau", "alpha")
 
+# defaulted entries are filled in this order, after the given ones
 _SYNTHETIC_LEAVES = {
-    "r_eff": _cast_float,
-    "alpha": _cast_float,
-    "orders": _cast_int_list,
-    "noise": _cast_str,
-    "rel_sigma": _cast_float,
-    "shots": _cast_int,
+    "r_eff": _Leaf(_cast_float),
+    "alpha": _Leaf(_cast_float),
+    "noise": _Leaf(_cast_str, "gaussian"),
+    "orders": _Leaf(_cast_list(_cast_int, "integers"), [0, 1, 2, 3, 4]),
+    "rel_sigma": _Leaf(_cast_float, _default(fit_mod.synthesize_gaussian, "rel_sigma")),
+    "shots": _Leaf(_cast_int, _default(fit_mod.synthesize_counts, "shots")),
 }
 
 
 class RunConfig:
-    """Fully resolved run parameters; built by parse_config only."""
+    """Fully resolved run parameters; built by parse_config only.
+
+    Holds every leaf of _LEAVES under its own name (its default when the
+    config omits it) plus the objects resolved from them.
+    """
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
@@ -253,13 +266,12 @@ def _validate_synthetic(raw: dict) -> dict:
         raise ConfigError(f"config key 'synthetic': unknown entries {sorted(unknown)}")
     if "r_eff" not in raw:
         raise ConfigError("config key 'synthetic.r_eff': required")
-    out = {k: _SYNTHETIC_LEAVES[k](f"synthetic.{k}", v) for k, v in raw.items()}
-    noise = out.setdefault("noise", "gaussian")
-    if noise not in ("gaussian", "counts"):
-        raise ConfigError(f"config key 'synthetic.noise': unknown model {noise!r}")
-    out.setdefault("orders", [0, 1, 2, 3, 4])
-    out.setdefault("rel_sigma", 0.01)
-    out.setdefault("shots", 100000)
+    out = {k: _SYNTHETIC_LEAVES[k].cast(f"synthetic.{k}", v) for k, v in raw.items()}
+    for k, leaf in _SYNTHETIC_LEAVES.items():
+        if k not in out and leaf.default is not None:
+            out[k] = leaf.cast(f"synthetic.{k}", leaf.default)  # cast copies a list
+    if out["noise"] not in ("gaussian", "counts"):
+        raise ConfigError(f"config key 'synthetic.noise': unknown model {out['noise']!r}")
     return out
 
 
@@ -302,40 +314,36 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     unknown = set(merged) - set(_LEAVES)
     if unknown:
         raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
-    cfg = {k: _LEAVES[k][0](k, v) for k, v in merged.items()}
+    # cfg holds the keys given (the setup echo); val every leaf, defaulted
+    cfg = {k: _LEAVES[k].cast(k, v) for k, v in merged.items()}
+    val = {k: cfg.get(k, leaf.default) for k, leaf in _LEAVES.items()}
 
-    mode = cfg.get("mode")
+    mode = val["mode"]
     if mode is None:
         raise ConfigError("config key 'mode': required")
     if mode not in MODES:
         raise ConfigError(f"config key 'mode': unknown mode {mode!r}")
 
-    consts = _load_constants(cfg.get("constants"))
+    consts = _load_constants(val["constants"])
     setup, laser = _resolve_setup(cfg, consts)
     moments = model.MomentSet.from_dipole_quadrupole(
-        cfg.get("d_tilde", 0.0), cfg.get("q_tilde", 0.0),
-        tuple(cfg.get("higher", [])))
+        **{k: cfg[k] for k in ("d_tilde", "q_tilde", "higher") if k in cfg})
 
     try:
-        grid = tdse.Grid1D(n_points=cfg.get("n_points", 1024),
-                           n_periods=cfg.get("n_periods", 8))
+        grid = tdse.Grid1D(n_points=val["n_points"], n_periods=val["n_periods"])
     except ValueError as exc:
-        raise ConfigError(f"config key 'n_points': {exc}") from exc
+        # Grid1D's messages lead with the field at fault
+        raise ConfigError(f"config key '{str(exc).split()[0]}': {exc}") from exc
 
-    fmt = cfg.get("format", "json")
-    if fmt not in ("csv", "json", "svg"):
-        raise ConfigError(f"config key 'format': expected csv, json or svg, got {fmt!r}")
-
-    envelope_kind = cfg.get("envelope", "rectangular")
-    if envelope_kind not in ("rectangular", "sin2_ramp"):
-        raise ConfigError(f"config key 'envelope': unknown envelope {envelope_kind!r}")
-    init_state = cfg.get("init_state", "plane")
-    if init_state not in ("plane", "gaussian"):
+    if val["format"] not in ("csv", "json", "svg"):
+        raise ConfigError(
+            f"config key 'format': expected csv, json or svg, got {val['format']!r}")
+    if val["envelope"] not in tdse.ENVELOPES:
+        raise ConfigError(f"config key 'envelope': unknown envelope {val['envelope']!r}")
+    if val["init_state"] not in ("plane", "gaussian"):
         raise ConfigError(f"config key 'init_state': expected plane or gaussian, "
-                          f"got {init_state!r}")
-
-    bounds = cfg.get("bounds", [0.0, 2.0])
-    if len(bounds) != 2:
+                          f"got {val['init_state']!r}")
+    if len(val["bounds"]) != 2:
         raise ConfigError("config key 'bounds': expected [r_min, r_max]")
 
     synthetic = _validate_synthetic(cfg["synthetic"]) if "synthetic" in cfg else None
@@ -344,16 +352,16 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if mode == "tdse" and not math.isfinite(setup.u0):
         raise ConfigError("config key 'u0': tdse mode needs a finite well depth")
     if mode == "fit":
-        sources = [s for s in ("data", "datasets", "synthetic") if cfg.get(s) is not None]
+        sources = [s for s in ("data", "datasets", "synthetic") if val[s] is not None]
         if len(sources) != 1:
             raise ConfigError(
                 "config key 'data': fit mode needs exactly one of data, datasets "
                 f"or synthetic, got {sources or 'none'}")
-        if synthetic is not None and cfg.get("seed") is None:
+        if synthetic is not None and val["seed"] is None:
             raise ConfigError("config key 'seed': required when synthesizing noisy data")
     if mode == "scan":
         for key in ("d_range", "q_range"):
-            rng = cfg.get(key)
+            rng = val[key]
             if rng is None or len(rng) != 3:
                 raise ConfigError(f"config key '{key}': expected [lo, hi, n]")
             if int(rng[2]) != rng[2] or int(rng[2]) < 1:
@@ -379,24 +387,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if "synthetic" in echo:
         echo["synthetic"] = synthetic
 
-    return RunConfig(
-        mode=mode, setup=setup, laser=laser, consts=consts, moments=moments,
-        grid=grid, d_tau=cfg.get("d_tau"), max_step_phase=cfg.get("max_step_phase", 0.05),
-        include_kinetic=cfg.get("include_kinetic", True), envelope=envelope_kind,
-        ramp_fraction=cfg.get("ramp_fraction", 0.25),
-        init_state=init_state, order_offset=cfg.get("order_offset", 0),
-        gauss_center=cfg.get("gauss_center"), gauss_sigma=cfg.get("gauss_sigma"),
-        gauss_k0=cfg.get("gauss_k0", 0.0),
-        snapshot_every=cfg.get("snapshot_every", 0),
-        snapshot_prefix=cfg.get("snapshot_prefix", "snapshot"),
-        data=cfg.get("data"), datasets=datasets, synthetic=synthetic,
-        bounds=(bounds[0], bounds[1]), delta_chi2=cfg.get("delta_chi2", 1.0),
-        n_grid=cfg.get("n_grid", 201), region_samples=cfg.get("region_samples", 512),
-        region_out=cfg.get("region_out"),
-        d_range=cfg.get("d_range"), q_range=cfg.get("q_range"),
-        order_cutoff=cfg.get("order_cutoff"),
-        out=cfg.get("out"), fmt=fmt, seed=cfg.get("seed"), echo=echo,
-    )
+    val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid,
+               datasets=datasets, synthetic=synthetic, bounds=tuple(val["bounds"]),
+               fmt=val["format"], echo=echo)
+    return RunConfig(**val)
 
 
 def _pattern_payload(pattern: analytic.DiffractionPattern,
@@ -556,13 +550,8 @@ def run(config: RunConfig) -> ResultEnvelope:
     """Execute a parsed config and wrap the result in an envelope."""
     report = model.check_regime(config.setup, config.moments, config.consts)
     if config.mode == "analytic":
-        if config.moments.max_order <= 2:
-            pattern = analytic.distribution_pattern(
-                config.setup.alpha, config.moments, config.order_cutoff)
-        else:
-            pattern = analytic.closed_form_pattern(
-                config.setup.alpha, config.moments, config.order_cutoff)
-        payload = _pattern_payload(pattern)
+        payload = _pattern_payload(analytic.closed_form_pattern(
+            config.setup.alpha, config.moments, config.order_cutoff))
     elif config.mode == "tdse":
         payload = _run_tdse(config)
     elif config.mode == "fit":
@@ -581,8 +570,8 @@ def _flag_name(key: str) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", metavar="PATH", help="config document (JSON)")
-    for key, (_cast, has_flag) in _LEAVES.items():
-        if has_flag:
+    for key, leaf in _LEAVES.items():
+        if leaf.flag:
             parent.add_argument(_flag_name(key), dest=key, metavar="V",
                                 help=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
@@ -591,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
     descriptions = {
-        "analytic": "thin-grating pattern from the Bessel route",
+        "analytic": "thin-grating pattern from the closed form",
         "tdse": "split-operator propagation binned into orders",
         "fit": "estimate r_eff from observed patterns",
         "validate": "regime report only",
@@ -610,9 +599,8 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
         else:
             text = "{}"
-        overrides = {key: getattr(args, key)
-                     for key, (_cast, has_flag) in _LEAVES.items()
-                     if has_flag and getattr(args, key, None) is not None}
+        overrides = {key: getattr(args, key) for key, leaf in _LEAVES.items()
+                     if leaf.flag and getattr(args, key, None) is not None}
         overrides["mode"] = args.mode
         config = parse_config(text, overrides)
         envelope = run(config)

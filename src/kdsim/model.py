@@ -65,11 +65,6 @@ class LaserSetup:
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.wavelength_m
 
-    @property
-    def angular_frequency(self) -> float:
-        # with the default speed of light; derive_scales honors an override
-        return 2.0 * math.pi * C_LIGHT / self.wavelength_m
-
 
 @dataclass(frozen=True)
 class DimensionlessSetup:

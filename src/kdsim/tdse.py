@@ -23,6 +23,7 @@ from .model import DimensionlessSetup, PotentialSpec, evaluate_potential
 
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
+ENVELOPES = ("rectangular", "sin2_ramp")
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class PropagationConfig:
             raise ValueError(f"d_tau must be finite and >= 0, got {self.d_tau!r}")
         if self.n_steps > 0 and self.d_tau == 0.0:
             raise ValueError("d_tau must be > 0 when n_steps > 0")
-        if self.envelope not in ("rectangular", "sin2_ramp"):
+        if self.envelope not in ENVELOPES:
             raise ValueError(f"unknown envelope {self.envelope!r}")
         if self.envelope == "sin2_ramp" and not 0.0 < self.ramp_fraction <= 0.5:
             raise ValueError(f"ramp_fraction must be in (0, 0.5], got {self.ramp_fraction!r}")

@@ -37,6 +37,16 @@ def test_series_agreement_design_range(x):
         assert abs(row[n] - bessel_series(n, x)) <= 1e-12
 
 
+@pytest.mark.parametrize("x", [100.0, 200.0])
+def test_series_agreement_large_argument(x):
+    # past x = 50 the recurrence start grows with x; the series needs about
+    # x / ln 10 extra digits to survive its cancellation
+    for order_max in (0, 5):
+        row = bessel_row(order_max, x).values
+        for n in range(order_max + 1):
+            assert abs(row[n] - bessel_series(n, x, dps=130)) <= 1e-12
+
+
 def test_zero_argument():
     assert bessel_j(0, 0.0) == 1.0
     for n in (1, 2, 7, -3):

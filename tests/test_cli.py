@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from kdsim.analytic import pointlike_pattern
+from kdsim.analytic import distribution_pattern, pointlike_pattern
 from kdsim.cli import (
     ConfigError, main, parse_config, read_observed_csv, run,
 )
 from kdsim.fit import band_radius, model_probabilities
+from kdsim.model import MomentSet
 
 J0_2_SQ = 0.050127080984469568505
 J0_1_SQ = 0.58552749951366402438
@@ -155,6 +156,8 @@ class TestParseConfig:
     def test_grid_errors_attributed(self):
         with pytest.raises(ConfigError, match="'n_points'"):
             parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, "n_points": 100}')
+        with pytest.raises(ConfigError, match="'n_periods'"):
+            parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, "n_periods": 0}')
 
     def test_out_of_hierarchy_moments_allowed(self):
         # the parser accepts them; the regime report flags the ordering
@@ -255,6 +258,17 @@ class TestMainAnalytic:
         code, out, _ = run_main(tmp_path, doc, capsys)
         assert code == 0
         assert json.loads(out)["payload"]["generator"] == "closed_form"
+        # dipole/quadrupole-only sets take the same route; the double Bessel
+        # sum stays an oracle for them
+        doc = {"mode": "analytic", "alpha": 2.0, "d_tilde": 0.3, "q_tilde": 0.1}
+        code, out, _ = run_main(tmp_path, doc, capsys)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["generator"] == "closed_form"
+        want = distribution_pattern(2.0, MomentSet((0.3, 0.1)))
+        assert payload["orders"] == list(want.orders)
+        for p, prob in zip(payload["orders"], payload["probabilities"]):
+            assert prob == pytest.approx(want.probability(p), abs=1e-10)
 
     def test_no_config_file_needed(self, capsys):
         code = main(["analytic", "--alpha", "2.0"])
