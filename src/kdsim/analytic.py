@@ -81,16 +81,22 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def pointlike_pattern(alpha: float, order_cutoff: int | None = None) -> DiffractionPattern:
-    """Pattern of a structureless charge: P_n = J_n(alpha)^2."""
+def _single_harmonic_pattern(alpha: float, r_eff: float, order_cutoff: int | None,
+                             generator: str, moments: MomentSet | None = None):
+    """P_p = J_p(alpha r_eff)^2 for p = -cut..cut."""
     alpha = _check_alpha(alpha)
-    cut = default_order_cutoff(alpha) if order_cutoff is None else int(order_cutoff)
+    cut = default_order_cutoff(alpha, r_eff) if order_cutoff is None else int(order_cutoff)
     if cut < 0:
         raise ValueError(f"order_cutoff must be >= 0, got {cut}")
-    row = bessel_row(cut, alpha).values
+    row = bessel_row(cut, alpha * r_eff).values
     orders = range(-cut, cut + 1)
-    probs = [row[abs(n)] ** 2 for n in orders]
-    return _pattern(orders, probs, "pointlike", alpha)
+    probs = [row[abs(p)] ** 2 for p in orders]
+    return _pattern(orders, probs, generator, alpha, moments)
+
+
+def pointlike_pattern(alpha: float, order_cutoff: int | None = None) -> DiffractionPattern:
+    """Pattern of a structureless charge: P_n = J_n(alpha)^2."""
+    return _single_harmonic_pattern(alpha, 1.0, order_cutoff, "pointlike")
 
 
 def effective_amplitude(moments: MomentSet) -> float:
@@ -161,16 +167,8 @@ def closed_form_pattern(alpha: float, moments: MomentSet,
 
     Works for any moment order since the potential has a single harmonic.
     """
-    alpha = _check_alpha(alpha)
-    r_eff = effective_amplitude(moments)
-    arg = alpha * r_eff
-    cut = default_order_cutoff(alpha, r_eff) if order_cutoff is None else int(order_cutoff)
-    if cut < 0:
-        raise ValueError(f"order_cutoff must be >= 0, got {cut}")
-    row = bessel_row(cut, arg).values
-    orders = range(-cut, cut + 1)
-    probs = [row[abs(p)] ** 2 for p in orders]
-    return _pattern(orders, probs, "closed_form", alpha, moments)
+    return _single_harmonic_pattern(alpha, effective_amplitude(moments), order_cutoff,
+                                    "closed_form", moments)
 
 
 def grating_oracle(spec: PotentialSpec, alpha: float, n_grid: int | None = None,

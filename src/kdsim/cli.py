@@ -26,8 +26,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import analytic, emit as emit_mod, fit as fit_mod, model, tdse
-from .emit import ResultEnvelope, emit, float_text
+from . import analytic, fit as fit_mod, model, tdse
+from .emit import ResultEnvelope, csv_table, emit, float_text
 from .version import __version__
 
 ENV_CONSTANTS = "KDSIM_CONSTANTS"
@@ -159,6 +159,8 @@ _LEAVES = {
 
 _PHYSICAL_KEYS = ("wavelength_m", "field_V_per_m", "time_s")
 _DIMLESS_KEYS = ("u0", "tau", "alpha")
+_PLAN_KEYS = ("d_tau", "max_step_phase", "include_kinetic", "envelope", "ramp_fraction",
+              "snapshot_every")  # plan_propagation's keywords
 
 # defaulted entries are filled in this order, after the given ones
 _SYNTHETIC_LEAVES = {
@@ -186,8 +188,6 @@ class RunConfig:
 
 
 def _load_constants(path: str | None) -> model.ElectronConstants:
-    if path is None:
-        path = os.environ.get(ENV_CONSTANTS)
     if path is None:
         return model.ElectronConstants()
     try:
@@ -293,6 +293,11 @@ def _validate_datasets(raw: dict) -> list[dict]:
     return out
 
 
+def _leading_key_error(exc: ValueError) -> ConfigError:
+    """ConfigError for a library message that leads with the field at fault."""
+    return ConfigError(f"config key '{str(exc).split()[0]}': {exc}")
+
+
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Validate a config document and resolve it to a RunConfig.
 
@@ -310,6 +315,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     for k, v in (overrides or {}).items():
         if v is not None:
             merged[k] = v
+    if "constants" not in merged and ENV_CONSTANTS in os.environ:
+        merged["constants"] = os.environ[ENV_CONSTANTS]  # so the echo records it
 
     unknown = set(merged) - set(_LEAVES)
     if unknown:
@@ -332,8 +339,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     try:
         grid = tdse.Grid1D(n_points=val["n_points"], n_periods=val["n_periods"])
     except ValueError as exc:
-        # Grid1D's messages lead with the field at fault
-        raise ConfigError(f"config key '{str(exc).split()[0]}': {exc}") from exc
+        raise _leading_key_error(exc) from exc
 
     if val["format"] not in ("csv", "json", "svg"):
         raise ConfigError(
@@ -349,8 +355,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     synthetic = _validate_synthetic(cfg["synthetic"]) if "synthetic" in cfg else None
     datasets = _validate_datasets(cfg["datasets"]) if "datasets" in cfg else None
 
-    if mode == "tdse" and not math.isfinite(setup.u0):
-        raise ConfigError("config key 'u0': tdse mode needs a finite well depth")
+    spec = plan = None
+    if mode == "tdse":
+        if not math.isfinite(setup.u0):
+            raise ConfigError("config key 'u0': tdse mode needs a finite well depth")
+        spec = model.build_potential(moments)
+        try:
+            plan = tdse.plan_propagation(setup, spec, **{k: val[k] for k in _PLAN_KEYS})
+        except ValueError as exc:
+            raise _leading_key_error(exc) from exc
     if mode == "fit":
         sources = [s for s in ("data", "datasets", "synthetic") if val[s] is not None]
         if len(sources) != 1:
@@ -366,8 +379,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"config key '{key}': expected [lo, hi, n]")
             if int(rng[2]) != rng[2] or int(rng[2]) < 1:
                 raise ConfigError(f"config key '{key}': n must be a positive integer")
-            if rng[0] > rng[1]:
-                raise ConfigError(f"config key '{key}': lo must be <= hi")
+            if not -math.inf < rng[0] <= rng[1] < math.inf:
+                raise ConfigError(f"config key '{key}': lo must be <= hi, both finite")
 
     echo = {k: v for k, v in cfg.items() if k not in _PHYSICAL_KEYS}
     echo["mode"] = mode
@@ -386,10 +399,12 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         echo["datasets"] = {"entries": datasets}
     if "synthetic" in echo:
         echo["synthetic"] = synthetic
+    if val["data"] is not None:
+        datasets = [{"path": val["data"], "alpha": setup.alpha}]  # read as one dataset
 
-    val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid,
-               datasets=datasets, synthetic=synthetic, bounds=tuple(val["bounds"]),
-               fmt=val["format"], echo=echo)
+    val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid, spec=spec,
+               plan=plan, datasets=datasets, synthetic=synthetic,
+               bounds=tuple(val["bounds"]), fmt=val["format"], echo=echo)
     return RunConfig(**val)
 
 
@@ -468,27 +483,17 @@ def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
 
 
 def _write_snapshot(prefix: str, step: int, state: tdse.WaveState) -> None:
-    x = state.grid.positions()
-    dens = np.abs(state.psi) ** 2
-    with open(f"{prefix}_{step:06d}_position.csv", "w", encoding="utf-8") as fh:
-        fh.write("x,density\n")
-        for xi, di in zip(x, dens):
-            fh.write(f"{float_text(xi)},{float_text(di)}\n")
     k = np.fft.fftshift(state.grid.wavenumbers())
     spec = np.fft.fftshift(np.abs(np.fft.fft(state.psi)) ** 2)
-    spec = spec / spec.sum()
-    with open(f"{prefix}_{step:06d}_momentum.csv", "w", encoding="utf-8") as fh:
-        fh.write("k,density\n")
-        for ki, si in zip(k, spec):
-            fh.write(f"{float_text(ki)},{float_text(si)}\n")
+    profiles = (("position", "x", state.grid.positions(), np.abs(state.psi) ** 2),
+                ("momentum", "k", k, spec / spec.sum()))
+    for name, axis, coords, dens in profiles:
+        rows = ((float_text(c), float_text(v)) for c, v in zip(coords, dens))
+        with open(f"{prefix}_{step:06d}_{name}.csv", "w", encoding="utf-8") as fh:
+            fh.write(csv_table(f"{axis},density", rows))
 
 
 def _run_tdse(config: RunConfig) -> dict:
-    spec = model.build_potential(config.moments)
-    plan = tdse.plan_propagation(
-        config.setup, spec, d_tau=config.d_tau, max_step_phase=config.max_step_phase,
-        include_kinetic=config.include_kinetic, envelope=config.envelope,
-        ramp_fraction=config.ramp_fraction, snapshot_every=config.snapshot_every)
     grid = config.grid
     if config.init_state == "plane":
         state = tdse.init_plane_wave(grid, config.order_offset)
@@ -500,15 +505,14 @@ def _run_tdse(config: RunConfig) -> dict:
     if config.snapshot_every > 0:
         def callback(step, _tau, snap):
             _write_snapshot(config.snapshot_prefix, step, snap)
-    final = tdse.propagate(state, spec, config.setup, plan, snapshot_callback=callback)
+    final = tdse.propagate(state, config.spec, config.setup, config.plan,
+                           snapshot_callback=callback)
     pattern = tdse.order_probabilities(final, max_order=config.order_cutoff)
     return _pattern_payload(pattern, alpha=config.setup.alpha)
 
 
 def _run_fit(config: RunConfig) -> dict:
-    if config.data is not None:
-        datasets = [read_observed_csv(config.data, config.setup.alpha)]
-    elif config.datasets is not None:
+    if config.datasets is not None:
         datasets = [read_observed_csv(e["path"], e["alpha"]) for e in config.datasets]
     else:
         syn = config.synthetic
@@ -528,22 +532,13 @@ def _run_fit(config: RunConfig) -> dict:
 
 
 def _run_scan(config: RunConfig) -> dict:
-    d_lo, d_hi, d_n = config.d_range
-    q_lo, q_hi, q_n = config.q_range
-    d_vals = np.linspace(d_lo, d_hi, int(d_n))
-    q_vals = np.linspace(q_lo, q_hi, int(q_n))
-    ds, qs, rs, p0s = [], [], [], []
-    for d in d_vals:
-        for q in q_vals:
-            moments = model.MomentSet.from_dipole_quadrupole(d, q)
-            r = analytic.effective_amplitude(moments)
-            p0 = fit_mod.model_probabilities(config.setup.alpha, r, [0])[0]
-            ds.append(float(d))
-            qs.append(float(q))
-            rs.append(r)
-            p0s.append(float(p0))
-    return {"kind": "scan", "alpha": config.setup.alpha,
-            "d_tilde": ds, "q_tilde": qs, "r_eff": rs, "p0": p0s}
+    axes = (np.linspace(lo, hi, int(n)) for lo, hi, n in (config.d_range, config.q_range))
+    ds, qs = np.meshgrid(*axes, indexing="ij")
+    ds, qs = ds.ravel().tolist(), qs.ravel().tolist()  # d~ major, q~ minor
+    rs = list(map(fit_mod.band_radius, ds, qs))
+    alpha = config.setup.alpha
+    p0s = [float(fit_mod.model_probabilities(alpha, r, [0])[0]) for r in rs]
+    return {"kind": "scan", "alpha": alpha, "d_tilde": ds, "q_tilde": qs, "r_eff": rs, "p0": p0s}
 
 
 def run(config: RunConfig) -> ResultEnvelope:

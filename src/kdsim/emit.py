@@ -73,34 +73,35 @@ class ResultEnvelope:
         }
 
 
-def _csv(header: str, rows) -> str:
+def csv_table(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of already formatted cells."""
     return "\n".join([header, *(",".join(cells) for cells in rows)]) + "\n"
 
 
 def _csv_pattern(payload: dict) -> str:
     rows = ((str(int(p)), float_text(v))
             for p, v in zip(payload["orders"], payload["probabilities"]))
-    return _csv("order,probability", rows)
+    return csv_table("order,probability", rows)
 
 
 def _csv_fit(payload: dict) -> str:
     rows = ((float_text(r), float_text(c))
             for r, c in zip(payload["scan_r"], payload["scan_chi2"]))
-    return _csv("r_eff,chi2", rows)
+    return csv_table("r_eff,chi2", rows)
 
 
 def _csv_region(payload: dict) -> str:
     rows = ((float_text(d), float_text(q))
             for contour in payload["contours"]
             for d, q in zip(contour["d_tilde"], contour["q_tilde"]))
-    return _csv("d_tilde,q_tilde", rows)
+    return csv_table("d_tilde,q_tilde", rows)
 
 
 def _csv_scan(payload: dict) -> str:
     rows = ((float_text(d), float_text(q), float_text(r), float_text(p))
             for d, q, r, p in zip(payload["d_tilde"], payload["q_tilde"],
                                   payload["r_eff"], payload["p0"]))
-    return _csv("d_tilde,q_tilde,r_eff,p0", rows)
+    return csv_table("d_tilde,q_tilde,r_eff,p0", rows)
 
 
 _CSV_BY_KIND = {

@@ -147,13 +147,9 @@ def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
     rs = np.linspace(r_min, r_max, n_grid)
     chis = np.array([objective(r) for r in rs])
 
-    minima = []
-    for i in range(n_grid):
-        left = chis[i - 1] if i > 0 else math.inf
-        right = chis[i + 1] if i < n_grid - 1 else math.inf
-        if chis[i] <= left and chis[i] <= right:
-            minima.append(i)
-    i_best = min(minima, key=lambda i: chis[i])
+    padded = np.concatenate(([math.inf], chis, [math.inf]))
+    minima = np.flatnonzero((chis <= padded[:-2]) & (chis <= padded[2:]))
+    i_best = int(minima[np.argmin(chis[minima])])  # first of the lowest minima
 
     notes = []
     at_bound = i_best in (0, n_grid - 1)
@@ -282,15 +278,10 @@ def _circle_samples(r: float, r_lo: float, r_hi: float, n_samples: int) -> np.nd
         d = 0.5 * r * np.cos(theta)
         q = 0.5 * (1.0 - r * np.sin(theta))
         pts = np.column_stack([d, q])
-    keep = []
-    for d, q in pts:
-        if not (0.0 <= d < 1.0 and 0.0 <= q < 1.0):
-            continue
-        # re-check the defining inequality exactly as emitted
-        r_here = band_radius(d, q)
-        if r_lo - _BAND_SLACK <= r_here <= r_hi + _BAND_SLACK:
-            keep.append((d, q))
-    return np.array(keep) if keep else np.empty((0, 2))
+    pts = pts[((pts >= 0.0) & (pts < 1.0)).all(axis=1)]
+    # re-check the defining inequality exactly as emitted
+    r_here = np.array([band_radius(d, q) for d, q in pts])
+    return pts[(r_lo - _BAND_SLACK <= r_here) & (r_here <= r_hi + _BAND_SLACK)]
 
 
 def moment_region(fit: FitResult, n_samples: int = 512) -> MomentRegion:
@@ -353,8 +344,7 @@ def synthesize_counts(alpha: float, r_eff: float, orders, rng, shots: int = 1000
     rest = max(0.0, 1.0 - probs.sum())
     pvec = np.append(probs, rest)
     counts = gen.multinomial(shots, pvec / pvec.sum())
-    index = {int(p): i for i, p in enumerate(full)}
-    est = np.array([counts[index[p]] / shots if p in index else 0.0 for p in orders])
+    est = np.array([counts[p + cut] / shots if abs(p) <= cut else 0.0 for p in orders])
     sig = np.maximum(np.sqrt(np.clip(est * (1.0 - est), 0.0, None) / shots), sigma_floor)
     return ObservedPattern(orders=orders, values=tuple(np.clip(est, 0.0, 1.0)),
                            sigmas=tuple(sig), alpha=alpha)

@@ -172,6 +172,8 @@ def plan_propagation(setup: DimensionlessSetup, spec: PotentialSpec,
     if tau == 0.0:
         return PropagationConfig(d_tau=0.0, n_steps=0, **config_kw)
     if d_tau is None:
+        if not (math.isfinite(max_step_phase) and max_step_phase > 0.0):
+            raise ValueError(f"max_step_phase must be finite and > 0, got {max_step_phase!r}")
         vmax = max_potential(setup, spec)
         d_tau = max_step_phase / vmax if vmax > 0.0 else tau
     if d_tau <= 0.0 or not math.isfinite(d_tau):
@@ -237,13 +239,12 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     start_norm = state.norm
 
     if not config.include_kinetic:
-        acc = 0.0
-        for j in range(config.n_steps):
-            acc += weights[j] * config.d_tau
-            if every and (j + 1) % every == 0 and snapshot_callback is not None:
-                snap = WaveState(grid=grid, psi=np.exp(-1j * v * acc) * psi0, k0=state.k0)
-                snapshot_callback(j + 1, (j + 1) * config.d_tau, snap)
-        out = WaveState(grid=grid, psi=np.exp(-1j * v * acc) * psi0, k0=state.k0)
+        area = np.cumsum(np.append(0.0, weights * config.d_tau))  # area[j]: after j steps
+        if every and snapshot_callback is not None:
+            for j in range(every, config.n_steps + 1, every):
+                snap = WaveState(grid=grid, psi=np.exp(-1j * v * area[j]) * psi0, k0=state.k0)
+                snapshot_callback(j, j * config.d_tau, snap)
+        out = WaveState(grid=grid, psi=np.exp(-1j * v * area[-1]) * psi0, k0=state.k0)
     else:
         k2 = grid.wavenumbers() ** 2
         exp_kin = np.exp(-1j * k2 * config.d_tau)
@@ -296,9 +297,7 @@ def order_probabilities(state: WaveState, k0: float | None = None,
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
 
-    table: dict[int, float] = {p: 0.0 for p in range(-max_order, max_order + 1)}
-    for p, w in zip(orders, spectrum):
-        p = int(p)
-        if -max_order <= p <= max_order:
-            table[p] += w / total
-    return _pattern(sorted(table), [table[p] for p in sorted(table)], "tdse", None)
+    keep = np.abs(orders) <= max_order
+    probs = np.bincount(orders[keep] + max_order, weights=spectrum[keep] / total,
+                        minlength=2 * max_order + 1)
+    return _pattern(range(-max_order, max_order + 1), probs, "tdse", None)

@@ -142,6 +142,9 @@ class TestParseConfig:
             parse_config(json.dumps({**base, "d_range": [0, 1, 2.5]}))
         with pytest.raises(ConfigError, match="lo must be"):
             parse_config(json.dumps({**base, "d_range": [1, 0, 5]}))
+        for bad in ([0, math.inf, 5], [math.nan, 1, 5]):
+            with pytest.raises(ConfigError, match="'d_range'"):
+                parse_config(json.dumps({**base, "d_range": bad}))
 
     def test_bounds_and_format_checked(self):
         with pytest.raises(ConfigError, match="bounds"):
@@ -158,6 +161,12 @@ class TestParseConfig:
             parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, "n_points": 100}')
         with pytest.raises(ConfigError, match="'n_periods'"):
             parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, "n_periods": 0}')
+        # the propagation plan is built while parsing, so its errors name their key too
+        for key, value in (("ramp_fraction", 0.9), ("snapshot_every", -1),
+                           ("max_step_phase", 0), ("d_tau", -1)):
+            doc = {"mode": "tdse", "u0": 100, "tau": 0.01, "envelope": "sin2_ramp", key: value}
+            with pytest.raises(ConfigError, match=f"config key '{key}'"):
+                parse_config(json.dumps(doc))
 
     def test_out_of_hierarchy_moments_allowed(self):
         # the parser accepts them; the regime report flags the ordering
@@ -481,6 +490,18 @@ class TestConstantsOverride:
         _, out2, _ = run_main(tmp_path, doc, capsys)
         halved = json.loads(out2)["payload"]["recoil_energy_J"]
         assert halved == pytest.approx(0.5 * base, rel=1e-12)
+
+    def test_env_file_recorded_in_echo(self, tmp_path, capsys, monkeypatch):
+        consts = tmp_path / "constants.json"
+        consts.write_text(json.dumps({"m": 2.0 * 9.1093837015e-31}))
+        monkeypatch.setenv("KDSIM_CONSTANTS", str(consts))
+        doc = {"mode": "validate", "wavelength_m": 1e-10}
+        _, out, _ = run_main(tmp_path, doc, capsys)
+        first = json.loads(out)
+        assert first["setup"]["constants"] == str(consts)
+        monkeypatch.delenv("KDSIM_CONSTANTS")
+        _, out2, _ = run_main(tmp_path, first["setup"], capsys)
+        assert json.loads(out2)["payload"] == first["payload"]
 
     def test_config_key_overrides(self, tmp_path, capsys):
         consts = tmp_path / "constants.json"

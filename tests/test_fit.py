@@ -11,7 +11,7 @@ from kdsim.fit import (
 )
 from kdsim.model import MomentSet
 
-from oracles import max_band_radius_bruteforce
+from oracles import local_minima_loop, max_band_radius_bruteforce
 
 
 def exact_observation(alpha, r_eff, orders=(0, 1, 2, 3), sigma=0.01):
@@ -116,6 +116,8 @@ class TestLandscape:
         assert len(fit.local_minima) >= 3
         rs = [r for r, _ in fit.local_minima]
         assert any(abs(r - 0.8) < 0.01 for r in rs)
+        recount = local_minima_loop(fit.scan_chi2)
+        assert fit.local_minima == tuple((fit.scan_r[i], fit.scan_chi2[i]) for i in recount)
 
     def test_bound_hit_is_flagged(self):
         obs = exact_observation(2.0, 1.0)

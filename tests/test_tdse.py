@@ -14,6 +14,8 @@ from kdsim.tdse import (
     propagate,
 )
 
+from oracles import binned_orders_loop
+
 POINTLIKE = build_potential(MomentSet())
 
 
@@ -96,6 +98,18 @@ class TestBinning:
     def test_default_max_order(self):
         pat = order_probabilities(init_plane_wave(Grid1D()))
         assert pat.order_cutoff == 63
+
+    @pytest.mark.parametrize("make_state, max_order", [
+        (lambda g: init_plane_wave(g, order_offset=1), 5),
+        (lambda g: init_gaussian(g, 3.0, 2.0, k0=0.5), 20),  # many modes per order
+        (lambda g: init_gaussian(g, 3.0, 2.0, k0=0.5), 2),   # truncating cutoff
+    ], ids=["plane_offset", "gaussian", "gaussian_truncated"])
+    def test_matches_loop_oracle(self, make_state, max_order):
+        grid = Grid1D(n_points=2048, n_periods=8)
+        state = make_state(grid)
+        pat = order_probabilities(state, max_order=max_order)
+        assert pat.probabilities == binned_orders_loop(
+            state.psi, grid.n_periods, grid.mode_index(state.k0), max_order)
 
     def test_zero_state_rejected(self):
         grid = Grid1D()
