@@ -12,7 +12,7 @@ from .model import (
     derive_scales, moments_from_si, build_potential, evaluate_potential,
     check_regime,
 )
-from .bessel import BesselRow, bessel_j, bessel_row
+from .bessel import BesselRow, bessel_j, bessel_row, bessel_rows
 from .analytic import (
     DiffractionPattern, default_order_cutoff,
     pointlike_pattern, distribution_pattern, closed_form_pattern,
@@ -38,7 +38,7 @@ __all__ = [
     "PotentialSpec", "RegimeReport",
     "derive_scales", "moments_from_si", "build_potential", "evaluate_potential",
     "check_regime",
-    "BesselRow", "bessel_j", "bessel_row",
+    "BesselRow", "bessel_j", "bessel_row", "bessel_rows",
     "DiffractionPattern", "default_order_cutoff",
     "pointlike_pattern", "distribution_pattern", "closed_form_pattern",
     "effective_amplitude", "grating_oracle", "pattern_distance",

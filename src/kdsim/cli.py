@@ -349,6 +349,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if val["init_state"] not in ("plane", "gaussian"):
         raise ConfigError(f"config key 'init_state': expected plane or gaussian, "
                           f"got {val['init_state']!r}")
+    if val["format"] == "svg" and mode not in ("analytic", "tdse"):
+        raise ConfigError(f"config key 'format': svg output is only defined for patterns "
+                          f"(analytic, tdse), not {mode} mode")
     if len(val["bounds"]) != 2:
         raise ConfigError("config key 'bounds': expected [r_min, r_max]")
 
@@ -372,12 +375,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 f"or synthetic, got {sources or 'none'}")
         if synthetic is not None and val["seed"] is None:
             raise ConfigError("config key 'seed': required when synthesizing noisy data")
+        if val["region_samples"] < 2:
+            raise ConfigError(
+                f"config key 'region_samples': must be >= 2, got {val['region_samples']}")
     if mode == "scan":
         for key in ("d_range", "q_range"):
             rng = val[key]
             if rng is None or len(rng) != 3:
                 raise ConfigError(f"config key '{key}': expected [lo, hi, n]")
-            if int(rng[2]) != rng[2] or int(rng[2]) < 1:
+            if not math.isfinite(rng[2]) or int(rng[2]) != rng[2] or rng[2] < 1:
                 raise ConfigError(f"config key '{key}': n must be a positive integer")
             if not -math.inf < rng[0] <= rng[1] < math.inf:
                 raise ConfigError(f"config key '{key}': lo must be <= hi, both finite")
@@ -537,7 +543,7 @@ def _run_scan(config: RunConfig) -> dict:
     ds, qs = ds.ravel().tolist(), qs.ravel().tolist()  # d~ major, q~ minor
     rs = list(map(fit_mod.band_radius, ds, qs))
     alpha = config.setup.alpha
-    p0s = [float(fit_mod.model_probabilities(alpha, r, [0])[0]) for r in rs]
+    p0s = fit_mod.model_probabilities(alpha, np.array(rs), [0])[:, 0].tolist()
     return {"kind": "scan", "alpha": alpha, "d_tilde": ds, "q_tilde": qs, "r_eff": rs, "p0": p0s}
 
 

@@ -50,6 +50,8 @@ def structured_text(obj, indent: int = 0) -> str:
             f"{pad}  {json.dumps(str(k))}: {structured_text(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and all(isinstance(v, float) for v in obj):
+        return "[" + ", ".join(map(float_text, obj)) + "]"  # same text, no per-item dispatch
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(structured_text(v, indent) for v in obj) + "]"
     return _scalar_text(obj)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_row
+from .bessel import bessel_row, bessel_rows
 from .analytic import default_order_cutoff
 
 SIGMA_FLOOR = 1e-4
@@ -58,20 +58,37 @@ class ObservedPattern:
         object.__setattr__(self, "alpha", alpha)
 
 
-def model_probabilities(alpha: float, r_eff: float, orders) -> np.ndarray:
-    """Thin-grating model P_p = J_p(alpha r_eff)^2 at the given orders."""
+def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:
+    """Thin-grating model P_p = J_p(alpha r_eff)^2 at the given orders.
+
+    A scalar r_eff gives one value per order; a 1-D array of r_eff gives
+    one row per entry, from a single batched Bessel pass.
+    """
     orders = np.asarray(orders, dtype=int)
-    row = bessel_row(int(np.max(np.abs(orders))) if orders.size else 0,
-                     alpha * r_eff).values
-    return row[np.abs(orders)] ** 2
+    order_max = int(np.max(np.abs(orders))) if orders.size else 0
+    if np.ndim(r_eff) == 0:
+        rows = bessel_row(order_max, alpha * r_eff).values
+    else:
+        rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
+    return rows[..., np.abs(orders)] ** 2
 
 
-def chi_square(observed: ObservedPattern, r_eff: float) -> float:
-    if not math.isfinite(r_eff) or r_eff < 0.0:
+def chi_square(observed: ObservedPattern, r_eff):
+    """Chi-square of the model at r_eff: a float, or an array for a 1-D array of r_eff."""
+    scalar = np.ndim(r_eff) == 0
+    if scalar:   # the refinement's many single evaluations: keep the check cheap
+        valid = math.isfinite(r_eff) and r_eff >= 0.0
+    else:
+        r = np.asarray(r_eff, dtype=float)
+        valid = bool(np.all(np.isfinite(r) & (r >= 0.0)))
+    if not valid:
         raise ValueError(f"r_eff must be finite and >= 0, got {r_eff!r}")
     model = model_probabilities(observed.alpha, r_eff, observed.orders)
     resid = (np.asarray(observed.values) - model) / np.asarray(observed.sigmas)
-    return float(np.sum(resid**2))
+    # in C order each row is summed pairwise exactly as a 1-D call sums it,
+    # so an array of r_eff gives the scalar calls' values bit for bit
+    chi2 = np.sum(np.ascontiguousarray(resid**2), axis=-1)
+    return float(chi2) if scalar else chi2
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
         raise ValueError(f"grid scan needs >= 200 points, got {n_grid}")
 
     rs = np.linspace(r_min, r_max, n_grid)
-    chis = np.array([objective(r) for r in rs])
+    chis = objective(rs)
 
     padded = np.concatenate(([math.inf], chis, [math.inf]))
     minima = np.flatnonzero((chis <= padded[:-2]) & (chis <= padded[2:]))
@@ -234,7 +251,7 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
             raise ValueError(f"expected ObservedPattern, got {type(obs).__name__}")
     dof = sum(len(obs.orders) for obs in datasets) - 1
 
-    def objective(r: float) -> float:
+    def objective(r):   # a float, or an array over an array of r
         return sum(chi_square(obs, r) for obs in datasets)
 
     return _fit_objective(objective, bounds, delta_chi2, dof, n_grid)

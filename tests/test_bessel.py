@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kdsim.bessel import BesselRow, bessel_j, bessel_row
+from kdsim.bessel import BesselRow, bessel_j, bessel_row, bessel_rows
 from oracles import bessel_series
 
 # frozen from the extended-precision power series
@@ -121,3 +121,34 @@ def test_rejects_bad_inputs():
         bessel_row(4, math.inf)
     with pytest.raises(ValueError):
         bessel_j(2, math.nan)
+
+
+@pytest.mark.parametrize("order_max", [0, 1, 9, 40, 80])
+def test_rows_bit_identical_to_scalar(order_max):
+    # the batched pass and the scalar loop are oracles for each other: every
+    # start-order regime, rescaling (small x, high order), both signs, the
+    # |x| < 1e-30 shortcut, and more arguments than one 256-argument block
+    rng = np.random.default_rng(order_max)
+    xs = np.concatenate([
+        [0.0, -0.0, 1e-31, -1e-31, 1e-29, 0.01, 0.1, 20.0, 50.0, 53.0, 200.0, -200.0],
+        rng.uniform(-20.0, 20.0, 150), rng.uniform(20.0, 50.0, 100),
+        rng.uniform(50.0, 200.0, 100), -rng.uniform(20.0, 200.0, 40)])
+    rng.shuffle(xs)
+    rows = bessel_rows(order_max, xs)
+    ref = np.array([bessel_row(order_max, x).values for x in xs])
+    assert rows.shape == (xs.size, order_max + 1)
+    np.testing.assert_array_equal(rows, ref)
+    assert np.array_equal(np.signbit(rows), np.signbit(ref))
+
+
+def test_rows_shapes():
+    assert bessel_rows(3, []).shape == (0, 4)
+    np.testing.assert_array_equal(bessel_rows(5, [2.5])[0], bessel_row(5, 2.5).values)
+
+
+def test_rows_reject_bad_inputs():
+    with pytest.raises(ValueError, match="order_max"):
+        bessel_rows(-1, [2.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_rows(4, [1.0, bad])

@@ -145,6 +145,9 @@ class TestParseConfig:
         for bad in ([0, math.inf, 5], [math.nan, 1, 5]):
             with pytest.raises(ConfigError, match="'d_range'"):
                 parse_config(json.dumps({**base, "d_range": bad}))
+        for bad in ([0, 1, math.inf], [0, 1, math.nan]):
+            with pytest.raises(ConfigError, match="'q_range': n must be a positive integer"):
+                parse_config(json.dumps({**base, "d_range": [0, 1, 5], "q_range": bad}))
 
     def test_bounds_and_format_checked(self):
         with pytest.raises(ConfigError, match="bounds"):
@@ -155,6 +158,15 @@ class TestParseConfig:
             parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, "envelope": "box"}')
         with pytest.raises(ConfigError, match="'init_state'"):
             parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, "init_state": "soliton"}')
+        # svg is the pattern bar chart: rejected up front for the other payloads
+        for doc in ({"mode": "fit", "alpha": 2, "data": "x.csv"},
+                    {"mode": "scan", "alpha": 2, "d_range": [0, 1, 3], "q_range": [0, 1, 3]},
+                    {"mode": "validate", "alpha": 2}):
+            with pytest.raises(ConfigError, match="config key 'format': svg"):
+                parse_config(json.dumps({**doc, "format": "svg"}))
+        for doc in ({"mode": "analytic", "alpha": 2},
+                    {"mode": "tdse", "u0": 100, "tau": 0.01}):
+            assert parse_config(json.dumps({**doc, "format": "svg"})).fmt == "svg"
 
     def test_grid_errors_attributed(self):
         with pytest.raises(ConfigError, match="'n_points'"):
@@ -167,6 +179,10 @@ class TestParseConfig:
             doc = {"mode": "tdse", "u0": 100, "tau": 0.01, "envelope": "sin2_ramp", key: value}
             with pytest.raises(ConfigError, match=f"config key '{key}'"):
                 parse_config(json.dumps(doc))
+        # moment_region's own check would name it n_samples, at run time
+        doc = {"mode": "fit", "alpha": 2.0, "data": "x.csv", "region_samples": 1}
+        with pytest.raises(ConfigError, match="config key 'region_samples'"):
+            parse_config(json.dumps(doc))
 
     def test_out_of_hierarchy_moments_allowed(self):
         # the parser accepts them; the regime report flags the ordering

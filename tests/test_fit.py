@@ -9,6 +9,7 @@ from kdsim.fit import (
     fit_effective_amplitude, joint_fit, model_probabilities, moment_region,
     synthesize_counts, synthesize_gaussian,
 )
+import kdsim.fit as fit_mod
 from kdsim.model import MomentSet
 
 from oracles import local_minima_loop, max_band_radius_bruteforce
@@ -48,6 +49,46 @@ class TestObservedPattern:
         assert chi_square(obs, 0.7) > 1.0
         with pytest.raises(ValueError):
             chi_square(obs, -0.1)
+
+
+class TestBatchedEvaluation:
+    def test_array_of_r_matches_scalar_calls_bit_for_bit(self):
+        rs = np.linspace(0.0, 2.0, 301)
+        for alpha, orders in ((2.0, (0, 1, 2, 3)), (37.0, tuple(range(-6, 9))),
+                              (90.0, (0, 2, 5, 11, 17, 23, 29, 31, 40))):
+            model = model_probabilities(alpha, rs, orders)
+            np.testing.assert_array_equal(
+                model, [model_probabilities(alpha, r, orders) for r in rs])
+            obs = ObservedPattern(orders, tuple(model_probabilities(alpha, 0.83, orders)),
+                                  (0.01,) * len(orders), alpha)
+            chis = chi_square(obs, rs)
+            assert chis.shape == rs.shape
+            np.testing.assert_array_equal(chis, [chi_square(obs, r) for r in rs])
+        assert isinstance(chi_square(obs, 0.8), float)
+
+    def test_array_r_validated(self):
+        obs = exact_observation(2.0, 0.8)
+        for bad in ([0.1, -0.1], [0.1, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="r_eff"):
+                chi_square(obs, np.array(bad))
+
+    def test_grid_scan_is_one_chi_square_call_per_dataset(self, monkeypatch):
+        # the benchmark counts chi-square evaluations as np.size of the r
+        # argument and splits them into grid scan and refinement on this shape
+        seen = []
+        original = fit_mod.chi_square
+
+        def counting(observed, r_eff):
+            seen.append(np.size(r_eff) if np.ndim(r_eff) else None)
+            return original(observed, r_eff)
+
+        monkeypatch.setattr(fit_mod, "chi_square", counting)
+        data = [exact_observation(2.0, 0.8), exact_observation(3.5, 0.8, orders=(0, 1, 2, 4, 5))]
+        joint_fit(data, n_grid=257)
+        grid_calls = [n for n in seen if n is not None]
+        assert grid_calls == [257, 257]
+        assert seen[:2] == grid_calls  # the scan comes first, then scalar refinement
+        assert len(seen) > 2
 
 
 class TestDegeneracy:
