@@ -298,6 +298,29 @@ def _leading_key_error(exc: ValueError) -> ConfigError:
     return ConfigError(f"config key '{str(exc).split()[0]}': {exc}")
 
 
+def _initial_state(val: dict, grid: tdse.Grid1D) -> tdse.WaveState:
+    """tdse start state; a plane wave is built on the smallest cell that tiles grid.
+
+    A plane wave on an order stays periodic in the potential period pi for the
+    whole pulse, so it is propagated on gcd(n_points, n_periods) times fewer
+    periods and points: the same dx, momentum cutoff, orders and step plan.
+    """
+    if val["init_state"] == "plane":
+        fold = math.gcd(grid.n_points, grid.n_periods)
+        cell = tdse.Grid1D(n_points=grid.n_points // fold, n_periods=grid.n_periods // fold)
+        return tdse.init_plane_wave(cell, val["order_offset"])
+    try:
+        grid.mode_index(val["gauss_k0"])
+    except ValueError as exc:
+        raise ConfigError(f"config key 'gauss_k0': {exc}") from exc
+    center = grid.box_length / 2.0 if val["gauss_center"] is None else val["gauss_center"]
+    sigma = grid.box_length / 8.0 if val["gauss_sigma"] is None else val["gauss_sigma"]
+    try:
+        return tdse.init_gaussian(grid, center, sigma, val["gauss_k0"])
+    except ValueError as exc:  # the carrier passed above, so the width is at fault
+        raise ConfigError(f"config key 'gauss_sigma': {exc}") from exc
+
+
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Validate a config document and resolve it to a RunConfig.
 
@@ -352,13 +375,17 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if val["format"] == "svg" and mode not in ("analytic", "tdse"):
         raise ConfigError(f"config key 'format': svg output is only defined for patterns "
                           f"(analytic, tdse), not {mode} mode")
+    if val["format"] == "csv" and mode == "validate":
+        raise ConfigError("config key 'format': payload kind 'regime' has no CSV form; use json")
+    if val["order_cutoff"] is not None and val["order_cutoff"] < 0:
+        raise ConfigError(f"config key 'order_cutoff': must be >= 0, got {val['order_cutoff']}")
     if len(val["bounds"]) != 2:
         raise ConfigError("config key 'bounds': expected [r_min, r_max]")
 
     synthetic = _validate_synthetic(cfg["synthetic"]) if "synthetic" in cfg else None
     datasets = _validate_datasets(cfg["datasets"]) if "datasets" in cfg else None
 
-    spec = plan = None
+    spec = plan = state = None
     if mode == "tdse":
         if not math.isfinite(setup.u0):
             raise ConfigError("config key 'u0': tdse mode needs a finite well depth")
@@ -367,6 +394,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             plan = tdse.plan_propagation(setup, spec, **{k: val[k] for k in _PLAN_KEYS})
         except ValueError as exc:
             raise _leading_key_error(exc) from exc
+        state = _initial_state(val, grid)
     if mode == "fit":
         sources = [s for s in ("data", "datasets", "synthetic") if val[s] is not None]
         if len(sources) != 1:
@@ -409,7 +437,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         datasets = [{"path": val["data"], "alpha": setup.alpha}]  # read as one dataset
 
     val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid, spec=spec,
-               plan=plan, datasets=datasets, synthetic=synthetic,
+               plan=plan, state=state, datasets=datasets, synthetic=synthetic,
                bounds=tuple(val["bounds"]), fmt=val["format"], echo=echo)
     return RunConfig(**val)
 
@@ -500,18 +528,14 @@ def _write_snapshot(prefix: str, step: int, state: tdse.WaveState) -> None:
 
 
 def _run_tdse(config: RunConfig) -> dict:
-    grid = config.grid
-    if config.init_state == "plane":
-        state = tdse.init_plane_wave(grid, config.order_offset)
-    else:
-        center = grid.box_length / 2.0 if config.gauss_center is None else config.gauss_center
-        sigma = grid.box_length / 8.0 if config.gauss_sigma is None else config.gauss_sigma
-        state = tdse.init_gaussian(grid, center, sigma, config.gauss_k0)
+    fold = config.grid.n_points // config.state.grid.n_points  # 1 unless a folded plane wave
     callback = None
     if config.snapshot_every > 0:
-        def callback(step, _tau, snap):
-            _write_snapshot(config.snapshot_prefix, step, snap)
-    final = tdse.propagate(state, config.spec, config.setup, config.plan,
+        def callback(step, _tau, snap):  # written on the configured box
+            psi = np.tile(snap.psi, fold) / math.sqrt(fold)
+            box = tdse.WaveState(grid=config.grid, psi=psi, k0=snap.k0)
+            _write_snapshot(config.snapshot_prefix, step, box)
+    final = tdse.propagate(config.state, config.spec, config.setup, config.plan,
                            snapshot_callback=callback)
     pattern = tdse.order_probabilities(final, max_order=config.order_cutoff)
     return _pattern_payload(pattern, alpha=config.setup.alpha)

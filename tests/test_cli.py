@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kdsim import tdse
 from kdsim.analytic import distribution_pattern, pointlike_pattern
 from kdsim.cli import (
     ConfigError, main, parse_config, read_observed_csv, run,
@@ -167,6 +168,9 @@ class TestParseConfig:
         for doc in ({"mode": "analytic", "alpha": 2},
                     {"mode": "tdse", "u0": 100, "tau": 0.01}):
             assert parse_config(json.dumps({**doc, "format": "svg"})).fmt == "svg"
+        # a regime report has no table form
+        with pytest.raises(ConfigError, match="config key 'format': .* no CSV form"):
+            parse_config('{"mode": "validate", "alpha": 2, "format": "csv"}')
 
     def test_grid_errors_attributed(self):
         with pytest.raises(ConfigError, match="'n_points'"):
@@ -183,6 +187,18 @@ class TestParseConfig:
         doc = {"mode": "fit", "alpha": 2.0, "data": "x.csv", "region_samples": 1}
         with pytest.raises(ConfigError, match="config key 'region_samples'"):
             parse_config(json.dumps(doc))
+        # the tdse start state is built while parsing: init_gaussian's own checks
+        # would say sigma or wavenumber, and order binning max_order, at run time
+        gauss = {"mode": "tdse", "u0": 100, "tau": 0.01, "init_state": "gaussian"}
+        for key, value, why in (("gauss_sigma", 0, "too narrow"),
+                                ("gauss_sigma", 100, "too wide"),
+                                ("gauss_k0", 0.3, "incommensurate")):
+            with pytest.raises(ConfigError, match=f"config key '{key}': .*{why}"):
+                parse_config(json.dumps({**gauss, key: value}))
+        assert parse_config(json.dumps({**gauss, "gauss_k0": 0.25})).state.k0 == 0.25
+        for doc in ({"mode": "tdse", "u0": 100, "tau": 0.01}, {"mode": "analytic", "alpha": 2}):
+            with pytest.raises(ConfigError, match="config key 'order_cutoff': must be >= 0"):
+                parse_config(json.dumps({**doc, "order_cutoff": -1}))
 
     def test_out_of_hierarchy_moments_allowed(self):
         # the parser accepts them; the regime report flags the ordering
@@ -437,6 +453,65 @@ class TestMainTdse:
         assert code == 0
         payload = json.loads(out)["payload"]
         assert sum(payload["probabilities"]) == pytest.approx(1.0, abs=1e-3)
+
+
+class TestPlaneWaveCell:
+    """Plane waves propagate on one gcd(n_points, n_periods) cell of the box.
+
+    The reference is tdse.propagate on the configured full box.
+    """
+
+    BASE = {"mode": "tdse", "u0": 300.0, "alpha": 2.5, "d_tilde": 0.3, "q_tilde": 0.1}
+
+    @pytest.mark.parametrize("extra, cell_points", [
+        ({}, 128),
+        ({"envelope": "sin2_ramp"}, 128),
+        ({"order_offset": 1}, 128),
+        ({"n_periods": 6}, 512),
+        ({"n_periods": 3}, 1024),  # n_points // n_periods = 341 is no grid
+        ({"snapshot_every": 20}, 128),
+        ({"init_state": "gaussian"}, 1024),  # never folded
+    ])
+    def test_matches_full_box(self, tmp_path, capsys, monkeypatch, extra, cell_points):
+        doc = {**self.BASE, **extra, "snapshot_prefix": str(tmp_path / "snap")}
+        rc = parse_config(json.dumps(doc))
+        grid = rc.grid
+        if rc.init_state == "plane":
+            start = tdse.init_plane_wave(grid, rc.order_offset)
+        else:
+            start = tdse.init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
+        snaps = {}
+        full = tdse.propagate(start, rc.spec, rc.setup, rc.plan,
+                              snapshot_callback=lambda j, _t, s: snaps.setdefault(j, s.psi))
+        want = tdse.order_probabilities(full, max_order=rc.order_cutoff)
+
+        propagated = []
+        propagate = tdse.propagate
+
+        def spy(state, *args, **kwargs):
+            propagated.append(state.grid.n_points)
+            return propagate(state, *args, **kwargs)
+
+        monkeypatch.setattr(tdse, "propagate", spy)
+        code, out, _ = run_main(tmp_path, doc, capsys)
+        assert code == 0
+        assert propagated == [cell_points]
+        payload = json.loads(out)["payload"]
+        assert payload["orders"] == list(want.orders)
+        assert np.max(np.abs(np.subtract(payload["probabilities"],
+                                         [want.probabilities[p] for p in want.orders]))) <= 1e-13
+        assert abs(payload["tail_mass"] - want.tail_mass) <= 1e-13
+
+        assert len(snaps) == (rc.plan.n_steps // 20 if "snapshot_every" in extra else 0)
+        k = np.fft.fftshift(grid.wavenumbers())
+        for step, psi in snaps.items():
+            spec = np.fft.fftshift(np.abs(np.fft.fft(psi)) ** 2)
+            for name, coords, dens in (("position", grid.positions(), np.abs(psi) ** 2),
+                                       ("momentum", k, spec / spec.sum())):
+                got = np.loadtxt(tmp_path / f"snap_{step:06d}_{name}.csv", delimiter=",",
+                                 skiprows=1)
+                assert np.array_equal(got[:, 0], coords)
+                assert np.max(np.abs(got[:, 1] - dens)) <= 1e-13
 
 
 class TestDeterminism:

@@ -9,8 +9,9 @@ REF by `git archive`, once with the working tree's `src/`.  Each tree runs in
 its own interpreter, one after the other, in the same scratch directory, so
 the paths that the setup echo records are equal.  Per job the SHA-256 of
 stdout, stderr and every file the job wrote is compared, together with the
-exit code.  The ids of the differing jobs are printed; the exit code is 1 if
-any job differs.
+exit code.  The ids of the differing jobs are printed, each with the largest
+absolute difference between corresponding numbers in its differing JSON and
+CSV files and the file where it occurs; the exit code is 1 if any job differs.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("fit_campaign", "propagation", "pattern_scan")
 ROUNDS = 9  # jobs per workload slot: 108 fit, 108 propagation, 117 pattern jobs per seed
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _sha(data: bytes) -> str:
@@ -79,7 +82,32 @@ def _run_tree(src: Path, workload: str, seed: int, workdir: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def _differences(base: dict, head: dict) -> list[str]:
+def _number_change(a: str, b: str) -> float | None:
+    """Largest |x - y| over corresponding numbers of two texts; None if other text differs."""
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return None
+    pairs = zip(_NUMBER.findall(a), _NUMBER.findall(b))
+    return max((abs(float(x) - float(y)) for x, y in pairs if x != y), default=0.0)
+
+
+def _largest_change(names: list[str], dirs: tuple[Path, Path]) -> str:
+    """Summary of the numeric change over the JSON and CSV files among names."""
+    changes, notes = [], []
+    for name in names:
+        paths = [Path(d, name) for d in dirs]
+        if Path(name).suffix not in (".json", ".csv") or not all(p.is_file() for p in paths):
+            continue
+        change = _number_change(*(p.read_text(encoding="utf-8") for p in paths))
+        if change is None:
+            notes.append(f"{name} differs beyond its numbers")
+        else:
+            changes.append((change, name))
+    if changes:
+        notes.insert(0, "max |diff| {:.3g} in {}".format(*max(changes)))
+    return "; ".join(notes)
+
+
+def _differences(base: dict, head: dict, dirs: tuple[Path, Path]) -> list[str]:
     lines = []
     for job_id in sorted(set(base) | set(head)):
         a, b = base.get(job_id), head.get(job_id)
@@ -87,10 +115,12 @@ def _differences(base: dict, head: dict) -> list[str]:
             lines.append(f"{job_id}: only in {'head' if a is None else 'base'}")
             continue
         parts = [key for key in ("code", "stdout", "stderr") if a[key] != b[key]]
-        parts += [name for name in sorted(set(a["files"]) | set(b["files"]))
-                  if a["files"].get(name) != b["files"].get(name)]
-        if parts:
-            lines.append(f"{job_id}: {', '.join(parts)}")
+        files = [name for name in sorted(set(a["files"]) | set(b["files"]))
+                 if a["files"].get(name) != b["files"].get(name)]
+        if parts or files:
+            summary = _largest_change(files, dirs)
+            lines.append(f"{job_id}: {', '.join(parts + files)}"
+                         + (f" ({summary})" if summary else ""))
     return lines
 
 
@@ -118,9 +148,14 @@ def main(argv: list[str] | None = None) -> int:
         total, differing = 0, 0
         for workload in args.workload or WORKLOADS:
             for seed in args.seed or (1, 2):
-                runs = [_run_tree(src, workload, seed, Path(tmp, "work"))
-                        for src in (base_src / "src", ROOT / "src")]
-                diffs = _differences(*runs)
+                # both trees write to one path (the setup echo records it), so the
+                # base tree's files are moved aside before the working tree runs
+                base_out = Path(tmp, "base_out")
+                shutil.rmtree(base_out, ignore_errors=True)
+                runs = [_run_tree(base_src / "src", workload, seed, Path(tmp, "work"))]
+                Path(tmp, "work").rename(base_out)
+                runs.append(_run_tree(ROOT / "src", workload, seed, Path(tmp, "work")))
+                diffs = _differences(*runs, (base_out, Path(tmp, "work")))
                 total += len(runs[1])
                 differing += len(diffs)
                 print(f"{workload} seed {seed}: {len(runs[1])} jobs, {len(diffs)} differ")
