@@ -56,7 +56,7 @@ def _cast_int(key, v) -> int:
         raise ConfigError(f"config key '{key}': expected an integer, got {v!r}")
     if isinstance(v, int):
         return v
-    if isinstance(v, float) and v == int(v):
+    if isinstance(v, float) and v.is_integer():  # False for nan and inf too
         return int(v)
     if isinstance(v, str):
         try:
@@ -299,25 +299,23 @@ def _leading_key_error(exc: ValueError) -> ConfigError:
 
 
 def _initial_state(val: dict, grid: tdse.Grid1D) -> tdse.WaveState:
-    """tdse start state; a plane wave is built on the smallest cell that tiles grid.
-
-    A plane wave on an order stays periodic in the potential period pi for the
-    whole pulse, so it is propagated on gcd(n_points, n_periods) times fewer
-    periods and points: the same dx, momentum cutoff, orders and step plan.
-    """
+    """tdse start state on the configured grid; its errors name their key."""
     if val["init_state"] == "plane":
-        fold = math.gcd(grid.n_points, grid.n_periods)
-        cell = tdse.Grid1D(n_points=grid.n_points // fold, n_periods=grid.n_periods // fold)
-        return tdse.init_plane_wave(cell, val["order_offset"])
+        try:
+            return tdse.init_plane_wave(grid, val["order_offset"])
+        except ValueError as exc:
+            raise _leading_key_error(exc) from exc
     try:
         grid.mode_index(val["gauss_k0"])
     except ValueError as exc:
         raise ConfigError(f"config key 'gauss_k0': {exc}") from exc
     center = grid.box_length / 2.0 if val["gauss_center"] is None else val["gauss_center"]
+    if not math.isfinite(center):
+        raise ConfigError(f"config key 'gauss_center': must be finite, got {center!r}")
     sigma = grid.box_length / 8.0 if val["gauss_sigma"] is None else val["gauss_sigma"]
     try:
         return tdse.init_gaussian(grid, center, sigma, val["gauss_k0"])
-    except ValueError as exc:  # the carrier passed above, so the width is at fault
+    except ValueError as exc:  # the carrier and center passed above, so the width is at fault
         raise ConfigError(f"config key 'gauss_sigma': {exc}") from exc
 
 
@@ -528,15 +526,10 @@ def _write_snapshot(prefix: str, step: int, state: tdse.WaveState) -> None:
 
 
 def _run_tdse(config: RunConfig) -> dict:
-    fold = config.grid.n_points // config.state.grid.n_points  # 1 unless a folded plane wave
-    callback = None
-    if config.snapshot_every > 0:
-        def callback(step, _tau, snap):  # written on the configured box
-            psi = np.tile(snap.psi, fold) / math.sqrt(fold)
-            box = tdse.WaveState(grid=config.grid, psi=psi, k0=snap.k0)
-            _write_snapshot(config.snapshot_prefix, step, box)
-    final = tdse.propagate(config.state, config.spec, config.setup, config.plan,
-                           snapshot_callback=callback)
+    final = tdse.propagate(
+        config.state, config.spec, config.setup, config.plan,
+        snapshot_callback=lambda step, _tau, snap: _write_snapshot(
+            config.snapshot_prefix, step, snap))
     pattern = tdse.order_probabilities(final, max_order=config.order_cutoff)
     return _pattern_payload(pattern, alpha=config.setup.alpha)
 

@@ -8,6 +8,10 @@ The propagator is the symmetric (Strang) splitting
     exp(-i V dtau/2) . F^-1 exp(-i k^2 dtau) F . exp(-i V dtau/2),
 second order in dtau.  The physical sign convention exp(-i H t / hbar) is
 used; order probabilities are insensitive to conjugating the evolution.
+
+The potential (period pi) couples a box mode only to modes n_periods bins away,
+so a state splits exactly into f = gcd(n_points, n_periods) Bloch sectors, each
+evolving on a cell of n_points/f points with the same dx.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .model import DimensionlessSetup, PotentialSpec, evaluate_potential
 
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
+_EMPTY_SECTOR = 1e-20  # weight propagate may carry unstepped: no order moves by more
 ENVELOPES = ("rectangular", "sin2_ramp")
 
 
@@ -90,6 +95,9 @@ def init_plane_wave(grid: Grid1D, order_offset: int = 0) -> WaveState:
     """Normalized plane wave sitting exactly on diffraction order order_offset."""
     if order_offset != int(order_offset):
         raise ValueError(f"order_offset must be an integer, got {order_offset!r}")
+    if 2 * abs(int(order_offset)) >= grid.n_points / grid.n_periods:
+        raise ValueError(f"order_offset {order_offset} aliases: need 2*|order_offset| < "
+                         f"n_points/n_periods = {grid.n_points / grid.n_periods:.6g}")
     k0 = 2.0 * int(order_offset)
     x = grid.positions()
     psi = np.exp(1j * k0 * x) / math.sqrt(grid.box_length)
@@ -103,7 +111,7 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
     the box.  The envelope is wrapped around the periodic box, so the
     momentum spectrum is an exactly sampled Gaussian with no seam at the
     boundary.  k0 must be representable on the momentum grid, i.e. an
-    integer multiple of 2/n_periods.
+    integer multiple of 2/n_periods.  center is taken modulo the box length.
     """
     sigma = float(sigma)
     if not math.isfinite(sigma) or sigma <= 3.0 * grid.dx:
@@ -114,6 +122,7 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
     grid.mode_index(k0)  # rejects incommensurate carriers
     x = grid.positions()
     length = grid.box_length
+    center = float(center) % length  # exact, so a center inside the box is kept as is
     envelope = np.zeros(grid.n_points)
     # commensurate k0 makes exp(i k0 n L) = 1, so images share one carrier
     for image in range(-2, 3):
@@ -205,7 +214,8 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
               snapshot_callback: SnapshotCallback | None = None) -> WaveState:
     """Evolve a state through the standing wave; returns a new WaveState.
 
-    With include_kinetic the Strang splitting above is applied n_steps
+    The occupied Bloch sectors (module docstring) are stepped together on the
+    cell.  With include_kinetic the Strang splitting above is applied n_steps
     times.  Without it the potential factors commute, so the integrated
     phase is accumulated and applied in one exponential: the exact
     thin-grating map for the configured envelope.
@@ -226,42 +236,47 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     if not math.isfinite(setup.u0):
         raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
     grid = state.grid
-    v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions())
+    fold = math.gcd(grid.n_points, grid.n_periods)
+    cell = grid.n_points // fold
+    v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell])
     vmax = float(np.max(np.abs(v)))
     if config.n_steps > 0 and vmax * config.d_tau > _STEP_PHASE_WARN:
         warnings.warn(
             f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
             f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=2)
 
+    spectrum = np.fft.fft(state.psi)
+    sectors = spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
+    power = np.sum(np.abs(sectors) ** 2, axis=1)
+    live = power > _EMPTY_SECTOR / fold * power.sum()  # carried ones: <= _EMPTY_SECTOR in all
+    phi = np.fft.ifft(sectors[live])  # one row per stepped sector
+
+    def on_box(phi: np.ndarray) -> WaveState:
+        sectors[live] = np.fft.fft(phi)  # writes into spectrum; carried rows stay as they were
+        return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
+
     weights = _envelope_weights(config)
     every = config.snapshot_every
-    psi0 = state.psi
-    start_norm = state.norm
-
     if not config.include_kinetic:
         area = np.cumsum(np.append(0.0, weights * config.d_tau))  # area[j]: after j steps
         if every and snapshot_callback is not None:
             for j in range(every, config.n_steps + 1, every):
-                snap = WaveState(grid=grid, psi=np.exp(-1j * v * area[j]) * psi0, k0=state.k0)
-                snapshot_callback(j, j * config.d_tau, snap)
-        out = WaveState(grid=grid, psi=np.exp(-1j * v * area[-1]) * psi0, k0=state.k0)
+                snapshot_callback(j, j * config.d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
+        out = on_box(np.exp(-1j * v * area[-1]) * phi)
     else:
-        k2 = grid.wavenumbers() ** 2
-        exp_kin = np.exp(-1j * k2 * config.d_tau)
+        exp_kin = np.exp(-1j * grid.wavenumbers().reshape(cell, fold).T[live] ** 2 * config.d_tau)
         flat = config.envelope == "rectangular"
         exp_v_half = np.exp(-0.5j * v * config.d_tau) if flat else None
-        psi = psi0.copy()
         for j in range(config.n_steps):
             half = exp_v_half if flat else np.exp(-0.5j * v * weights[j] * config.d_tau)
-            psi *= half
-            psi = np.fft.ifft(exp_kin * np.fft.fft(psi))
-            psi *= half
+            phi *= half
+            phi = np.fft.ifft(exp_kin * np.fft.fft(phi))
+            phi *= half
             if every and (j + 1) % every == 0 and snapshot_callback is not None:
-                snapshot_callback(j + 1, (j + 1) * config.d_tau,
-                                  WaveState(grid=grid, psi=psi.copy(), k0=state.k0))
-        out = WaveState(grid=grid, psi=psi, k0=state.k0)
+                snapshot_callback(j + 1, (j + 1) * config.d_tau, on_box(phi))
+        out = on_box(phi)
 
-    drift = abs(out.norm - start_norm)
+    drift = abs(out.norm - state.norm)
     if not drift <= _NORM_FAIL:  # catches NaN too
         raise RuntimeError(f"propagation lost unitarity: norm drift {drift:.3g}")
     return out

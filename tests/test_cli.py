@@ -12,6 +12,8 @@ from kdsim.cli import (
 from kdsim.fit import band_radius, model_probabilities
 from kdsim.model import MomentSet
 
+from oracles import propagate_full_box, stepped_sectors
+
 J0_2_SQ = 0.050127080984469568505
 J0_1_SQ = 0.58552749951366402438
 
@@ -64,6 +66,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'include_kinetic'"):
             parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, '
                          '"include_kinetic": "maybe"}')
+        # json reads NaN and Infinity as floats; int() of them would raise unattributed
+        for key, value in (("n_points", "NaN"), ("order_cutoff", "-Infinity")):
+            with pytest.raises(ConfigError, match=f"'{key}': expected an integer"):
+                parse_config(f'{{"mode": "tdse", "u0": 100, "tau": 0.01, "{key}": {value}}}')
 
     def test_physical_and_dimensionless_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
@@ -122,6 +128,10 @@ class TestParseConfig:
         doc = {"mode": "fit", "alpha": 2.0, "seed": 1,
                "synthetic": {"r_eff": 0.8, "noise": "poisson"}}
         with pytest.raises(ConfigError, match="noise"):
+            parse_config(json.dumps(doc))
+        doc = {"mode": "fit", "alpha": 2.0, "seed": 1,
+               "synthetic": {"r_eff": 0.8, "noise": "counts", "shots": math.inf}}
+        with pytest.raises(ConfigError, match="'synthetic.shots': expected an integer"):
             parse_config(json.dumps(doc))
 
     def test_datasets_structure_checked(self):
@@ -196,6 +206,16 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"config key '{key}': .*{why}"):
                 parse_config(json.dumps({**gauss, key: value}))
         assert parse_config(json.dumps({**gauss, "gauss_k0": 0.25})).state.k0 == 0.25
+        for center in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="config key 'gauss_center': must be finite"):
+                parse_config(json.dumps({**gauss, "gauss_center": center}))
+        far = parse_config(json.dumps({**gauss, "gauss_center": -1e300})).state
+        assert far.norm == pytest.approx(1.0, rel=1e-12)  # taken modulo the box
+        plane = {"mode": "tdse", "u0": 100, "tau": 0.01}
+        assert parse_config(json.dumps({**plane, "order_offset": 63})).state.k0 == 126.0
+        for offset in (64, -64):  # 2*|offset| reaches n_points/n_periods = 128: aliased
+            with pytest.raises(ConfigError, match="config key 'order_offset': .*aliases"):
+                parse_config(json.dumps({**plane, "order_offset": offset}))
         for doc in ({"mode": "tdse", "u0": 100, "tau": 0.01}, {"mode": "analytic", "alpha": 2}):
             with pytest.raises(ConfigError, match="config key 'order_cutoff': must be >= 0"):
                 parse_config(json.dumps({**doc, "order_cutoff": -1}))
@@ -456,46 +476,49 @@ class TestMainTdse:
 
 
 class TestPlaneWaveCell:
-    """Plane waves propagate on one gcd(n_points, n_periods) cell of the box.
+    """tdse runs step only the occupied Bloch sectors of the configured box.
 
-    The reference is tdse.propagate on the configured full box.
+    The reference is the full-box oracle; stepped is the number of points one
+    Strang step advances (n_points/f per occupied sector, f = gcd(n_points,
+    n_periods)): one sector for a plane wave, all f for a Gaussian.
     """
 
     BASE = {"mode": "tdse", "u0": 300.0, "alpha": 2.5, "d_tilde": 0.3, "q_tilde": 0.1}
 
-    @pytest.mark.parametrize("extra, cell_points", [
+    @pytest.mark.parametrize("extra, stepped", [
         ({}, 128),
         ({"envelope": "sin2_ramp"}, 128),
         ({"order_offset": 1}, 128),
         ({"n_periods": 6}, 512),
         ({"n_periods": 3}, 1024),  # n_points // n_periods = 341 is no grid
         ({"snapshot_every": 20}, 128),
-        ({"init_state": "gaussian"}, 1024),  # never folded
+        ({"init_state": "gaussian"}, 1024),
+        ({"init_state": "gaussian", "gauss_k0": 0.5}, 1024),
+        ({"include_kinetic": False, "snapshot_every": 20}, 128),
     ])
-    def test_matches_full_box(self, tmp_path, capsys, monkeypatch, extra, cell_points):
+    def test_matches_full_box(self, tmp_path, capsys, monkeypatch, extra, stepped):
         doc = {**self.BASE, **extra, "snapshot_prefix": str(tmp_path / "snap")}
         rc = parse_config(json.dumps(doc))
         grid = rc.grid
-        if rc.init_state == "plane":
-            start = tdse.init_plane_wave(grid, rc.order_offset)
-        else:
-            start = tdse.init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
         snaps = {}
-        full = tdse.propagate(start, rc.spec, rc.setup, rc.plan,
-                              snapshot_callback=lambda j, _t, s: snaps.setdefault(j, s.psi))
+        full = propagate_full_box(rc.state, rc.spec, rc.setup, rc.plan,
+                                  snapshot_callback=lambda j, _t, s: snaps.setdefault(j, s.psi))
         want = tdse.order_probabilities(full, max_order=rc.order_cutoff)
 
-        propagated = []
+        grids = []
         propagate = tdse.propagate
 
         def spy(state, *args, **kwargs):
-            propagated.append(state.grid.n_points)
+            grids.append(state.grid)
             return propagate(state, *args, **kwargs)
 
         monkeypatch.setattr(tdse, "propagate", spy)
-        code, out, _ = run_main(tmp_path, doc, capsys)
+        (code, out, _), shapes = stepped_sectors(lambda: run_main(tmp_path, doc, capsys))
         assert code == 0
-        assert propagated == [cell_points]
+        assert grids == [grid]
+        f = math.gcd(grid.n_points, grid.n_periods)
+        assert shapes == {(1 if rc.init_state == "plane" else f, grid.n_points // f)}
+        assert math.prod(shapes.pop()) == stepped
         payload = json.loads(out)["payload"]
         assert payload["orders"] == list(want.orders)
         assert np.max(np.abs(np.subtract(payload["probabilities"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdsim.analytic import pattern_distance, pointlike_pattern
 from kdsim.model import (
@@ -9,12 +10,12 @@ from kdsim.model import (
     evaluate_potential,
 )
 from kdsim.tdse import (
-    Grid1D, PropagationConfig, WaveState, _envelope_weights, init_gaussian,
-    init_plane_wave, max_potential, order_probabilities, plan_propagation,
+    _EMPTY_SECTOR, ENVELOPES, Grid1D, PropagationConfig, WaveState, _envelope_weights,
+    init_gaussian, init_plane_wave, max_potential, order_probabilities, plan_propagation,
     propagate,
 )
 
-from oracles import binned_orders_loop
+from oracles import binned_orders_loop, propagate_full_box, stepped_sectors
 
 POINTLIKE = build_potential(MomentSet())
 
@@ -52,6 +53,12 @@ class TestInitialStates:
         assert state.norm == pytest.approx(1.0, rel=1e-12)
         pat = order_probabilities(state)
         assert pat.probability(0) == pytest.approx(1.0, abs=1e-13)
+
+    def test_gaussian_center_taken_modulo_box(self):
+        grid = Grid1D()
+        inside = init_gaussian(grid, center=3.0, sigma=2.0)
+        outside = init_gaussian(grid, center=3.0 - 5.0 * grid.box_length, sigma=2.0)
+        assert np.max(np.abs(outside.psi - inside.psi)) <= 1e-12
 
     def test_plane_wave_offset_order(self):
         state = init_plane_wave(Grid1D(), order_offset=2)
@@ -294,3 +301,61 @@ class TestSnapshots:
         propagate(init_plane_wave(Grid1D()), POINTLIKE, setup, config,
                   snapshot_callback=lambda *a: seen.append(a))
         assert seen == []
+
+
+def sector_weights(state):
+    """Weight of each Bloch sector s (FFT bins a*f + s), heaviest first."""
+    grid = state.grid
+    f = math.gcd(grid.n_points, grid.n_periods)
+    power = np.sum(np.abs(np.fft.fft(state.psi).reshape(-1, f).T) ** 2, axis=1)
+    return np.sort(power / power.sum())[::-1]
+
+
+class TestBlochSectors:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_box(self, data):
+        n_points = data.draw(st.sampled_from([256, 512, 1024, 2048, 4096]), "n_points")
+        n_periods = data.draw(st.integers(1, min(8, n_points // 64)), "n_periods")
+        grid = Grid1D(n_points, n_periods)
+        plane = data.draw(st.booleans(), "plane")
+        if plane:
+            reach = (n_points // n_periods - 1) // 2  # largest offset that does not alias
+            state = init_plane_wave(grid, data.draw(st.integers(-reach, reach), "offset"))
+        else:
+            k0 = 2.0 * data.draw(st.integers(-4 * n_periods, 4 * n_periods), "k0_units") / n_periods
+            state = init_gaussian(
+                grid, data.draw(st.floats(0.0, grid.box_length), "center"),
+                data.draw(st.floats(4.0 * grid.dx, grid.box_length / 6.0), "sigma"), k0)
+        spec = build_potential(MomentSet((data.draw(st.floats(0.0, 0.4), "d"),
+                                          data.draw(st.floats(0.0, 0.4), "q"))))
+        setup = DimensionlessSetup.from_u0_alpha(data.draw(st.sampled_from([30.0, 300.0]), "u0"),
+                                                 data.draw(st.floats(0.2, 3.0), "alpha"))
+        config = plan_propagation(setup, spec,
+                                  envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
+                                  include_kinetic=data.draw(st.booleans(), "kinetic"))
+
+        out, shapes = stepped_sectors(lambda: propagate(state, spec, setup, config))
+        want = order_probabilities(propagate_full_box(state, spec, setup, config))
+        got = order_probabilities(out)
+        assert max(abs(got.probabilities[p] - want.probabilities[p]) for p in got.orders) <= 1e-13
+
+        f = math.gcd(n_points, n_periods)
+        (live, cell), = shapes
+        assert cell == n_points // f
+        assert live == (1 if plane else f)
+        assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
+
+    def test_threshold_steps_every_sector_above_it(self):
+        grid = Grid1D()  # 8 sectors of 128 points
+        x = grid.positions()
+        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        config = plan_propagation(setup, POINTLIKE)
+        for eps, live in ((1e-11, 1), (1e-9, 2)):  # admixed weights 1e-22 and 1e-18
+            psi = (np.exp(2j * x) + eps * np.exp(0.25j * x)) / math.sqrt(grid.box_length)
+            state = WaveState(grid, psi / math.sqrt(1.0 + eps**2), k0=2.0)
+            out, shapes = stepped_sectors(lambda: propagate(state, POINTLIKE, setup, config))
+            assert shapes == {(live, 128)}
+            assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
+            want = propagate_full_box(state, POINTLIKE, setup, config)
+            assert np.max(np.abs(out.psi - want.psi)) <= 1e-13 + (eps if live == 1 else 0.0)
