@@ -27,7 +27,7 @@ from .model import DimensionlessSetup, PotentialSpec, evaluate_potential
 
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
-_EMPTY_SECTOR = 1e-20  # weight propagate may carry unstepped: no order moves by more
+_EMPTY_SECTOR = 1e-20  # carried unstepped: moves orders by <= this, psi by <= its sqrt
 ENVELOPES = ("rectangular", "sin2_ramp")
 
 
@@ -215,10 +215,11 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     """Evolve a state through the standing wave; returns a new WaveState.
 
     The occupied Bloch sectors (module docstring) are stepped together on the
-    cell.  With include_kinetic the Strang splitting above is applied n_steps
-    times.  Without it the potential factors commute, so the integrated
-    phase is accumulated and applied in one exponential: the exact
-    thin-grating map for the configured envelope.
+    cell; the rest (<= _EMPTY_SECTOR of the weight) are carried, moving psi by
+    <= sqrt(_EMPTY_SECTOR) in amplitude.  With include_kinetic the Strang
+    splitting above is applied n_steps times.  Without it the potential
+    factors commute, so the integrated phase is accumulated and applied in
+    one exponential: the exact thin-grating map for the configured envelope.
 
     Raises RuntimeError if the final norm drifts from 1 by more than 1e-9.
 
@@ -266,7 +267,8 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     else:
         exp_kin = np.exp(-1j * grid.wavenumbers().reshape(cell, fold).T[live] ** 2 * config.d_tau)
         flat = config.envelope == "rectangular"
-        exp_v_half = np.exp(-0.5j * v * config.d_tau) if flat else None
+        # in phi's own shape: a broadcast multiply per half kick costs more than the copy
+        exp_v_half = np.broadcast_to(np.exp(-0.5j * v * config.d_tau), phi.shape).copy()
         for j in range(config.n_steps):
             half = exp_v_half if flat else np.exp(-0.5j * v * weights[j] * config.d_tau)
             phi *= half

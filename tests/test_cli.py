@@ -500,8 +500,13 @@ class TestPlaneWaveCell:
         doc = {**self.BASE, **extra, "snapshot_prefix": str(tmp_path / "snap")}
         rc = parse_config(json.dumps(doc))
         grid = rc.grid
+        if rc.init_state == "plane":  # built apart from the CLI, so its defaults are checked
+            start = tdse.init_plane_wave(grid, rc.order_offset)
+        else:
+            start = tdse.init_gaussian(grid, grid.box_length / 2, grid.box_length / 8,
+                                       rc.gauss_k0)
         snaps = {}
-        full = propagate_full_box(rc.state, rc.spec, rc.setup, rc.plan,
+        full = propagate_full_box(start, rc.spec, rc.setup, rc.plan,
                                   snapshot_callback=lambda j, _t, s: snaps.setdefault(j, s.psi))
         want = tdse.order_probabilities(full, max_order=rc.order_cutoff)
 
