@@ -31,50 +31,50 @@ from .emit import ResultEnvelope, csv_table, emit, float_text
 from .version import __version__
 
 ENV_CONSTANTS = "KDSIM_CONSTANTS"
-MODES = ("analytic", "tdse", "fit", "validate", "scan")
+MODES = {  # mode: subcommand help
+    "analytic": "thin-grating pattern from the closed form",
+    "tdse": "split-operator propagation binned into orders",
+    "fit": "estimate r_eff from observed patterns",
+    "validate": "regime report only",
+    "scan": "r_eff and P_0 over a (d~, q~) grid",
+}
 
 
 class ConfigError(ValueError):
     """Config rejection; the message names the failing key."""
 
 
-def _cast_float(key, v) -> float:
-    if isinstance(v, bool):
-        raise ConfigError(f"config key '{key}': expected a number, got {v!r}")
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, str):
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"config key '{key}': cannot parse {v!r} as a number") from None
-    raise ConfigError(f"config key '{key}': expected a number, got {type(v).__name__}")
+def _cast_float(key, v, finite: bool = True) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ConfigError(f"config key '{key}': expected a number, got {type(v).__name__}")
+    try:
+        x = float(v)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"config key '{key}': cannot parse {v!r} as a number") from None
+    if finite and not math.isfinite(x):
+        raise ConfigError(f"config key '{key}': must be finite, got {x!r}")
+    return x
 
 
 def _cast_int(key, v) -> int:
-    if isinstance(v, bool):
-        raise ConfigError(f"config key '{key}': expected an integer, got {v!r}")
-    if isinstance(v, int):
-        return v
     if isinstance(v, float) and v.is_integer():  # False for nan and inf too
         return int(v)
-    if isinstance(v, str):
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"config key '{key}': cannot parse {v!r} as an integer") from None
-    raise ConfigError(f"config key '{key}': expected an integer, got {type(v).__name__}")
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ConfigError(f"config key '{key}': expected an integer, got {v!r}")
+    try:
+        return int(v)
+    except ValueError:
+        raise ConfigError(f"config key '{key}': cannot parse {v!r} as an integer") from None
+
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _cast_bool(key, v) -> bool:
     if isinstance(v, bool):
         return v
-    if isinstance(v, str):
-        low = v.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
+    if isinstance(v, str) and v.strip().lower() in _BOOL_WORDS:
+        return _BOOL_WORDS[v.strip().lower()]
     raise ConfigError(f"config key '{key}': expected true/false, got {v!r}")
 
 
@@ -84,24 +84,21 @@ def _cast_str(key, v) -> str:
     raise ConfigError(f"config key '{key}': expected a string, got {type(v).__name__}")
 
 
-def _cast_list(cast_item, noun: str):
+def _cast_list(cast_item, noun: str, nonempty: bool = False):
     """Caster for a list (or comma-separated string) of cast_item values."""
     def cast(key, v) -> list:
         if isinstance(v, str):
             v = [part for part in v.split(",") if part.strip() != ""]
-        if not isinstance(v, (list, tuple)):
-            raise ConfigError(f"config key '{key}': expected a list of {noun}")
+        if not isinstance(v, (list, tuple)) or (nonempty and not v):
+            raise ConfigError(f"config key '{key}': expected a {'nonempty ' * nonempty}"
+                              f"list of {noun}")
         return [cast_item(f"{key}[{i}]", item) for i, item in enumerate(v)]
     return cast
 
 
 _cast_float_list = _cast_list(_cast_float, "numbers")
-
-
-def _cast_dict(key, v) -> dict:
-    if isinstance(v, dict):
-        return v
-    raise ConfigError(f"config key '{key}': expected an object, got {type(v).__name__}")
+# a scan range [lo, hi, n] that is not finite is named whole by parse_config
+_cast_range = _cast_list(lambda key, v: _cast_float(key, v, finite=False), "numbers")
 
 
 def _default(func, name: str):
@@ -109,20 +106,70 @@ def _default(func, name: str):
     return inspect.signature(func).parameters[name].default
 
 
-# caster, default when absent, has a CLI flag.  A default that feeds a
-# library call is read from that call, so it is defined in one place.
-_Leaf = namedtuple("_Leaf", "cast default flag", defaults=(None, True))
+# caster, default when absent, has a CLI flag, allowed values, least value.  A
+# default or least value of a library call is read from it: defined in one place.
+_Leaf = namedtuple("_Leaf", "cast default flag choices low", defaults=(None, True, None, None))
+_REQUIRED = object()  # the default of a leaf that must be given
+
+
+def _cast_leaf(key: str, leaf: _Leaf, v):
+    v = leaf.cast(key, v)
+    if leaf.choices is not None and v not in leaf.choices:
+        raise ConfigError(f"config key '{key}': unknown {key.rpartition('.')[2]} {v!r}; "
+                          f"expected one of {', '.join(leaf.choices)}")
+    if leaf.low is not None and v < leaf.low:
+        raise ConfigError(f"config key '{key}': must be >= {leaf.low}, got {v!r}")
+    return v
+
+
+def _cast_object(leaves: dict):
+    """Caster for a JSON object whose entries are the given leaves.
+
+    Given entries are cast in document order, then absent ones with a default
+    are filled in table order.  Entries are named by dotted key (bare at the
+    top level, where the caster's key is "").
+    """
+    def cast(key, v) -> dict:
+        if not isinstance(v, dict):
+            raise ConfigError(f"config key '{key}': expected an object, got {type(v).__name__}")
+        prefix = f"{key}." if key else ""
+        unknown = sorted(set(v) - set(leaves))
+        if unknown:
+            raise ConfigError(f"config keys {[prefix + k for k in unknown]}: unknown entries")
+        out = {k: _cast_leaf(prefix + k, leaves[k], x) for k, x in v.items()}
+        for k, leaf in leaves.items():
+            if k in out or leaf.default is None:
+                continue
+            if leaf.default is _REQUIRED:
+                raise ConfigError(f"config key '{prefix}{k}': {k} required")
+            out[k] = _cast_leaf(prefix + k, leaf, leaf.default)  # cast copies a list
+        return out
+    return cast
+
+
+_SYNTHETIC_LEAVES = {
+    "r_eff": _Leaf(_cast_float, _REQUIRED, low=0.0),
+    "alpha": _Leaf(_cast_float, low=0.0),
+    "noise": _Leaf(_cast_str, "gaussian", choices=("gaussian", "counts")),
+    "orders": _Leaf(_cast_list(_cast_int, "integers"), [0, 1, 2, 3, 4]),
+    "rel_sigma": _Leaf(_cast_float, _default(fit_mod.synthesize_gaussian, "rel_sigma"), low=0.0),
+    "shots": _Leaf(_cast_int, _default(fit_mod.synthesize_counts, "shots"), low=fit_mod.MIN_SHOTS),
+}
+_ENTRY_LEAVES = {"path": _Leaf(_cast_str, _REQUIRED),
+                 "alpha": _Leaf(_cast_float, _REQUIRED, low=0.0)}
+_cast_entries = _cast_list(_cast_object(_ENTRY_LEAVES), "objects", nonempty=True)
+_cast_constants = _cast_object(dict.fromkeys(vars(model.ElectronConstants()), _Leaf(_cast_float)))
 
 _LEAVES = {
-    "mode": _Leaf(_cast_str, flag=False),
+    "mode": _Leaf(_cast_str, _REQUIRED, flag=False, choices=MODES),
     "wavelength_m": _Leaf(_cast_float),
-    "field_V_per_m": _Leaf(_cast_float),
-    "time_s": _Leaf(_cast_float),
+    "field_V_per_m": _Leaf(_cast_float, low=0.0),
+    "time_s": _Leaf(_cast_float, low=0.0),
     "u0": _Leaf(_cast_float),
     "tau": _Leaf(_cast_float),
     "alpha": _Leaf(_cast_float),
-    "recoil_energy_J": _Leaf(_cast_float),
-    "v0_V": _Leaf(_cast_float),
+    "recoil_energy_J": _Leaf(_cast_float, low=0.0),
+    "v0_V": _Leaf(_cast_float, low=0.0),
     "d_tilde": _Leaf(_cast_float),
     "q_tilde": _Leaf(_cast_float),
     "higher": _Leaf(_cast_float_list),
@@ -131,9 +178,9 @@ _LEAVES = {
     "d_tau": _Leaf(_cast_float),
     "max_step_phase": _Leaf(_cast_float, _default(tdse.plan_propagation, "max_step_phase")),
     "include_kinetic": _Leaf(_cast_bool, tdse.PropagationConfig.include_kinetic),
-    "envelope": _Leaf(_cast_str, tdse.PropagationConfig.envelope),
+    "envelope": _Leaf(_cast_str, tdse.PropagationConfig.envelope, choices=tdse.ENVELOPES),
     "ramp_fraction": _Leaf(_cast_float, tdse.PropagationConfig.ramp_fraction),
-    "init_state": _Leaf(_cast_str, "plane"),
+    "init_state": _Leaf(_cast_str, "plane", choices=("plane", "gaussian")),
     "order_offset": _Leaf(_cast_int, _default(tdse.init_plane_wave, "order_offset")),
     "gauss_center": _Leaf(_cast_float),
     "gauss_sigma": _Leaf(_cast_float),
@@ -141,19 +188,20 @@ _LEAVES = {
     "snapshot_every": _Leaf(_cast_int, tdse.PropagationConfig.snapshot_every),
     "snapshot_prefix": _Leaf(_cast_str, "snapshot"),
     "data": _Leaf(_cast_str),
-    "datasets": _Leaf(_cast_dict, flag=False),  # {"entries": [{"path":..., "alpha":...}, ...]}
-    "synthetic": _Leaf(_cast_dict, flag=False),
+    "datasets": _Leaf(_cast_object({"entries": _Leaf(_cast_entries, _REQUIRED)}), flag=False),
+    "synthetic": _Leaf(_cast_object(_SYNTHETIC_LEAVES), flag=False),
     "bounds": _Leaf(_cast_float_list, _default(fit_mod.joint_fit, "bounds")),
     "delta_chi2": _Leaf(_cast_float, _default(fit_mod.joint_fit, "delta_chi2")),
-    "n_grid": _Leaf(_cast_int, _default(fit_mod.joint_fit, "n_grid")),
-    "region_samples": _Leaf(_cast_int, _default(fit_mod.moment_region, "n_samples")),
+    "n_grid": _Leaf(_cast_int, _default(fit_mod.joint_fit, "n_grid"), low=fit_mod.MIN_GRID),
+    "region_samples": _Leaf(_cast_int, _default(fit_mod.moment_region, "n_samples"),
+                            low=fit_mod.MIN_REGION_SAMPLES),
     "region_out": _Leaf(_cast_str),
-    "d_range": _Leaf(_cast_float_list),
-    "q_range": _Leaf(_cast_float_list),
-    "order_cutoff": _Leaf(_cast_int),
+    "d_range": _Leaf(_cast_range),
+    "q_range": _Leaf(_cast_range),
+    "order_cutoff": _Leaf(_cast_int, low=0),
     "out": _Leaf(_cast_str),
-    "format": _Leaf(_cast_str, "json"),
-    "seed": _Leaf(_cast_int),
+    "format": _Leaf(_cast_str, "json", choices=("csv", "json", "svg")),
+    "seed": _Leaf(_cast_int, low=0),  # numpy's seeds are non-negative
     "constants": _Leaf(_cast_str),
 }
 
@@ -161,16 +209,6 @@ _PHYSICAL_KEYS = ("wavelength_m", "field_V_per_m", "time_s")
 _DIMLESS_KEYS = ("u0", "tau", "alpha")
 _PLAN_KEYS = ("d_tau", "max_step_phase", "include_kinetic", "envelope", "ramp_fraction",
               "snapshot_every")  # plan_propagation's keywords
-
-# defaulted entries are filled in this order, after the given ones
-_SYNTHETIC_LEAVES = {
-    "r_eff": _Leaf(_cast_float),
-    "alpha": _Leaf(_cast_float),
-    "noise": _Leaf(_cast_str, "gaussian"),
-    "orders": _Leaf(_cast_list(_cast_int, "integers"), [0, 1, 2, 3, 4]),
-    "rel_sigma": _Leaf(_cast_float, _default(fit_mod.synthesize_gaussian, "rel_sigma")),
-    "shots": _Leaf(_cast_int, _default(fit_mod.synthesize_counts, "shots")),
-}
 
 
 class RunConfig:
@@ -195,14 +233,11 @@ def _load_constants(path: str | None) -> model.ElectronConstants:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config key 'constants': cannot read {path!r}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config key 'constants': file must hold an object")
-    allowed = {"e", "m", "hbar", "c"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"config key 'constants': unknown entries {sorted(unknown)}")
-    kw = {k: _cast_float(f"constants.{k}", v) for k, v in raw.items()}
-    return model.ElectronConstants(**kw)
+    kw = _cast_constants("constants", raw)
+    try:
+        return model.ElectronConstants(**kw)
+    except ValueError as exc:
+        raise _leading_key_error(exc, "constants.") from exc
 
 
 def _resolve_setup(cfg: dict, consts: model.ElectronConstants):
@@ -212,7 +247,6 @@ def _resolve_setup(cfg: dict, consts: model.ElectronConstants):
         raise ConfigError(
             f"config keys {physical + dimless}: give either laboratory or "
             "dimensionless parameters, not both")
-    laser = None
     if physical:
         if "wavelength_m" not in cfg:
             raise ConfigError("config key 'wavelength_m': required with laboratory inputs")
@@ -228,74 +262,33 @@ def _resolve_setup(cfg: dict, consts: model.ElectronConstants):
         raise ConfigError(
             "config key 'alpha': either dimensionless (u0/tau/alpha) or "
             "laboratory (wavelength_m/...) parameters are required")
-    anchors = {}
-    if "recoil_energy_J" in cfg:
-        anchors["recoil_energy_J"] = cfg["recoil_energy_J"]
-    if "v0_V" in cfg:
-        anchors["v0_V"] = cfg["v0_V"]
-    u0, tau, alpha = cfg.get("u0"), cfg.get("tau"), cfg.get("alpha")
+    anchors = {k: cfg[k] for k in ("recoil_energy_J", "v0_V") if k in cfg}
+    u0, tau, alpha = (cfg.get(k) for k in _DIMLESS_KEYS)
+    if alpha is None and (u0 is None or tau is None):
+        raise ConfigError(f"config key '{dimless[0]}': underdetermined; give alpha, or u0 "
+                          "with tau or alpha")
+    if u0 is None and tau is not None and tau <= 0.0:
+        raise ConfigError("config key 'tau': must be > 0 when paired with alpha")
     try:
         if u0 is not None and tau is not None:
             setup = model.DimensionlessSetup.from_u0_tau(u0, tau, **anchors)
-            if alpha is not None and abs(alpha - setup.alpha) > 1e-12 * max(1.0, abs(alpha)):
-                raise ConfigError(
-                    f"config key 'alpha': {alpha!r} contradicts u0*tau/2 = {setup.alpha!r}")
-        elif u0 is not None and alpha is not None:
+        elif u0 is not None:
             setup = model.DimensionlessSetup.from_u0_alpha(u0, alpha, **anchors)
-        elif tau is not None and alpha is not None:
-            if tau <= 0.0:
-                raise ConfigError("config key 'tau': must be > 0 when paired with alpha")
+        elif tau is not None:
             setup = model.DimensionlessSetup(u0=2.0 * alpha / tau, tau=tau,
                                              alpha=alpha, **anchors)
-        elif alpha is not None:
-            setup = model.DimensionlessSetup.from_alpha(alpha, **anchors)
         else:
-            raise ConfigError(
-                f"config key '{dimless[0]}': underdetermined; give alpha, or u0 "
-                "with tau or alpha")
+            setup = model.DimensionlessSetup.from_alpha(alpha, **anchors)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"config key '{dimless[0]}': {exc}") from exc
-    return setup, laser
+    if None not in (u0, tau, alpha) and abs(alpha - setup.alpha) > 1e-12 * max(1.0, abs(alpha)):
+        raise ConfigError(f"config key 'alpha': {alpha!r} contradicts u0*tau/2 = {setup.alpha!r}")
+    return setup, None
 
 
-def _validate_synthetic(raw: dict) -> dict:
-    unknown = set(raw) - set(_SYNTHETIC_LEAVES)
-    if unknown:
-        raise ConfigError(f"config key 'synthetic': unknown entries {sorted(unknown)}")
-    if "r_eff" not in raw:
-        raise ConfigError("config key 'synthetic.r_eff': required")
-    out = {k: _SYNTHETIC_LEAVES[k].cast(f"synthetic.{k}", v) for k, v in raw.items()}
-    for k, leaf in _SYNTHETIC_LEAVES.items():
-        if k not in out and leaf.default is not None:
-            out[k] = leaf.cast(f"synthetic.{k}", leaf.default)  # cast copies a list
-    if out["noise"] not in ("gaussian", "counts"):
-        raise ConfigError(f"config key 'synthetic.noise': unknown model {out['noise']!r}")
-    return out
-
-
-def _validate_datasets(raw: dict) -> list[dict]:
-    entries = raw.get("entries")
-    if set(raw) - {"entries"}:
-        raise ConfigError("config key 'datasets': expected a single 'entries' list")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("config key 'datasets.entries': expected a nonempty list")
-    out = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) - {"path", "alpha"}:
-            raise ConfigError(
-                f"config key 'datasets.entries[{i}]': expected {{path, alpha}}")
-        if "path" not in entry or "alpha" not in entry:
-            raise ConfigError(f"config key 'datasets.entries[{i}]': path and alpha required")
-        out.append({"path": _cast_str(f"datasets.entries[{i}].path", entry["path"]),
-                    "alpha": _cast_float(f"datasets.entries[{i}].alpha", entry["alpha"])})
-    return out
-
-
-def _leading_key_error(exc: ValueError) -> ConfigError:
+def _leading_key_error(exc: ValueError, prefix: str = "") -> ConfigError:
     """ConfigError for a library message that leads with the field at fault."""
-    return ConfigError(f"config key '{str(exc).split()[0]}': {exc}")
+    return ConfigError(f"config key '{prefix}{str(exc).split()[0]}': {exc}")
 
 
 def _initial_state(val: dict, grid: tdse.Grid1D) -> tdse.WaveState:
@@ -310,12 +303,10 @@ def _initial_state(val: dict, grid: tdse.Grid1D) -> tdse.WaveState:
     except ValueError as exc:
         raise ConfigError(f"config key 'gauss_k0': {exc}") from exc
     center = grid.box_length / 2.0 if val["gauss_center"] is None else val["gauss_center"]
-    if not math.isfinite(center):
-        raise ConfigError(f"config key 'gauss_center': must be finite, got {center!r}")
     sigma = grid.box_length / 8.0 if val["gauss_sigma"] is None else val["gauss_sigma"]
     try:
         return tdse.init_gaussian(grid, center, sigma, val["gauss_k0"])
-    except ValueError as exc:  # the carrier and center passed above, so the width is at fault
+    except ValueError as exc:  # carrier and center are valid here, so the width is at fault
         raise ConfigError(f"config key 'gauss_sigma': {exc}") from exc
 
 
@@ -332,25 +323,14 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"malformed config document: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    merged = dict(raw)
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            merged[k] = v
+    merged = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     if "constants" not in merged and ENV_CONSTANTS in os.environ:
         merged["constants"] = os.environ[ENV_CONSTANTS]  # so the echo records it
 
-    unknown = set(merged) - set(_LEAVES)
-    if unknown:
-        raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
-    # cfg holds the keys given (the setup echo); val every leaf, defaulted
-    cfg = {k: _LEAVES[k].cast(k, v) for k, v in merged.items()}
-    val = {k: cfg.get(k, leaf.default) for k, leaf in _LEAVES.items()}
-
+    # cfg holds the keys given and the defaulted ones; val every leaf
+    cfg = _cast_object(_LEAVES)("", merged)
+    val = {**dict.fromkeys(_LEAVES), **cfg}
     mode = val["mode"]
-    if mode is None:
-        raise ConfigError("config key 'mode': required")
-    if mode not in MODES:
-        raise ConfigError(f"config key 'mode': unknown mode {mode!r}")
 
     consts = _load_constants(val["constants"])
     setup, laser = _resolve_setup(cfg, consts)
@@ -362,26 +342,19 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     except ValueError as exc:
         raise _leading_key_error(exc) from exc
 
-    if val["format"] not in ("csv", "json", "svg"):
-        raise ConfigError(
-            f"config key 'format': expected csv, json or svg, got {val['format']!r}")
-    if val["envelope"] not in tdse.ENVELOPES:
-        raise ConfigError(f"config key 'envelope': unknown envelope {val['envelope']!r}")
-    if val["init_state"] not in ("plane", "gaussian"):
-        raise ConfigError(f"config key 'init_state': expected plane or gaussian, "
-                          f"got {val['init_state']!r}")
     if val["format"] == "svg" and mode not in ("analytic", "tdse"):
         raise ConfigError(f"config key 'format': svg output is only defined for patterns "
                           f"(analytic, tdse), not {mode} mode")
     if val["format"] == "csv" and mode == "validate":
         raise ConfigError("config key 'format': payload kind 'regime' has no CSV form; use json")
-    if val["order_cutoff"] is not None and val["order_cutoff"] < 0:
-        raise ConfigError(f"config key 'order_cutoff': must be >= 0, got {val['order_cutoff']}")
-    if len(val["bounds"]) != 2:
-        raise ConfigError("config key 'bounds': expected [r_min, r_max]")
-
-    synthetic = _validate_synthetic(cfg["synthetic"]) if "synthetic" in cfg else None
-    datasets = _validate_datasets(cfg["datasets"]) if "datasets" in cfg else None
+    if len(val["bounds"]) != 2 or not 0.0 <= val["bounds"][0] < val["bounds"][1]:
+        raise ConfigError("config key 'bounds': expected [r_min, r_max], 0 <= r_min < r_max")
+    if not val["delta_chi2"] > 0.0:
+        raise ConfigError(f"config key 'delta_chi2': must be > 0, got {val['delta_chi2']!r}")
+    synthetic = val["synthetic"]
+    if synthetic is not None and len(set(synthetic["orders"])) < fit_mod.MIN_ORDERS:
+        raise ConfigError(f"config key 'synthetic.orders': need at least {fit_mod.MIN_ORDERS} "
+                          f"distinct orders, got {synthetic['orders']}")
 
     spec = plan = state = None
     if mode == "tdse":
@@ -401,9 +374,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 f"or synthetic, got {sources or 'none'}")
         if synthetic is not None and val["seed"] is None:
             raise ConfigError("config key 'seed': required when synthesizing noisy data")
-        if val["region_samples"] < 2:
-            raise ConfigError(
-                f"config key 'region_samples': must be >= 2, got {val['region_samples']}")
     if mode == "scan":
         for key in ("d_range", "q_range"):
             rng = val[key]
@@ -414,29 +384,22 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             if not -math.inf < rng[0] <= rng[1] < math.inf:
                 raise ConfigError(f"config key '{key}': lo must be <= hi, both finite")
 
-    echo = {k: v for k, v in cfg.items() if k not in _PHYSICAL_KEYS}
-    echo["mode"] = mode
-    if math.isfinite(setup.u0):
-        echo["u0"] = setup.u0
-        echo["tau"] = setup.tau
-    else:
-        echo.pop("u0", None)
-        echo.pop("tau", None)
-    echo["alpha"] = setup.alpha
-    if setup.recoil_energy_J is not None:
-        echo["recoil_energy_J"] = setup.recoil_energy_J
-    if setup.v0_V is not None:
-        echo["v0_V"] = setup.v0_V
-    if "datasets" in echo:
-        echo["datasets"] = {"entries": datasets}
-    if "synthetic" in echo:
-        echo["synthetic"] = synthetic
+    echo = {k: val[k] for k in merged if k not in _PHYSICAL_KEYS}
+    deep = math.isfinite(setup.u0)  # the ideal limit is echoed by alpha alone
+    for k, v in (("mode", mode), ("u0", setup.u0 if deep else None),
+                 ("tau", setup.tau if deep else None), ("alpha", setup.alpha),
+                 ("recoil_energy_J", setup.recoil_energy_J), ("v0_V", setup.v0_V)):
+        if v is None:
+            echo.pop(k, None)
+        else:
+            echo[k] = v
+    datasets = val["datasets"]["entries"] if val["datasets"] else None
     if val["data"] is not None:
         datasets = [{"path": val["data"], "alpha": setup.alpha}]  # read as one dataset
 
     val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid, spec=spec,
-               plan=plan, state=state, datasets=datasets, synthetic=synthetic,
-               bounds=tuple(val["bounds"]), fmt=val["format"], echo=echo)
+               plan=plan, state=state, datasets=datasets, bounds=tuple(val["bounds"]),
+               fmt=val["format"], echo=echo)
     return RunConfig(**val)
 
 
@@ -597,15 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="standing-wave diffraction of a structured charge")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
-    descriptions = {
-        "analytic": "thin-grating pattern from the closed form",
-        "tdse": "split-operator propagation binned into orders",
-        "fit": "estimate r_eff from observed patterns",
-        "validate": "regime report only",
-        "scan": "r_eff and P_0 over a (d~, q~) grid",
-    }
-    for mode in MODES:
-        sub.add_parser(mode, parents=[parent], help=descriptions[mode])
+    for mode, description in MODES.items():
+        sub.add_parser(mode, parents=[parent], help=description)
     return parser
 
 
@@ -617,8 +573,7 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
         else:
             text = "{}"
-        overrides = {key: getattr(args, key) for key, leaf in _LEAVES.items()
-                     if leaf.flag and getattr(args, key, None) is not None}
+        overrides = {key: getattr(args, key) for key, leaf in _LEAVES.items() if leaf.flag}
         overrides["mode"] = args.mode
         config = parse_config(text, overrides)
         envelope = run(config)

@@ -18,6 +18,10 @@ from .bessel import bessel_row, bessel_rows
 from .analytic import default_order_cutoff
 
 SIGMA_FLOOR = 1e-4
+MIN_ORDERS = 3          # distinct orders in an observation
+MIN_GRID = 200          # points of joint_fit's grid scan
+MIN_REGION_SAMPLES = 2  # samples per moment_region contour
+MIN_SHOTS = 1           # shots of synthesize_counts
 _GOLDEN_TOL = 1e-7
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MISFIT_REDUCED = 4.0
@@ -39,8 +43,8 @@ class ObservedPattern:
         sigmas = tuple(float(s) for s in self.sigmas)
         if not (len(orders) == len(values) == len(sigmas)):
             raise ValueError("orders, values and sigmas must have equal length")
-        if len(set(orders)) < 3:
-            raise ValueError(f"need at least 3 distinct orders, got {len(set(orders))}")
+        if len(set(orders)) < MIN_ORDERS:
+            raise ValueError(f"need at least {MIN_ORDERS} distinct orders, got {len(set(orders))}")
         if len(set(orders)) != len(orders):
             raise ValueError("duplicate orders in observation")
         for v in values:
@@ -156,10 +160,10 @@ def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
     r_min, r_max = float(bounds[0]), float(bounds[1])
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or not 0.0 <= r_min < r_max:
         raise ValueError(f"bounds must satisfy 0 <= r_min < r_max, got {bounds!r}")
-    if delta_chi2 <= 0.0:
+    if not delta_chi2 > 0.0:
         raise ValueError(f"delta_chi2 must be > 0, got {delta_chi2!r}")
-    if n_grid < 200:
-        raise ValueError(f"grid scan needs >= 200 points, got {n_grid}")
+    if n_grid < MIN_GRID:
+        raise ValueError(f"grid scan needs >= {MIN_GRID} points, got {n_grid}")
 
     rs = np.linspace(r_min, r_max, n_grid)
     chis = objective(rs)
@@ -303,8 +307,8 @@ def _circle_samples(r: float, r_lo: float, r_hi: float, n_samples: int) -> np.nd
 
 def moment_region(fit: FitResult, n_samples: int = 512) -> MomentRegion:
     """Map a fitted r_eff interval onto the (d~, q~) validity square."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if n_samples < MIN_REGION_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_REGION_SAMPLES}, got {n_samples}")
     r_lo, r_hi = fit.ci
     if not 0.0 <= r_lo <= r_hi:
         raise ValueError(f"fit interval must satisfy 0 <= r_lo <= r_hi, got {fit.ci!r}")
@@ -352,8 +356,8 @@ def synthesize_counts(alpha: float, r_eff: float, orders, rng, shots: int = 1000
     fractions with binomial standard errors, floored at sigma_floor.
     """
     gen = _as_rng(rng)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots < MIN_SHOTS:
+        raise ValueError(f"shots must be >= {MIN_SHOTS}, got {shots}")
     orders = tuple(int(p) for p in orders)
     cut = default_order_cutoff(alpha, r_eff)
     full = np.arange(-cut, cut + 1)

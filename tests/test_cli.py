@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from kdsim import tdse
 from kdsim.analytic import distribution_pattern, pointlike_pattern
 from kdsim.cli import (
-    ConfigError, main, parse_config, read_observed_csv, run,
+    _LEAVES, _SYNTHETIC_LEAVES, ConfigError, main, parse_config, read_observed_csv, run,
 )
 from kdsim.fit import band_radius, model_probabilities
 from kdsim.model import MomentSet
@@ -29,6 +31,11 @@ def run_main(tmp_path, doc, capsys, extra_flags=()):
     code = main([mode, "--config", write_config(tmp_path, doc), *extra_flags])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+_SYN = {"mode": "fit", "alpha": 2.0, "seed": 1, "synthetic": {"r_eff": 0.8}}
+_LAB = {"mode": "validate", "wavelength_m": 1e-10}
+_IDEAL = {"mode": "analytic", "alpha": 2.0}
 
 
 class TestParseConfig:
@@ -227,6 +234,83 @@ class TestParseConfig:
         assert payload["kind"] == "regime"
         assert payload["ordering_ok"] is False
 
+    def test_nested_objects_checked(self, tmp_path):
+        fit = {"mode": "fit", "alpha": 2.0}
+        entry = {"path": "a.csv", "alpha": 1.5}
+        for datasets, why in (
+                ({"entries": [entry, {**entry, "sigma": 0.1}]},
+                 r"\['datasets.entries\[1\].sigma'\]: unknown entries"),
+                ({"entries": [entry, "b.csv"]},
+                 r"'datasets.entries\[1\]': expected an object, got str"),
+                ({"entries": [entry], "weights": [1]}, r"\['datasets.weights'\]: unknown"),
+                ([entry], "'datasets': expected an object, got list"),
+                ({"entries": [entry, {**entry, "alpha": -1.5}]},
+                 r"'datasets.entries\[1\].alpha': must be >= 0"),
+                ({}, "'datasets.entries': entries required")):
+            with pytest.raises(ConfigError, match=why):
+                parse_config(json.dumps({**fit, "datasets": datasets}))
+        consts = tmp_path / "constants.json"
+        lab = {"mode": "validate", "wavelength_m": 1e-10, "constants": str(consts)}
+        for doc, why in (([1.0, 2.0], "'constants': expected an object, got list"),
+                         ({"m": 1e-30, "planck": 6.6e-34}, r"\['constants.planck'\]"),
+                         ({"m": "heavy"}, "'constants.m': cannot parse"),
+                         ({"m": -1.0}, "'constants.m': m must be > 0")):
+            consts.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match=why):
+                parse_config(json.dumps(lab))
+
+    @pytest.mark.parametrize("doc, named", [
+        pytest.param({**_SYN, key: value}, named, id=f"{key}={value}")
+        for key, value, named in (
+            ("delta_chi2", math.nan, "'delta_chi2': must be finite"),
+            ("delta_chi2", math.inf, "'delta_chi2': must be finite"),
+            ("delta_chi2", 0.0, "'delta_chi2': must be > 0"),
+            ("n_grid", 199, "'n_grid': must be >= 200"),
+            ("bounds", [1.0, 0.5], "'bounds': expected [r_min, r_max], 0 <= r_min < r_max"),
+            ("bounds", [-0.5, 2.0], "'bounds': expected [r_min, r_max], 0 <= r_min < r_max"),
+            ("bounds", [0.0, math.nan], "'bounds[1]': must be finite"),
+            ("seed", -1, "'seed': must be >= 0"))
+    ] + [
+        pytest.param({**_SYN, "synthetic": {"r_eff": 0.8, **extra}}, named,
+                     id="synthetic." + ",".join(f"{k}={v}" for k, v in extra.items()))
+        for extra, named in (
+            ({"rel_sigma": -1.0}, "'synthetic.rel_sigma': must be >= 0"),
+            ({"r_eff": -0.8}, "'synthetic.r_eff': must be >= 0"),  # fitted as +0.8
+            ({"alpha": -2.0}, "'synthetic.alpha': must be >= 0"),
+            ({"orders": [0, 1]}, "'synthetic.orders': need at least 3 distinct"),
+            ({"orders": [0, 1, 1, 0]}, "'synthetic.orders': need at least 3 distinct"),
+            ({"noise": "counts", "shots": 0}, "'synthetic.shots': must be >= 1"))
+    ] + [
+        pytest.param({**base, key.partition("[")[0]: value}, f"'{key}': {why}",
+                     id=f"{key}={value}")
+        for base, key, value, why in (
+            (_LAB, "time_s", math.nan, "must be finite"),  # these four named 'wavelength_m'
+            (_LAB, "time_s", -1.0, "must be >= 0"),
+            (_LAB, "field_V_per_m", math.inf, "must be finite"),
+            (_LAB, "field_V_per_m", -1.0, "must be >= 0"),
+            (_IDEAL, "recoil_energy_J", -1.0, "must be >= 0"),  # these two named 'alpha'
+            (_IDEAL, "v0_V", -1.0, "must be >= 0"),
+            (_IDEAL, "d_tilde", math.nan, "must be finite"),  # these two named 'q_tilde[i]'
+            (_IDEAL, "higher[1]", [0.01, math.nan], "must be finite"),
+            (_IDEAL, "q_tilde", -math.inf, "must be finite"),
+            (_IDEAL, "alpha", math.inf, "must be finite"))
+    ])
+    def test_bad_input_named_while_parsing(self, doc, named):
+        """Each config here ran before, to a meaningless interval (a NaN delta_chi2),
+        with a silently floored sigma (a negative rel_sigma), or into an error
+        naming no config key or the wrong one."""
+        with pytest.raises(ConfigError, match=re.escape(f"config key {named}")):
+            parse_config(json.dumps(doc))
+
+    def test_allowed_values_listed(self):
+        for doc, key in (({"mode": "analytic", "alpha": 2, "format": "yaml"}, "format"),
+                         ({"mode": "dance", "alpha": 2}, "mode"),
+                         ({"mode": "tdse", "u0": 100, "tau": 0.01, "envelope": "box"},
+                          "envelope")):
+            with pytest.raises(ConfigError, match=f"config key '{key}': unknown {key} .*; "
+                                                  "expected one of"):
+                parse_config(json.dumps(doc))
+
 
 class TestEchoRoundTrip:
     def test_physical_config_reparses_dimensionless(self):
@@ -240,6 +324,32 @@ class TestEchoRoundTrip:
         assert rc2.setup.u0 == pytest.approx(rc1.setup.u0, rel=1e-12)
         assert rc2.setup.recoil_energy_J == pytest.approx(
             rc1.setup.recoil_energy_J, rel=1e-12)
+
+    @pytest.mark.parametrize("doc", [
+        {"mode": "fit", "alpha": 2.0, "seed": 7, "synthetic": {"r_eff": 0.8}},
+        {"mode": "fit", "alpha": 2.0, "n_grid": 250,
+         "datasets": {"entries": [{"path": "a.csv", "alpha": 1.5},
+                                  {"path": "b.csv", "alpha": 2.5}]}},
+        {"mode": "fit", "alpha": 2.0, "data": "obs.csv", "bounds": [0.5, 1.5]},
+        {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "init_state": "gaussian",
+         "gauss_k0": 0.5},
+        {"mode": "validate", "wavelength_m": 1e-10, "field_V_per_m": 1e10, "time_s": 1e-9},
+        {"mode": "scan", "alpha": 2.0, "d_range": "0,0.5,11", "q_range": "0,0.5,11"},
+    ], ids=["fit-synthetic", "fit-datasets", "fit-data", "tdse-gaussian", "validate-lab",
+            "scan-strings"])
+    def test_echo_is_a_fixed_point(self, doc):
+        echo = parse_config(json.dumps(doc)).echo
+        again = parse_config(json.dumps(echo)).echo
+        assert again == echo
+        assert json.dumps(again) == json.dumps(echo)  # key order too
+
+    def test_objects_echo_given_entries_first(self):
+        # one rule for every object: given entries in document order, then defaults
+        syn = parse_config(json.dumps({**_SYN, "synthetic": {"orders": [0, 1, 2], "r_eff": 0.8}}))
+        assert list(syn.echo["synthetic"]) == ["orders", "r_eff", "noise", "rel_sigma", "shots"]
+        doc = {"mode": "fit", "alpha": 2.0, "datasets": {"entries": [{"alpha": 1.5, "path": "a"}]}}
+        entry = parse_config(json.dumps(doc)).echo["datasets"]["entries"][0]
+        assert list(entry) == ["alpha", "path"]
 
     def test_ideal_limit_echo_omits_depth(self):
         rc1 = parse_config('{"mode": "analytic", "alpha": 2.0}')
@@ -638,3 +748,12 @@ class TestConstantsOverride:
         code, _, err = run_main(tmp_path, doc, capsys)
         assert code == 1
         assert "unknown entries" in json.loads(err)["message"]
+
+
+def test_readme_names_every_config_key():
+    """The README's config-key paragraph names every leaf and synthetic entry."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_0-9]+)`", section))
+    assert set(_LEAVES) - named == set()
+    assert set(_SYNTHETIC_LEAVES) - named == set()

@@ -212,6 +212,8 @@ class TestJointFit:
             joint_fit([obs], n_grid=100)
         with pytest.raises(ValueError):
             joint_fit([obs], delta_chi2=0.0)
+        with pytest.raises(ValueError, match="delta_chi2"):  # a NaN rise gave an interval
+            joint_fit([obs], delta_chi2=math.nan)
 
 
 class TestMomentRegion:
