@@ -424,9 +424,7 @@ def _region_payload(region: fit_mod.MomentRegion) -> dict:
         "empty": region.is_empty,
         "note": region.note,
         "contours": [
-            {"label": label,
-             "d_tilde": [float(d) for d, _ in arr],
-             "q_tilde": [float(q) for _, q in arr]}
+            {"label": label, "d_tilde": arr[:, 0].tolist(), "q_tilde": arr[:, 1].tolist()}
             for label, arr in region.contours
         ],
     }

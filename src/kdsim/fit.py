@@ -300,8 +300,8 @@ def _circle_samples(r: float, r_lo: float, r_hi: float, n_samples: int) -> np.nd
         q = 0.5 * (1.0 - r * np.sin(theta))
         pts = np.column_stack([d, q])
     pts = pts[((pts >= 0.0) & (pts < 1.0)).all(axis=1)]
-    # re-check the defining inequality exactly as emitted
-    r_here = np.array([band_radius(d, q) for d, q in pts])
+    # re-check the defining inequality exactly as emitted (band_radius per point)
+    r_here = np.hypot(1.0 - 2.0 * pts[:, 1], 2.0 * pts[:, 0])
     return pts[(r_lo - _BAND_SLACK <= r_here) & (r_here <= r_hi + _BAND_SLACK)]
 
 

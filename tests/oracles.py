@@ -134,3 +134,22 @@ def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
         if every and (j + 1) % every == 0:
             snapshot_callback(j + 1, (j + 1) * config.d_tau, wave(psi.copy()))
     return wave(psi)
+
+
+def circle_samples_loop(r: float, r_lo: float, r_hi: float, n_samples: int) -> np.ndarray:
+    """One moment_region contour, its band inequality checked one point at a time.
+
+    The circle of radius r about (d~, q~) = (0, 1/2) is sampled on its d~ >= 0
+    half, clipped to the validity square, and each sample is kept when
+    band_radius puts it inside [r_lo, r_hi] (with kdsim.fit's slack).
+    """
+    from kdsim.fit import _BAND_SLACK, band_radius
+
+    if r == 0.0:
+        pts = np.array([[0.0, 0.5]])
+    else:
+        theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_samples)
+        pts = np.column_stack([0.5 * r * np.cos(theta), 0.5 * (1.0 - r * np.sin(theta))])
+    pts = pts[((pts >= 0.0) & (pts < 1.0)).all(axis=1)]
+    keep = [r_lo - _BAND_SLACK <= band_radius(d, q) <= r_hi + _BAND_SLACK for d, q in pts]
+    return pts[np.array(keep, dtype=bool)]

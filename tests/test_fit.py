@@ -12,7 +12,7 @@ from kdsim.fit import (
 import kdsim.fit as fit_mod
 from kdsim.model import MomentSet
 
-from oracles import local_minima_loop, max_band_radius_bruteforce
+from oracles import circle_samples_loop, local_minima_loop, max_band_radius_bruteforce
 
 
 def exact_observation(alpha, r_eff, orders=(0, 1, 2, 3), sigma=0.01):
@@ -245,6 +245,18 @@ class TestMomentRegion:
         inner = dict(region.contours)["inner"]
         assert inner.shape == (1, 2)
         assert tuple(inner[0]) == (0.0, 0.5)
+
+    def test_contours_match_per_point_band_check(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            r_lo, r_hi = np.sort(rng.uniform(0.0, 2.4, 2))
+            if rng.uniform() < 0.2:
+                r_hi = r_lo   # a point estimate: both contours on one circle
+            n = int(rng.choice([2, 7, 512]))
+            contours = dict(moment_region(make_result((r_lo, r_hi)), n_samples=n).contours)
+            for label, r in (("inner", r_lo), ("outer", r_hi)):
+                np.testing.assert_array_equal(contours[label],
+                                              circle_samples_loop(r, r_lo, r_hi, n))
 
     def test_validation(self):
         with pytest.raises(ValueError):
