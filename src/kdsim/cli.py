@@ -256,7 +256,7 @@ def _resolve_setup(cfg: dict, consts: model.ElectronConstants):
                 field_amplitude_V_per_m=cfg.get("field_V_per_m", 0.0))
             setup = model.derive_scales(laser, cfg.get("time_s", 0.0), consts)
         except ValueError as exc:
-            raise ConfigError(f"config key 'wavelength_m': {exc}") from exc
+            raise _leading_key_error(exc) from exc
         return setup, laser
     if not dimless:
         raise ConfigError(

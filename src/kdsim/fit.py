@@ -3,9 +3,13 @@
 Plane-wave patterns constrain the moments only through
 r_eff = sqrt((1 - 2 q~)^2 + 4 d~^2), so the estimator targets r_eff and
 maps its confidence interval to an annular band in the (d~, q~) square.
-The minimizer is deterministic by construction: a coarse grid scan
-followed by golden-section refinement, with interval ends located by
-bisection on the chi-square threshold.
+The minimizer is deterministic by construction: a coarse grid scan, then
+Brent's parabolic/golden-section minimizer started from the scan's best
+point and its neighbours, and Brent's root search for each interval end on
+the chi-square threshold, its bracket values taken from the scan and its
+first point from the minimizer's curvature.  r_eff_hat is bracketed within
+1e-7 of the chi-square minimum; each interval end within 1e-12 * max(1, |r|)
+of its crossing.
 """
 from __future__ import annotations
 
@@ -117,42 +121,104 @@ class FitResult:
         return self.chi2_min / self.dof if self.dof > 0 else math.nan
 
 
-def _golden_refine(f, a: float, b: float, tol: float):
-    """Deterministic golden-section minimum of f on [a, b]."""
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(_INV_PHI))))
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(n - 1):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = _INV_PHI * h
-            c = b - _INV_PHI * h
-            yc = f(c)
+def _brent_minimum(f, points, tol: float):
+    """Minimum of f between the outer two of three known points, by Brent's method.
+
+    points holds three (r, f(r)) pairs (x, w, v), lowest first.  A parabolic
+    step through them is taken when it stays inside the bracket and moves
+    less than half the step before last, else a golden section of the larger
+    side (Brent 1973, ch. 5).  The bracket width stands in for the earlier
+    steps, so the first step is the vertex of the start points' parabola.
+    x moves only to a value no higher than its own.  Steps shorter than
+    tol / 10 are lengthened to it.  Stops once the minimum is bracketed
+    within tol of x; returns the last three points, lowest first.
+    """
+    (x, fx), (w, fw), (v, fv) = points
+    a, b = min(x, w, v), max(x, w, v)
+    tol1 = 0.1 * tol   # least step
+    d = e = b - a
+    while abs(x - 0.5 * (a + b)) > tol - 0.5 * (b - a):
+        mid = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                golden = False
+                e, d = d, p / q
+                if min(x + d - a, b - x - d) < tol:
+                    d = math.copysign(tol1, mid - x)
+        if golden:
+            e = (a - x) if x >= mid else (b - x)
+            d = (1.0 - _INV_PHI) * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, yc = c, d, yd
-            h = _INV_PHI * h
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return (c, yc) if yc < yd else (d, yd)
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return (x, fx), (w, fw), (v, fv)
 
 
-def _bisect_threshold(f, lo: float, hi: float, threshold: float, iters: int = 80) -> float:
-    """Crossing point of f(r) = threshold inside [lo, hi] by bisection."""
-    above_lo = f(lo) > threshold
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > threshold) == above_lo:
-            lo = mid
+def _curvature(points) -> float:
+    """Second derivative of the parabola through three points; nan if two coincide."""
+    (x, fx), (w, fw), (v, fv) = points
+    if x == w or w == v or v == x:
+        return math.nan
+    return 2.0 * ((fv - fx) / (v - x) - (fw - fx) / (w - x)) / (v - w)
+
+
+def _brent_root(g, out: float, g_out: float, inn: float, g_in: float, seed) -> float:
+    """Where g crosses from g <= 0 at inn to g > 0 at out, by Brent's method.
+
+    Inverse quadratic or secant steps, replaced by bisection whenever they
+    would leave the bracket or shrink it too slowly (Brent 1973, ch. 4).  The
+    end values are given, so they cost no evaluations; a seed inside the
+    bracket is evaluated first.  Stops once the bracket is no wider than
+    1e-12 * max(1, |r|).
+    """
+    a, ga, b, gb = out, g_out, inn, g_in
+    c, gc = a, ga
+    d = e = b - a
+    if seed is not None and min(a, b) < seed < max(a, b):
+        a, ga, b, gb = b, gb, seed, g(seed)
+    while True:
+        if (gb > 0.0) == (gc > 0.0):   # keep c on the other side of the crossing
+            c, gc = a, ga
+            d = e = b - a
+        if abs(gc) < abs(gb):
+            a, ga, b, gb, c, gc = b, gb, c, gc, b, gb
+        tol = 0.5e-12 * max(1.0, abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or gb == 0.0:
+            return b
+        if abs(e) < tol or abs(ga) <= abs(gb):
+            d = e = m
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+            s = gb / ga
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, ga = b, gb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        gb = g(b)
 
 
 def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
@@ -174,40 +240,41 @@ def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
 
     notes = []
     at_bound = i_best in (0, n_grid - 1)
-    lo = rs[max(i_best - 1, 0)]
-    hi = rs[min(i_best + 1, n_grid - 1)]
-    r_hat, chi_hat = _golden_refine(objective, lo, hi, _GOLDEN_TOL)
-    if chis[i_best] < chi_hat:
-        r_hat, chi_hat = rs[i_best], chis[i_best]
     if at_bound:
         notes.append("minimum sits at a scan bound: estimate unbounded on that side")
+    # Brent from the scan's best point and its neighbours (at a bound, its one
+    # neighbour twice: golden sections on that cell); r_hat stays on the scan
+    # point unless a refinement value is no higher
+    near = sorted((j for j in (i_best - 1, i_best + 1) if 0 <= j < n_grid), key=chis.__getitem__)
+    last = _brent_minimum(objective, [(float(rs[j]), float(chis[j]))
+                                      for j in (i_best, near[0], near[-1])], _GOLDEN_TOL)
+    r_hat, chi_hat = last[0]
 
     threshold = chi_hat + delta_chi2
     inside = chis <= threshold
+    # the parabola of the minimizer's last points puts the ends at r_hat -+ half
+    curvature = _curvature(last)
+    half = math.sqrt(2.0 * delta_chi2 / curvature) if curvature > 0.0 else math.nan
 
-    # outermost interval ends: walk to the farthest scanned point inside the
-    # threshold on each side, then bisect the bracketing grid cell
+    def crossing(j_out: int, r_in: float, chi_in: float, side: float) -> float:
+        seed = r_hat + side * half if math.isfinite(half) else None
+        return _brent_root(lambda r: objective(r) - threshold, rs[j_out],
+                           chis[j_out] - threshold, r_in, chi_in - threshold, seed)
+
+    # outermost interval ends: the crossing in the grid cell beyond the
+    # farthest scanned point inside the threshold on each side; with none
+    # inside, between r_hat and its scan neighbours
     if inside.any():
         j_lo = int(np.argmax(inside))               # first True
         j_hi = n_grid - 1 - int(np.argmax(inside[::-1]))  # last True
+        lo_end = (j_lo - 1, rs[j_lo], chis[j_lo])
+        hi_end = (j_hi + 1, rs[j_hi], chis[j_hi])
     else:
-        j_lo = j_hi = i_best
-    ci_lo_bound = False
-    if j_lo == 0 and chis[0] <= threshold:
-        ci_lo = r_min
-        ci_lo_bound = True
-    else:
-        a = rs[j_lo - 1] if inside.any() and j_lo > 0 else r_min
-        b = rs[j_lo] if inside.any() else r_hat
-        ci_lo = _bisect_threshold(objective, a, b, threshold)
-    ci_hi_bound = False
-    if j_hi == n_grid - 1 and chis[-1] <= threshold:
-        ci_hi = r_max
-        ci_hi_bound = True
-    else:
-        a = rs[j_hi] if inside.any() else r_hat
-        b = rs[j_hi + 1] if inside.any() and j_hi < n_grid - 1 else r_max
-        ci_hi = _bisect_threshold(objective, a, b, threshold)
+        k = int(np.searchsorted(rs, r_hat))         # rs[k - 1] < r_hat < rs[k]
+        lo_end, hi_end = (k - 1, r_hat, chi_hat), (k, r_hat, chi_hat)
+    ci_lo_bound, ci_hi_bound = bool(inside[0]), bool(inside[-1])
+    ci_lo = r_min if ci_lo_bound else crossing(*lo_end, -1.0)
+    ci_hi = r_max if ci_hi_bound else crossing(*hi_end, 1.0)
     if ci_lo_bound or ci_hi_bound:
         notes.append("confidence interval clipped by the scan bounds")
 

@@ -138,16 +138,40 @@ def derive_scales(laser: LaserSetup, interaction_time_s: float,
     -------
     DimensionlessSetup
         With u0, tau, alpha and the SI anchors filled in.
+
+    Raises
+    ------
+    ValueError
+        When a derived group leaves the floating-point range (a zero recoil
+        energy, an infinite u0, tau or alpha, or a NaN alpha); the message
+        leads with the input at fault: wavelength_m, field_V_per_m or time_s.
     """
     t = _require_finite("interaction_time_s", interaction_time_s, nonneg=True)
+    field = laser.field_amplitude_V_per_m
     k_l = laser.wavenumber
     omega = 2.0 * math.pi * consts.c / laser.wavelength_m
-    v0 = consts.e * laser.field_amplitude_V_per_m**2 / (4.0 * consts.m * omega**2)
-    recoil = consts.hbar**2 * k_l**2 / (2.0 * consts.m)
+    try:  # a float power raises where a product would give inf
+        recoil = consts.hbar**2 * k_l**2 / (2.0 * consts.m)
+        drive = 4.0 * consts.m * omega**2
+    except OverflowError:
+        recoil = drive = math.inf
+    if not (0.0 < recoil < math.inf and 0.0 < drive < math.inf):
+        raise ValueError(f"wavelength_m {laser.wavelength_m!r} puts the recoil energy "
+                         f"({recoil!r} J) or the laser frequency out of floating-point range")
+    try:
+        v0 = consts.e * field**2 / drive
+    except OverflowError:
+        v0 = math.inf
     u0 = consts.e * v0 / recoil
+    if not math.isfinite(u0):
+        raise ValueError(f"field_V_per_m {field!r} gives a well depth u0 = {u0!r}, "
+                         "out of floating-point range")
     tau = recoil * t / consts.hbar
-    return DimensionlessSetup(u0=u0, tau=tau, alpha=0.5 * u0 * tau,
-                              recoil_energy_J=recoil, v0_V=v0)
+    alpha = 0.5 * u0 * tau
+    if not (math.isfinite(tau) and math.isfinite(alpha)):
+        raise ValueError(f"time_s {t!r} gives tau = {tau!r} and alpha = {alpha!r}, "
+                         "out of floating-point range")
+    return DimensionlessSetup(u0=u0, tau=tau, alpha=alpha, recoil_energy_J=recoil, v0_V=v0)
 
 
 @dataclass(frozen=True)

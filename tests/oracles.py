@@ -153,3 +153,91 @@ def circle_samples_loop(r: float, r_lo: float, r_hi: float, n_samples: int) -> n
     pts = pts[((pts >= 0.0) & (pts < 1.0)).all(axis=1)]
     keep = [r_lo - _BAND_SLACK <= band_radius(d, q) <= r_hi + _BAND_SLACK for d, q in pts]
     return pts[np.array(keep, dtype=bool)]
+
+
+def golden_refine(f, a: float, b: float, tol: float):
+    """Deterministic golden-section minimum of f on [a, b]."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    h = b - a
+    if h <= tol:
+        x = 0.5 * (a + b)
+        return x, f(x)
+    n = max(1, int(math.ceil(math.log(tol / h) / math.log(inv_phi))))
+    c = b - inv_phi * h
+    d = a + inv_phi * h
+    yc, yd = f(c), f(d)
+    for _ in range(n - 1):
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = inv_phi * h
+            c = b - inv_phi * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h = inv_phi * h
+            d = a + inv_phi * h
+            yd = f(d)
+    return (c, yc) if yc < yd else (d, yd)
+
+
+def bisect_threshold(f, lo: float, hi: float, threshold: float, iters: int = 80) -> float:
+    """Crossing point of f(r) = threshold inside [lo, hi] by bisection."""
+    above_lo = f(lo) > threshold
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > threshold) == above_lo:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def scan_fit_golden_bisect(objective, bounds, delta_chi2: float, n_grid: int, tol: float):
+    """A grid-scan fit refined by golden section and interval bisection.
+
+    The scan, its local minima and the bound flags follow kdsim.fit's rules;
+    the minimum is refined by golden section on the best point's neighbour
+    cells (keeping the scan point when it is lower) and each interval end by
+    bisecting f = chi2_min + delta_chi2 in the grid cell beyond the outermost
+    scan point inside it, or between the scan bound and r_hat if none is.
+    """
+    r_min, r_max = float(bounds[0]), float(bounds[1])
+    rs = np.linspace(r_min, r_max, n_grid)
+    chis = objective(rs)
+    minima = local_minima_loop(chis)
+    i_best = min(minima, key=lambda i: chis[i])
+    lo = rs[max(i_best - 1, 0)]
+    hi = rs[min(i_best + 1, n_grid - 1)]
+    r_hat, chi_hat = golden_refine(objective, lo, hi, tol)
+    if chis[i_best] < chi_hat:
+        r_hat, chi_hat = rs[i_best], chis[i_best]
+    threshold = chi_hat + delta_chi2
+    inside = chis <= threshold
+    if inside.any():
+        j_lo = int(np.argmax(inside))
+        j_hi = n_grid - 1 - int(np.argmax(inside[::-1]))
+    else:
+        j_lo = j_hi = i_best
+    ci_lo_bound = j_lo == 0 and chis[0] <= threshold
+    if ci_lo_bound:
+        ci_lo = r_min
+    else:
+        a = rs[j_lo - 1] if inside.any() and j_lo > 0 else r_min
+        b = rs[j_lo] if inside.any() else r_hat
+        ci_lo = bisect_threshold(objective, a, b, threshold)
+    ci_hi_bound = j_hi == n_grid - 1 and chis[-1] <= threshold
+    if ci_hi_bound:
+        ci_hi = r_max
+    else:
+        a = rs[j_hi] if inside.any() else r_hat
+        b = rs[j_hi + 1] if inside.any() and j_hi < n_grid - 1 else r_max
+        ci_hi = bisect_threshold(objective, a, b, threshold)
+    return {
+        "r_eff_hat": float(r_hat), "chi2_min": float(chi_hat),
+        "ci": (float(min(ci_lo, r_hat)), float(max(ci_hi, r_hat))),
+        "scan_r": tuple(float(r) for r in rs), "scan_chi2": tuple(float(c) for c in chis),
+        "local_minima": tuple((float(rs[i]), float(chis[i])) for i in minima),
+        "at_bound": i_best in (0, n_grid - 1), "ci_at_bounds": (ci_lo_bound, ci_hi_bound),
+    }

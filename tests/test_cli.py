@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdsim
 from kdsim import tdse
 from kdsim.analytic import distribution_pattern, pointlike_pattern
 from kdsim.cli import (
@@ -706,6 +710,34 @@ class TestErrorReporting:
         code, out, err = run_main(tmp_path, doc, capsys)
         assert code == 1
         assert "no CSV form" in json.loads(err)["message"]
+
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--wavelength-m", "1e-10", "--time-s", "1e300"], "time_s"),  # alpha was NaN
+        (["--wavelength-m", "1e-10", "--field-v-per-m", "1e300"], "field_V_per_m"),  # OverflowError
+        (["--wavelength-m", "1e300"], "wavelength_m"),  # ZeroDivisionError
+    ])
+    def test_overflowing_laboratory_input_named(self, flags, key, capsys):
+        code = main(["validate", *flags])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"config key '{key}': {key} ")
+        assert "out of floating-point range" in record["message"]
+
+
+def test_python_m_kdsim_runs_the_cli(tmp_path):
+    src = str(Path(kdsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "kdsim", "analytic", "--alpha", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    payload = json.loads(done.stdout)["payload"]
+    assert payload["kind"] == "pattern"
+    assert payload["probabilities"][payload["orders"].index(0)] == pytest.approx(
+        J0_2_SQ, rel=1e-12)
 
 
 class TestConstantsOverride:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdsim.analytic import closed_form_pattern, distribution_pattern
 from kdsim.fit import (
@@ -12,7 +13,9 @@ from kdsim.fit import (
 import kdsim.fit as fit_mod
 from kdsim.model import MomentSet
 
-from oracles import circle_samples_loop, local_minima_loop, max_band_radius_bruteforce
+from oracles import (
+    circle_samples_loop, local_minima_loop, max_band_radius_bruteforce, scan_fit_golden_bisect,
+)
 
 
 def exact_observation(alpha, r_eff, orders=(0, 1, 2, 3), sigma=0.01):
@@ -89,6 +92,90 @@ class TestBatchedEvaluation:
         assert grid_calls == [257, 257]
         assert seen[:2] == grid_calls  # the scan comes first, then scalar refinement
         assert len(seen) > 2
+
+
+def scalar_chi_square_calls(monkeypatch):
+    """List that grows by one entry per scalar chi_square call made by kdsim.fit."""
+    seen = []
+    original = fit_mod.chi_square
+
+    def counting(observed, r_eff):
+        if np.ndim(r_eff) == 0:
+            seen.append(r_eff)
+        return original(observed, r_eff)
+
+    monkeypatch.setattr(fit_mod, "chi_square", counting)
+    return seen
+
+
+class TestRefinement:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_golden_section_and_bisection(self, data):
+        r_true = data.draw(st.floats(0.05, 1.95), "r_eff")
+        datasets = []
+        for i in range(data.draw(st.integers(1, 3), "n_sets")):
+            n = data.draw(st.integers(3, 14), f"n_orders{i}")
+            start = data.draw(st.integers(-n, 0), f"first_order{i}")
+            alpha = data.draw(st.floats(0.3, 8.0), f"alpha{i}")
+            seed = data.draw(st.integers(0, 2**31), f"seed{i}")
+            if data.draw(st.booleans(), f"counts{i}"):
+                datasets.append(synthesize_counts(
+                    alpha, r_true, range(start, start + n), seed,
+                    shots=data.draw(st.sampled_from([10**3, 10**4, 10**5, 10**6]), f"shots{i}")))
+            else:
+                datasets.append(synthesize_gaussian(
+                    alpha, r_true, range(start, start + n), seed,
+                    rel_sigma=data.draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.05, 0.2]), f"noise{i}")))
+        r_min = data.draw(st.sampled_from([0.0, 0.0, 0.3, 0.9]), "r_min")
+        bounds = (r_min, r_min + data.draw(st.floats(0.2, 2.0), "width"))
+        delta_chi2 = data.draw(st.floats(0.05, 30.0), "delta_chi2")
+        n_grid = data.draw(st.integers(fit_mod.MIN_GRID, 400), "n_grid")
+
+        fit = joint_fit(datasets, bounds=bounds, delta_chi2=delta_chi2, n_grid=n_grid)
+        ref = scan_fit_golden_bisect(lambda r: sum(chi_square(obs, r) for obs in datasets),
+                                     bounds, delta_chi2, n_grid, fit_mod._GOLDEN_TOL)
+        for key in ("scan_r", "scan_chi2", "local_minima", "at_bound", "ci_at_bounds"):
+            assert getattr(fit, key) == ref[key], key
+        assert abs(fit.r_eff_hat - ref["r_eff_hat"]) <= fit_mod._GOLDEN_TOL
+        assert fit.chi2_min <= ref["chi2_min"] + 1e-8 * max(1.0, fit.chi2_min)
+        for end, clipped, want in zip(fit.ci, fit.ci_at_bounds, ref["ci"]):
+            if not clipped:
+                assert abs(end - want) <= 1e-9 * max(1.0, abs(end))
+
+    def test_first_step_is_the_vertex_of_the_start_parabola(self):
+        evaluated = []
+
+        def parabola(r):
+            evaluated.append(r)
+            return 3.0 + 50.0 * (r - 0.3137) ** 2
+
+        start = [(r, parabola(r)) for r in (0.31, 0.32, 0.30)]
+        del evaluated[:]
+        (r_hat, chi_hat), *_ = fit_mod._brent_minimum(parabola, start, fit_mod._GOLDEN_TOL)
+        assert evaluated[0] == pytest.approx(0.3137, abs=1e-12)
+        assert r_hat == pytest.approx(0.3137, abs=1e-12)
+        assert len(evaluated) <= 3
+
+    def test_two_dataset_refinement_work(self, monkeypatch):
+        # the grid-scan case of test_grid_scan_is_one_chi_square_call_per_dataset:
+        # golden section and bisection made 188 scalar calls there
+        seen = scalar_chi_square_calls(monkeypatch)
+        data = [exact_observation(2.0, 0.8), exact_observation(3.5, 0.8, orders=(0, 1, 2, 4, 5))]
+        joint_fit(data, n_grid=257)
+        assert len(seen) <= 60
+
+    def test_unresolved_minimum_ends_from_curvature_seed(self, monkeypatch):
+        # no scan point lies under the threshold: each end search starts at
+        # r_hat -+ sqrt(2 delta_chi2 / curvature), next to its crossing
+        obs = exact_observation(6.0, 0.8137, orders=tuple(range(-6, 7)), sigma=1e-4)
+        fit = fit_effective_amplitude(obs)
+        assert all(c > fit.chi2_min + fit.delta_chi2 for c in fit.scan_chi2)
+        seen = scalar_chi_square_calls(monkeypatch)
+        assert fit_effective_amplitude(obs) == fit
+        assert len(seen) <= 20
+        for end in fit.ci:
+            assert chi_square(obs, end) == pytest.approx(fit.chi2_min + 1.0, abs=1e-6)
 
 
 class TestDegeneracy:

@@ -56,6 +56,16 @@ class TestDeriveScales:
         with pytest.raises(ValueError):
             derive_scales(LaserSetup(5e-7, 1e8), math.inf)
 
+    def test_out_of_range_group_names_its_input(self):
+        # a zero recoil energy divided, a float power overflowed, 0 * inf gave a NaN alpha
+        for laser, t, key in ((LaserSetup(1e300, 0.0), 0.0, "wavelength_m"),
+                              (LaserSetup(1e-300, 0.0), 0.0, "wavelength_m"),
+                              (LaserSetup(1e-10, 1e300), 0.0, "field_V_per_m"),
+                              (LaserSetup(1e-10, 1e150), 1e30, "time_s"),   # alpha = inf
+                              (LaserSetup(1e-10, 0.0), 1e300, "time_s")):
+            with pytest.raises(ValueError, match=f"^{key} .*out of floating-point range"):
+                derive_scales(laser, t)
+
     def test_constants_override_scales_recoil(self):
         heavy = ElectronConstants(m=2.0 * model.M_ELECTRON)
         light = derive_scales(LaserSetup(1e-10, 0.0), 0.0)
