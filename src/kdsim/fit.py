@@ -27,7 +27,7 @@ MIN_GRID = 200          # points of joint_fit's grid scan
 MIN_REGION_SAMPLES = 2  # samples per moment_region contour
 MIN_SHOTS = 1           # shots of synthesize_counts
 _GOLDEN_TOL = 1e-7
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0  # the shorter part of a golden cut
 _MISFIT_REDUCED = 4.0
 _BAND_SLACK = 1e-12
 
@@ -154,7 +154,7 @@ def _brent_minimum(f, points, tol: float):
                     d = math.copysign(tol1, mid - x)
         if golden:
             e = (a - x) if x >= mid else (b - x)
-            d = (1.0 - _INV_PHI) * e
+            d = _GOLDEN_SECTION * e
         u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
         fu = f(u)
         if fu <= fx:
@@ -177,19 +177,19 @@ def _curvature(points) -> float:
     return 2.0 * ((fv - fx) / (v - x) - (fw - fx) / (w - x)) / (v - w)
 
 
-def _brent_root(g, out: float, g_out: float, inn: float, g_in: float, seed) -> float:
+def _brent_root(g, out: float, g_out: float, inn: float, g_in: float, seed: float) -> float:
     """Where g crosses from g <= 0 at inn to g > 0 at out, by Brent's method.
 
     Inverse quadratic or secant steps, replaced by bisection whenever they
     would leave the bracket or shrink it too slowly (Brent 1973, ch. 4).  The
     end values are given, so they cost no evaluations; a seed inside the
-    bracket is evaluated first.  Stops once the bracket is no wider than
+    bracket is evaluated first (a NaN seed is not).  Stops once the bracket is no wider than
     1e-12 * max(1, |r|).
     """
     a, ga, b, gb = out, g_out, inn, g_in
     c, gc = a, ga
     d = e = b - a
-    if seed is not None and min(a, b) < seed < max(a, b):
+    if min(a, b) < seed < max(a, b):
         a, ga, b, gb = b, gb, seed, g(seed)
     while True:
         if (gb > 0.0) == (gc > 0.0):   # keep c on the other side of the crossing
@@ -257,9 +257,8 @@ def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
     half = math.sqrt(2.0 * delta_chi2 / curvature) if curvature > 0.0 else math.nan
 
     def crossing(j_out: int, r_in: float, chi_in: float, side: float) -> float:
-        seed = r_hat + side * half if math.isfinite(half) else None
         return _brent_root(lambda r: objective(r) - threshold, rs[j_out],
-                           chis[j_out] - threshold, r_in, chi_in - threshold, seed)
+                           chis[j_out] - threshold, r_in, chi_in - threshold, r_hat + side * half)
 
     # outermost interval ends: the crossing in the grid cell beyond the
     # farthest scanned point inside the threshold on each side; with none
