@@ -31,7 +31,7 @@ from .emit import ResultEnvelope, csv_table, emit, float_text
 from .version import __version__
 
 ENV_CONSTANTS = "KDSIM_CONSTANTS"
-MODES = {  # mode: subcommand help
+MODES = {  # mode: its line in the MODE help
     "analytic": "thin-grating pattern from the closed form",
     "tdse": "split-operator propagation binned into orders",
     "fit": "estimate r_eff from observed patterns",
@@ -205,6 +205,28 @@ _LEAVES = {
     "constants": _Leaf(_cast_str),
 }
 
+_cast_config = _cast_object(_LEAVES)
+
+
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-").lower()
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """Every leaf with a flag, once; MODE last so flags lead the setup echo."""
+    parser = argparse.ArgumentParser(
+        prog="kdsim", description="standing-wave diffraction of a structured charge")
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--config", metavar="PATH", help="config document (JSON)")
+    for key, leaf in _LEAVES.items():
+        if leaf.flag:
+            parser.add_argument(_flag_name(key), dest=key, metavar="V", help=argparse.SUPPRESS)
+    parser.add_argument("mode", metavar="MODE", choices=MODES,
+                        help="; ".join(f"{m}: {h}" for m, h in MODES.items()))
+    return parser
+
+
+_PARSER = _build_parser()
 _PHYSICAL_KEYS = ("wavelength_m", "field_V_per_m", "time_s")
 _DIMLESS_KEYS = ("u0", "tau", "alpha")
 _PLAN_KEYS = ("d_tau", "max_step_phase", "include_kinetic", "envelope", "ramp_fraction",
@@ -328,7 +350,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         merged["constants"] = os.environ[ENV_CONSTANTS]  # so the echo records it
 
     # cfg holds the keys given and the defaulted ones; val every leaf
-    cfg = _cast_object(_LEAVES)("", merged)
+    cfg = _cast_config("", merged)
     val = {**dict.fromkeys(_LEAVES), **cfg}
     mode = val["mode"]
 
@@ -375,6 +397,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if synthetic is not None and val["seed"] is None:
             raise ConfigError("config key 'seed': required when synthesizing noisy data")
     if mode == "scan":
+        if "higher" in cfg:  # the scan maps the band radius of d~ and q~ alone
+            raise ConfigError("config key 'higher': scan mode takes d_tilde and q_tilde only; "
+                              "run analytic mode for octupole and higher moments")
         for key in ("d_range", "q_range"):
             rng = val[key]
             if rng is None or len(rng) != 3:
@@ -450,29 +475,31 @@ def _fit_payload(result: fit_mod.FitResult, region: fit_mod.MomentRegion) -> dic
     }
 
 
+_OBS_COLUMNS = (("order", int), ("probability", float), ("sigma", float))
+
+
 def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
-    """Load an observation from CSV columns order, probability, sigma."""
-    orders, values, sigmas = [], [], []
+    """Load an observation from CSV columns order, probability, sigma (after an
+    optional header row); a bad cell is named by its file, line and column."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for i, row in enumerate(_csvmod.reader(fh)):
-                if not row or not "".join(row).strip():
-                    continue
-                try:
-                    p = int(row[0])
-                except ValueError:
-                    if i == 0:
-                        continue  # header row
-                    raise ValueError(f"{path}: line {i + 1}: bad order {row[0]!r}") from None
-                if len(row) < 3:
-                    raise ValueError(f"{path}: line {i + 1}: need order,probability,sigma")
-                orders.append(p)
-                values.append(float(row[1]))
-                sigmas.append(float(row[2]))
+            rows = [(i, row) for i, row in enumerate(_csvmod.reader(fh), 1)
+                    if "".join(row).strip()]
     except OSError as exc:
         raise ValueError(f"cannot read observation file {path!r}: {exc}") from exc
-    return fit_mod.ObservedPattern(orders=tuple(orders), values=tuple(values),
-                                   sigmas=tuple(sigmas), alpha=alpha)
+    columns = [], [], []
+    for n, (line, row) in enumerate(rows):
+        for (name, cast), text, column in zip(_OBS_COLUMNS, row, columns):
+            try:
+                column.append(cast(text))
+            except ValueError:
+                if n == 0 and name == "order":
+                    break  # header row
+                raise ValueError(f"{path}: line {line}: bad {name} {text!r}") from None
+        else:
+            if len(row) < 3:
+                raise ValueError(f"{path}: line {line}: need order,probability,sigma")
+    return fit_mod.ObservedPattern(*columns, alpha=alpha)  # it casts each column to a tuple
 
 
 def _write_snapshot(prefix: str, step: int, state: tdse.WaveState) -> None:
@@ -542,37 +569,14 @@ def run(config: RunConfig) -> ResultEnvelope:
     return ResultEnvelope(setup=config.echo, regime=report.as_dict(), payload=payload)
 
 
-def _flag_name(key: str) -> str:
-    return "--" + key.replace("_", "-").lower()
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--config", metavar="PATH", help="config document (JSON)")
-    for key, leaf in _LEAVES.items():
-        if leaf.flag:
-            parent.add_argument(_flag_name(key), dest=key, metavar="V",
-                                help=argparse.SUPPRESS)
-    parser = argparse.ArgumentParser(
-        prog="kdsim",
-        description="standing-wave diffraction of a structured charge")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
-    for mode, description in MODES.items():
-        sub.add_parser(mode, parents=[parent], help=description)
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_PARSER.parse_args(argv))  # the leaf flags, then mode
+    path = overrides.pop("config")
     try:
-        if args.config is not None:
-            with open(args.config, encoding="utf-8") as fh:
+        text = "{}"
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        else:
-            text = "{}"
-        overrides = {key: getattr(args, key) for key, leaf in _LEAVES.items() if leaf.flag}
-        overrides["mode"] = args.mode
         config = parse_config(text, overrides)
         envelope = run(config)
         data = emit(envelope, config.fmt)

@@ -327,11 +327,9 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
     return _fit_objective(objective, bounds, delta_chi2, dof, n_grid)
 
 
-def fit_effective_amplitude(observed: ObservedPattern,
-                            bounds: tuple[float, float] = (0.0, 2.0),
-                            delta_chi2: float = 1.0, n_grid: int = 201) -> FitResult:
-    """Single-dataset convenience wrapper around joint_fit."""
-    return joint_fit([observed], bounds=bounds, delta_chi2=delta_chi2, n_grid=n_grid)
+def fit_effective_amplitude(observed: ObservedPattern, **kwargs) -> FitResult:
+    """Single-dataset convenience wrapper around joint_fit; keywords go to it."""
+    return joint_fit([observed], **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import kdsim
 from kdsim import tdse
 from kdsim.analytic import distribution_pattern, pointlike_pattern
 from kdsim.cli import (
-    _LEAVES, _SYNTHETIC_LEAVES, ConfigError, main, parse_config, read_observed_csv, run,
+    _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main, parse_config,
+    read_observed_csv, run,
 )
 from kdsim.fit import band_radius, model_probabilities
 from kdsim.model import MomentSet
@@ -40,6 +42,7 @@ def run_main(tmp_path, doc, capsys, extra_flags=()):
 _SYN = {"mode": "fit", "alpha": 2.0, "seed": 1, "synthetic": {"r_eff": 0.8}}
 _LAB = {"mode": "validate", "wavelength_m": 1e-10}
 _IDEAL = {"mode": "analytic", "alpha": 2.0}
+_SCAN = {"mode": "scan", "alpha": 2.0, "d_range": [0, 0, 1], "q_range": [0, 0, 1]}
 
 
 class TestParseConfig:
@@ -300,7 +303,8 @@ class TestParseConfig:
             (_IDEAL, "d_tilde", math.nan, "must be finite"),  # these two named 'q_tilde[i]'
             (_IDEAL, "higher[1]", [0.01, math.nan], "must be finite"),
             (_IDEAL, "q_tilde", -math.inf, "must be finite"),
-            (_IDEAL, "alpha", math.inf, "must be finite"))
+            (_IDEAL, "alpha", math.inf, "must be finite"),
+            (_SCAN, "higher", [0.5], "scan mode takes d_tilde and q_tilde only"))  # was ignored
     ])
     def test_bad_input_named_while_parsing(self, doc, named):
         """Each config here ran before, to a meaningless interval (a NaN delta_chi2),
@@ -372,6 +376,8 @@ class TestObservationFiles:
         obs = read_observed_csv(str(path), 2.0)
         assert obs.orders == (0, 1, 2)
         assert obs.values == (0.5, 0.3, 0.1)
+        path.write_text("\n \norder,probability,sigma\n0,0.5,0.01\n1,0.3,0.01\n2,0.1,0.01\n")
+        assert read_observed_csv(str(path), 2.0) == obs  # header on the first non-blank row
 
     def test_bad_rows_reported_with_line(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -381,6 +387,12 @@ class TestObservationFiles:
         path.write_text("order,probability,sigma\n0,0.5\n")
         with pytest.raises(ValueError, match="order,probability,sigma"):
             read_observed_csv(str(path), 2.0)
+        for text, why in (("0,abc,0.1\n", "line 1: bad probability 'abc'"),
+                          ("0,0.5,0.01\n\n1,0.3,-\n", "line 3: bad sigma '-'"),
+                          ("order,probability,sigma\nsigma,0.5,0.01\n", "line 2: bad order")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {why}")):
+                read_observed_csv(str(path), 2.0)
 
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):
@@ -713,6 +725,52 @@ class TestErrorReporting:
         code, out, err = run_main(tmp_path, doc, capsys)
         assert code == 1
         assert "no CSV form" in json.loads(err)["message"]
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for argv in (["analytic", "--alpha", "2"], ["validate", "--alpha", "2"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_echo_lists_flags_then_mode(self, capsys):
+        assert main(["analytic", "--order-cutoff", "3", "--alpha", "2", "--d-tilde", "0.1"]) == 0
+        setup = json.loads(capsys.readouterr().out)["setup"]
+        assert list(setup) == ["alpha", "d_tilde", "order_cutoff", "mode"]
+
+    def test_flags_may_precede_mode(self, capsys):
+        outs = []
+        for argv in (["analytic", "--alpha", "2", "--d-tilde", "0.1"],
+                     ["--alpha", "2", "--d-tilde", "0.1", "analytic"]):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_one_option_per_flag_leaf(self):
+        options = [s for action in _PARSER._actions for s in action.option_strings]
+        flags = [_flag_name(k) for k, leaf in _LEAVES.items() if leaf.flag]
+        assert sorted(options) == sorted(["-h", "--help", "--version", "--config", *flags])
+        [mode] = [action for action in _PARSER._actions if not action.option_strings]
+        assert mode.dest == "mode" and list(mode.choices) == list(MODES)
+
+    def test_version_and_unknown_mode_exit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == kdsim.__version__ + "\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["dance", "--alpha", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dance'" in capsys.readouterr().err
 
 
 def test_python_m_kdsim_runs_the_cli(tmp_path):

@@ -285,6 +285,12 @@ class TestJointFit:
             assert single.ci[0] <= joint.ci[0]
             assert single.ci[1] >= joint.ci[1]
 
+    def test_single_dataset_wrapper_forwards_to_joint_fit(self):
+        obs = exact_observation(2.0, 0.8137)
+        assert fit_effective_amplitude(obs) == joint_fit([obs])  # defaults defined once
+        kw = {"bounds": (0.5, 1.5), "delta_chi2": 4.0, "n_grid": 257}
+        assert fit_effective_amplitude(obs, **kw) == joint_fit([obs], **kw)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             joint_fit([])

@@ -9,9 +9,12 @@ REF by `git archive`, once with the working tree's `src/`.  Each tree runs in
 its own interpreter, one after the other, in the same scratch directory, so
 the paths that the setup echo records are equal.  Per job the SHA-256 of
 stdout, stderr and every file the job wrote is compared, together with the
-exit code.  The ids of the differing jobs are printed, each with the largest
-absolute difference between corresponding numbers in its differing JSON and
-CSV files and the file where it occurs; the exit code is 1 if any job differs.
+exit code.  The ids of the differing jobs are printed.  Each is followed by
+the largest absolute difference between corresponding numbers in its differing
+CSV files, and the file where it occurs; and, per differing JSON file, by the
+dotted key paths whose values differ (items of a list share the list's path),
+each with its largest |diff|, e.g. `payload.r_eff_hat 2.9e-08`.  The exit code
+is 1 if any job differs.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("fit_campaign", "propagation", "pattern_scan")
 ROUNDS = 9  # jobs per workload slot: 108 fit, 108 propagation, 117 pattern jobs per seed
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_ABSENT = object()  # a JSON key on one side only
 
 
 def _sha(data: bytes) -> str:
@@ -90,21 +94,54 @@ def _number_change(a: str, b: str) -> float | None:
     return max((abs(float(x) - float(y)) for x, y in pairs if x != y), default=0.0)
 
 
-def _largest_change(names: list[str], dirs: tuple[Path, Path]) -> str:
-    """Summary of the numeric change over the JSON and CSV files among names."""
-    changes, notes = [], []
+def _key_changes(a, b, path: str = "", out: dict | None = None) -> dict:
+    """Largest |x - y| per dotted key path over two JSON values.
+
+    The items of a list share the list's path.  A change that is not between
+    two numbers (text, a length, an absent key) is recorded as None.
+    """
+    out = {} if out is None else out
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            _key_changes(a.get(key, _ABSENT), b.get(key, _ABSENT),
+                         f"{path}.{key}" if path else key, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _key_changes(x, y, path, out)
+    elif repr(a) != repr(b):  # NaN equals NaN here
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        old = out.get(path, 0.0)
+        out[path] = max(abs(a - b), old) if numbers and old is not None else None
+    return out
+
+
+def _file_changes(names: list[str], dirs: tuple[Path, Path]) -> tuple[str, list[str]]:
+    """A summary of the numeric change over the CSV files among names, and per
+    JSON file among them a line naming each key path that differs."""
+    changes, notes, lines = [], [], []
     for name in names:
         paths = [Path(d, name) for d in dirs]
         if Path(name).suffix not in (".json", ".csv") or not all(p.is_file() for p in paths):
             continue
-        change = _number_change(*(p.read_text(encoding="utf-8") for p in paths))
+        texts = [p.read_text(encoding="utf-8") for p in paths]
+        if name.endswith(".json"):
+            try:
+                keys = _key_changes(*map(json.loads, texts))
+            except ValueError:  # not JSON on one side: compared as text below
+                pass
+            else:
+                lines.append(f"{name}: " + (", ".join(
+                    f"{k or '(document)'} {'not numeric' if c is None else format(c, '.3g')}"
+                    for k, c in keys.items()) or "equal values, other bytes"))
+                continue
+        change = _number_change(*texts)
         if change is None:
             notes.append(f"{name} differs beyond its numbers")
         else:
             changes.append((change, name))
     if changes:
         notes.insert(0, "max |diff| {:.3g} in {}".format(*max(changes)))
-    return "; ".join(notes)
+    return "; ".join(notes), lines
 
 
 def _differences(base: dict, head: dict, dirs: tuple[Path, Path]) -> list[str]:
@@ -118,9 +155,10 @@ def _differences(base: dict, head: dict, dirs: tuple[Path, Path]) -> list[str]:
         files = [name for name in sorted(set(a["files"]) | set(b["files"]))
                  if a["files"].get(name) != b["files"].get(name)]
         if parts or files:
-            summary = _largest_change(files, dirs)
+            summary, keys = _file_changes(files, dirs)
             lines.append(f"{job_id}: {', '.join(parts + files)}"
-                         + (f" ({summary})" if summary else ""))
+                         + (f" ({summary})" if summary else "")
+                         + "".join(f"\n    {line}" for line in keys))
     return lines
 
 
