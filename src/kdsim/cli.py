@@ -27,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import analytic, fit as fit_mod, model, tdse
-from .emit import ResultEnvelope, csv_table, emit, float_text
+from .emit import FloatColumn, ResultEnvelope, csv_table, emit, float_texts
 from .version import __version__
 
 ENV_CONSTANTS = "KDSIM_CONSTANTS"
@@ -448,8 +448,9 @@ def _region_payload(region: fit_mod.MomentRegion) -> dict:
         "r_band": list(region.r_band),
         "empty": region.is_empty,
         "note": region.note,
-        "contours": [
-            {"label": label, "d_tilde": arr[:, 0].tolist(), "q_tilde": arr[:, 1].tolist()}
+        "contours": [  # columns formatted once for the JSON and the region CSV
+            {"label": label, "d_tilde": FloatColumn(arr[:, 0].tolist()),
+             "q_tilde": FloatColumn(arr[:, 1].tolist())}
             for label, arr in region.contours
         ],
     }
@@ -508,9 +509,9 @@ def _write_snapshot(prefix: str, step: int, state: tdse.WaveState) -> None:
     profiles = (("position", "x", state.grid.positions(), np.abs(state.psi) ** 2),
                 ("momentum", "k", k, spec / spec.sum()))
     for name, axis, coords, dens in profiles:
-        rows = ((float_text(c), float_text(v)) for c, v in zip(coords, dens))
+        texts = float_texts(coords.tolist()), float_texts(dens.tolist())
         with open(f"{prefix}_{step:06d}_{name}.csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_table(f"{axis},density", rows))
+            fh.write(csv_table(f"{axis},density", *texts))
 
 
 def _run_tdse(config: RunConfig) -> dict:

@@ -2,12 +2,13 @@
 
 Everything here is pure string assembly: identical inputs produce
 byte-identical outputs, which the command line interface relies on.
-Floats are written with 17 significant digits so every value round-trips
-exactly; infinities use the Infinity/NaN tokens Python's json module
-accepts.
+Floats are written as "%.17g" (so every value round-trips exactly and -0
+keeps its sign); infinities and NaN use the Infinity/NaN tokens Python's
+json module accepts.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +25,31 @@ def float_text(value: float) -> str:
     if math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
     return format(value, ".17g")
+
+
+def float_texts(values) -> list[str]:
+    """[float_text(v) for v in values]; one "%" operation when all are finite."""
+    values = tuple(values)
+    if all(map(math.isfinite, values)):
+        return ("%.17g\0" * len(values) % values).split("\0")[:-1]
+    return list(map(float_text, values))
+
+
+class FloatColumn(list):
+    """A list of floats whose texts are formatted once, on first use.
+
+    A payload column that is written twice (the fit's region contours, in
+    the JSON and in the region CSV) shares these texts; the list must not
+    change after they are read.
+    """
+
+    @functools.cached_property
+    def texts(self) -> list[str]:
+        return float_texts(self)
+
+
+def _column_texts(column) -> list[str]:
+    return column.texts if isinstance(column, FloatColumn) else float_texts(column)
 
 
 def _scalar_text(value) -> str:
@@ -50,8 +76,9 @@ def structured_text(obj, indent: int = 0) -> str:
             f"{pad}  {json.dumps(str(k))}: {structured_text(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and all(isinstance(v, float) for v in obj):
-        return "[" + ", ".join(map(float_text, obj)) + "]"  # same text, no per-item dispatch
+    if isinstance(obj, FloatColumn) or (
+            isinstance(obj, (list, tuple)) and all(isinstance(v, float) for v in obj)):
+        return "[" + ", ".join(_column_texts(obj)) + "]"  # same text, no per-item dispatch
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(structured_text(v, indent) for v in obj) + "]"
     return _scalar_text(obj)
@@ -75,35 +102,31 @@ class ResultEnvelope:
         }
 
 
-def csv_table(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row of already formatted cells."""
-    return "\n".join([header, *(",".join(cells) for cells in rows)]) + "\n"
+def csv_table(header: str, *columns) -> str:
+    """CSV text: the header line, then one line per row of the columns of cell texts."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _csv_pattern(payload: dict) -> str:
-    rows = ((str(int(p)), float_text(v))
-            for p, v in zip(payload["orders"], payload["probabilities"]))
-    return csv_table("order,probability", rows)
+    orders = [str(int(p)) for p in payload["orders"]]
+    return csv_table("order,probability", orders, float_texts(payload["probabilities"]))
 
 
 def _csv_fit(payload: dict) -> str:
-    rows = ((float_text(r), float_text(c))
-            for r, c in zip(payload["scan_r"], payload["scan_chi2"]))
-    return csv_table("r_eff,chi2", rows)
+    return csv_table("r_eff,chi2", float_texts(payload["scan_r"]),
+                     float_texts(payload["scan_chi2"]))
 
 
 def _csv_region(payload: dict) -> str:
-    rows = ((float_text(d), float_text(q))
-            for contour in payload["contours"]
-            for d, q in zip(contour["d_tilde"], contour["q_tilde"]))
-    return csv_table("d_tilde,q_tilde", rows)
+    d_texts, q_texts = ([text for contour in payload["contours"]
+                         for text in _column_texts(contour[key])]
+                        for key in ("d_tilde", "q_tilde"))
+    return csv_table("d_tilde,q_tilde", d_texts, q_texts)
 
 
 def _csv_scan(payload: dict) -> str:
-    rows = ((float_text(d), float_text(q), float_text(r), float_text(p))
-            for d, q, r, p in zip(payload["d_tilde"], payload["q_tilde"],
-                                  payload["r_eff"], payload["p0"]))
-    return csv_table("d_tilde,q_tilde,r_eff,p0", rows)
+    keys = ("d_tilde", "q_tilde", "r_eff", "p0")
+    return csv_table(",".join(keys), *(float_texts(payload[k]) for k in keys))
 
 
 _CSV_BY_KIND = {

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -546,6 +547,66 @@ class TestMainFit:
         payload = json.loads(out)["payload"]
         assert payload["r_eff_hat"] == pytest.approx(0.8, abs=1e-6)
         assert payload["dof"] == 9
+
+    def test_region_csv_carries_the_json_contour_texts(self, tmp_path, capsys):
+        region_out = tmp_path / "region.csv"
+        code, out, _ = run_main(tmp_path, {**_SYN, "region_out": str(region_out)}, capsys)
+        assert code == 0
+        # every number as its source text, so the digits themselves are compared
+        doc = json.loads(out, parse_float=str, parse_int=str, parse_constant=str)
+        contours = doc["payload"]["region"]["contours"]
+        tokens = [row for c in contours for row in zip(c["d_tilde"], c["q_tilde"])]
+        rows = [tuple(line.split(",")) for line in region_out.read_text().splitlines()[1:]]
+        assert len(tokens) > 10
+        assert rows == tokens
+
+    def test_each_call_formats_its_floats_once(self, tmp_path, capsys, monkeypatch):
+        """Two identical runs each format every float of the document once.
+
+        The spies sit on the formatters, so a cache above them (in cli or in
+        the column type) would show as a lower count on the second run, and
+        a contour formatted for the JSON and again for the region CSV as a
+        higher one.
+        """
+        emit_mod = importlib.import_module("kdsim.emit")
+        bulk, one = emit_mod.float_texts, emit_mod.float_text
+        counts, inside = [0], [False]
+
+        def spy_bulk(values):
+            values = tuple(values)
+            counts[0] += len(values)
+            inside[0] = True  # a non-finite column falls back to float_text per item
+            try:
+                return bulk(values)
+            finally:
+                inside[0] = False
+
+        def spy_one(value):
+            counts[0] += not inside[0]
+            return one(value)
+
+        monkeypatch.setattr(emit_mod, "float_texts", spy_bulk)
+        monkeypatch.setattr(emit_mod, "float_text", spy_one)
+        doc = {**_SYN, "region_out": str(tmp_path / "region.csv")}
+        argv = ["fit", "--config", write_config(tmp_path, doc)]
+        formatted = []
+        for _ in range(2):
+            counts[0] = 0
+            assert main(argv) == 0
+            formatted.append(counts[0])
+        capsys.readouterr()
+
+        def n_floats(obj):
+            if isinstance(obj, dict):
+                return sum(map(n_floats, obj.values()))
+            if isinstance(obj, (list, tuple)):
+                return sum(map(n_floats, obj))
+            return isinstance(obj, (float, np.floating))
+
+        payload = run(parse_config(json.dumps(doc))).as_dict()
+        contours = payload["payload"]["region"]["contours"]
+        assert sum(len(c["d_tilde"]) + len(c["q_tilde"]) for c in contours) > 100
+        assert formatted == [n_floats(payload)] * 2
 
     def test_fit_csv_is_chi2_scan(self, tmp_path, capsys):
         doc = {"mode": "fit", "alpha": 2.0, "seed": 7, "format": "csv",

@@ -4,9 +4,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kdsim.emit import (
-    ResultEnvelope, emit, float_text, structured_text, svg_bar_chart,
+    FloatColumn, ResultEnvelope, emit, float_text, float_texts, structured_text,
+    svg_bar_chart,
 )
 
 
@@ -33,7 +35,50 @@ class TestFloatText:
         assert json.loads(float_text(math.inf)) == math.inf
 
     def test_negative_zero(self):
-        assert float(float_text(-0.0)) == 0.0
+        assert float_text(-0.0) == "-0"
+        assert math.copysign(1.0, float(float_text(-0.0))) == -1.0
+        assert float_texts([-0.0, 0.0]) == ["-0", "0"]
+        assert float_texts([-0.0, math.nan]) == ["-0", "NaN"]  # the per-item fallback
+        text = structured_text([-0.0, 1.5])
+        assert text == "[-0, 1.5]"
+        # "-0" has no fraction, so Python's json reads it as an int unless told otherwise
+        assert math.copysign(1.0, json.loads(text, parse_int=float)[0]) == -1.0
+
+
+# every kind of value a payload column may hold, edge cases drawn often
+_EDGE_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, -1.7976931348623157e308])
+_PY_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(), st.floats(allow_subnormal=True,
+                                                             max_value=1e-300, min_value=-1e-300))
+_VALUES = st.one_of(
+    _PY_FLOATS,
+    _PY_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-10**30, max_value=10**30),
+)
+
+
+class TestFloatTexts:
+    @given(st.lists(_VALUES, max_size=40))
+    def test_equals_per_item_text(self, xs):
+        assert float_texts(xs) == [float_text(x) for x in xs]
+
+    @given(st.lists(st.one_of(_PY_FLOATS, _PY_FLOATS.map(np.float64)), max_size=40))
+    def test_structured_float_list_is_item_join(self, xs):
+        expect = "[" + ", ".join(float_text(x) for x in xs) + "]"
+        assert structured_text(xs) == expect
+        assert structured_text(FloatColumn(xs)) == expect
+
+    def test_accepts_any_iterable(self):
+        assert float_texts(iter([0.5, 2])) == ["0.5", "2"]
+        assert float_texts(()) == []
+
+    def test_column_texts_formatted_once(self):
+        column = FloatColumn([0.1, 0.25])
+        assert column == [0.1, 0.25]
+        assert column.texts is column.texts
+        assert column.texts == ["0.10000000000000001", "0.25"]
 
 
 class TestStructuredText:
@@ -95,11 +140,18 @@ class TestCsv:
     def test_region_rows(self):
         payload = {"kind": "region", "contours": [
             {"label": "inner", "d_tilde": [0.125], "q_tilde": [0.25]},
-            {"label": "outer", "d_tilde": [0.375], "q_tilde": [0.5]},
+            {"label": "outer", "d_tilde": FloatColumn([0.375]), "q_tilde": FloatColumn([0.5])},
         ]}
         env = ResultEnvelope(setup={}, regime={}, payload=payload)
         lines = emit(env, "csv").decode().splitlines()
         assert lines == ["d_tilde,q_tilde", "0.125,0.25", "0.375,0.5"]
+
+    def test_non_finite_cells(self):
+        payload = {"kind": "scan", "d_tilde": [0.0, -0.0], "q_tilde": [math.nan, 0.5],
+                   "r_eff": [math.inf, 1.0], "p0": [-math.inf, 0.25]}
+        env = ResultEnvelope(setup={}, regime={}, payload=payload)
+        assert emit(env, "csv").decode().splitlines()[1:] == [
+            "0,NaN,Infinity,-Infinity", "-0,0.5,1,0.25"]
 
     def test_scan_rows(self):
         payload = {"kind": "scan", "d_tilde": [0.0], "q_tilde": [0.1],
