@@ -21,7 +21,7 @@ from .analytic import (
 from .tdse import (
     Grid1D, WaveState, PropagationConfig,
     init_plane_wave, init_gaussian, plan_propagation, propagate,
-    order_probabilities,
+    exact_route, propagate_exact, order_probabilities,
 )
 from .fit import (
     ObservedPattern, FitResult, MomentRegion,
@@ -44,7 +44,7 @@ __all__ = [
     "effective_amplitude", "grating_oracle", "pattern_distance",
     "Grid1D", "WaveState", "PropagationConfig",
     "init_plane_wave", "init_gaussian", "plan_propagation", "propagate",
-    "order_probabilities",
+    "exact_route", "propagate_exact", "order_probabilities",
     "ObservedPattern", "FitResult", "MomentRegion",
     "chi_square", "fit_effective_amplitude", "joint_fit", "moment_region",
     "band_radius", "synthesize_gaussian", "synthesize_counts",

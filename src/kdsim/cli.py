@@ -3,7 +3,7 @@
 One JSON config document (plus per-leaf flag overrides) drives five modes:
 
 * analytic -- thin-grating pattern from the closed form J_p(alpha r_eff)^2
-* tdse     -- split-operator propagation, binned into orders
+* tdse     -- propagation at finite u0 (exact order basis or split-operator), binned into orders
 * fit      -- chi-square estimate of r_eff from observed patterns
 * validate -- regime report only
 * scan     -- r_eff and zero-order probability over a (d~, q~) grid
@@ -33,7 +33,7 @@ from .version import __version__
 ENV_CONSTANTS = "KDSIM_CONSTANTS"
 MODES = {  # mode: its line in the MODE help
     "analytic": "thin-grating pattern from the closed form",
-    "tdse": "split-operator propagation binned into orders",
+    "tdse": "finite-u0 propagation binned into orders",
     "fit": "estimate r_eff from observed patterns",
     "validate": "regime report only",
     "scan": "r_eff and P_0 over a (d~, q~) grid",
@@ -515,12 +515,16 @@ def _write_snapshot(prefix: str, step: int, state: tdse.WaveState) -> None:
 
 
 def _run_tdse(config: RunConfig) -> dict:
-    final = tdse.propagate(
+    exact = tdse.exact_route(config.state, config.spec, config.setup, config.plan)
+    final = (tdse.propagate_exact if exact else tdse.propagate)(
         config.state, config.spec, config.setup, config.plan,
         snapshot_callback=lambda step, _tau, snap: _write_snapshot(
             config.snapshot_prefix, step, snap))
     pattern = tdse.order_probabilities(final, max_order=config.order_cutoff)
-    return _pattern_payload(pattern, alpha=config.setup.alpha)
+    payload = _pattern_payload(pattern, alpha=config.setup.alpha)
+    if exact:
+        payload["generator"] = "tdse_exact"
+    return payload
 
 
 def _run_fit(config: RunConfig) -> dict:

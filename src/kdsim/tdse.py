@@ -12,6 +12,10 @@ used; order probabilities are insensitive to conjugating the evolution.
 The potential (period pi) couples a box mode only to modes n_periods bins away,
 so a state splits exactly into f = gcd(n_points, n_periods) Bloch sectors, each
 evolving on a cell of n_points/f points with the same dx.
+
+A plane wave under a rectangular pulse stays on one chain of those modes, its
+diffraction orders, where H is tridiagonal; propagate_exact diagonalizes it
+once instead of stepping (Batelaan, Rev. Mod. Phys. 79, 929 (2007)).
 """
 from __future__ import annotations
 
@@ -28,6 +32,8 @@ from .model import DimensionlessSetup, PotentialSpec, evaluate_potential
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
 _EMPTY_SECTOR = 1e-20  # carried unstepped: moves orders by <= this, psi by <= its sqrt
+_REACH_TOL = 1e-16  # amplitude left beyond the exact route's order basis
+_EXACT_MAX_ORDERS = 1025  # one eigh of this size takes ~0.1 s; larger bases are stepped
 ENVELOPES = ("rectangular", "sin2_ramp")
 
 
@@ -278,10 +284,116 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
                 snapshot_callback(j + 1, (j + 1) * config.d_tau, on_box(phi))
         out = on_box(phi)
 
+    return _checked_norm(state, out)
+
+
+def _checked_norm(state: WaveState, out: WaveState) -> WaveState:
     drift = abs(out.norm - state.norm)
     if not drift <= _NORM_FAIL:  # catches NaN too
         raise RuntimeError(f"propagation lost unitarity: norm drift {drift:.3g}")
     return out
+
+
+def _order_reach(x: float) -> int:
+    """Orders P on each side of the start that hold all but _REACH_TOL of it.
+
+    Summing the Dyson series over coupling paths (the diagonal only adds
+    phases) bounds order P by |c_P| <= I_P(x) <= (x/2)^P / P! exp(x^2/(4(P+1))),
+    x = alpha r_eff.  P is the least integer >= x with x times that bound
+    <= _REACH_TOL.
+    """
+    if x == 0.0:
+        return 0
+    log_tol = math.log(_REACH_TOL / x)
+    reach = math.ceil(x)
+    while (reach * math.log(0.5 * x) - math.lgamma(reach + 1.0)
+           + x * x / (4.0 * (reach + 1)) > log_tol):
+        reach += 1
+    return reach
+
+
+def _order_chain(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
+                 config: PropagationConfig):
+    """(spectrum, signed start mode, orders p relative to it, reach) for propagate_exact.
+
+    The orders run from -reach to +reach (_order_reach), cut where their modes
+    would pass the grid's Nyquist bin.  Raises ValueError unless the state is
+    a plane wave (one FFT bin holds all but _EMPTY_SECTOR of the weight) and
+    the pulse is rectangular with the kinetic term.
+    """
+    if not math.isfinite(setup.u0):
+        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
+    if config.envelope != "rectangular" or not config.include_kinetic:
+        raise ValueError("the exact route needs a rectangular envelope with include_kinetic")
+    spectrum = np.fft.fft(state.psi)
+    power = np.abs(spectrum) ** 2
+    start = int(np.argmax(power))
+    total = power.sum()
+    power[start] = 0.0
+    if not power.sum() <= _EMPTY_SECTOR * total:
+        raise ValueError("the exact route needs a plane-wave start state (one occupied bin)")
+    n, h = state.grid.n_points, state.grid.n_periods
+    mode = start if start < n - n // 2 else start - n  # signed, in [-n/2, n/2)
+    reach = _order_reach(0.5 * setup.u0 * config.tau_total * math.hypot(spec.a_c, spec.a_s))
+    orders = np.arange(max(-reach, -((n // 2 + mode) // h)),
+                       min(reach, (n // 2 - 1 - mode) // h) + 1)
+    return spectrum, mode, orders, reach
+
+
+def exact_route(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
+                config: PropagationConfig) -> bool:
+    """Whether propagate_exact serves this run: it applies, and its basis holds
+    the whole reach in at most _EXACT_MAX_ORDERS orders (one eigh of that size
+    costs ~0.1 s).  A reach that the grid cuts is left to propagate, whose
+    cell wraps those orders round at the Nyquist bin instead of ending them."""
+    try:
+        _, _, orders, reach = _order_chain(state, spec, setup, config)
+    except ValueError:
+        return False
+    return orders.size == 2 * reach + 1 <= _EXACT_MAX_ORDERS
+
+
+def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
+                    config: PropagationConfig,
+                    snapshot_callback: SnapshotCallback | None = None) -> WaveState:
+    """propagate's result for a plane wave under a rectangular pulse, without steps.
+
+    Order p of the start plane wave (wavenumber k_p) couples only to p +- 1:
+    H[p, p] = k_p^2 + u0 offset/2 and H[p+1, p] = u0 (a_c - i a_s)/4.  The
+    gauge c_p = exp(-i p theta) b_p, theta = atan2(a_s, a_c), makes H real
+    symmetric with coupling u0 r_eff/4, so one eigh gives the amplitudes at
+    every time.  The basis and the state it needs are those of _order_chain
+    (ValueError otherwise); the other FFT bins, <= _EMPTY_SECTOR of the
+    weight, are carried unchanged.
+
+    Takes the same arguments as propagate.  config.d_tau only schedules the
+    snapshots, taken at the steps propagate would take them.  Raises
+    RuntimeError if the final norm drifts from 1 by more than 1e-9.
+    """
+    spectrum, start, orders, _ = _order_chain(state, spec, setup, config)
+    grid = state.grid
+    modes = start + grid.n_periods * orders  # signed; wavenumber 2 mode / n_periods
+    size, u0 = orders.size, setup.u0
+    ham = np.zeros((size, size))
+    ham.flat[::size + 1] = (2.0 * modes / grid.n_periods) ** 2 + 0.5 * u0 * spec.offset
+    ham.flat[1::size + 1] = ham.flat[size::size + 1] = 0.25 * u0 * math.hypot(spec.a_c, spec.a_s)
+    energies, vectors = np.linalg.eigh(ham)
+
+    start_row = vectors[-orders[0]]  # the start is order 0
+    ungauge = spectrum[start % grid.n_points] * np.exp(  # start amplitude, gauge phases
+        -1j * math.atan2(spec.a_s, spec.a_c) * orders)
+    bins = modes % grid.n_points
+
+    def at(tau: float) -> WaveState:
+        phased = np.exp(-1j * energies * tau) * start_row
+        # two real products: a complex one would first copy vectors to complex
+        spectrum[bins] = ungauge * (vectors @ phased.real + 1j * (vectors @ phased.imag))
+        return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
+
+    if config.snapshot_every and snapshot_callback is not None:
+        for j in range(config.snapshot_every, config.n_steps + 1, config.snapshot_every):
+            snapshot_callback(j, j * config.d_tau, at(j * config.d_tau))
+    return _checked_norm(state, at(config.tau_total))
 
 
 def order_probabilities(state: WaveState, k0: float | None = None,

@@ -7,6 +7,8 @@ element-by-element loop with a numpy primitive, the loop is kept here as the
 reference: it adds in the same order, so results must be equal bit for bit.
 Split-step propagation is redone on the full box, without the package's
 split into Bloch sectors; stepped_sectors shows which sectors a run steps.
+The exact order-basis route is checked against a dense diagonalization of
+the occupied sector's whole cell.
 """
 from __future__ import annotations
 
@@ -134,6 +136,40 @@ def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
         if every and (j + 1) % every == 0:
             snapshot_callback(j + 1, (j + 1) * config.d_tau, wave(psi.copy()))
     return wave(psi)
+
+
+def propagate_cell_eigh(state, spec, setup, config, snapshot_callback=None):
+    """tdse.propagate_exact's result and snapshots from the sector's whole cell.
+
+    For a state in one Bloch sector (FFT bins a*f + s, f = gcd(n_points,
+    n_periods)), H over those cell bins is k^2 on the diagonal plus the
+    circulant of the cell potential's DFT, H[a, b] = DFT(V)[(a - b) mod cell]
+    / cell, wrap-around included.  It is diagonalized as a complex Hermitian
+    matrix: no gauge, no truncation to a few orders.  The other bins are
+    carried.  callback(step, tau, state) is called every
+    config.snapshot_every steps at tau = step * config.d_tau.
+    """
+    grid = state.grid
+    fold = math.gcd(grid.n_points, grid.n_periods)
+    cell = grid.n_points // fold
+    spectrum = np.fft.fft(state.psi)
+    bins = np.arange(cell) * fold + int(np.argmax(np.abs(spectrum))) % fold
+    vhat = np.fft.fft(0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell]))
+    a = np.arange(cell)
+    ham = vhat[(a[:, None] - a[None, :]) % cell] / cell + np.diag(grid.wavenumbers()[bins] ** 2)
+    energies, vectors = np.linalg.eigh(ham)
+    start = vectors.conj().T @ spectrum[bins]
+
+    def at(tau):
+        out = spectrum.copy()
+        out[bins] = vectors @ (np.exp(-1j * energies * tau) * start)
+        return WaveState(grid=grid, psi=np.fft.ifft(out), k0=state.k0)
+
+    every = config.snapshot_every if snapshot_callback is not None else 0
+    if every:
+        for j in range(every, config.n_steps + 1, every):
+            snapshot_callback(j, j * config.d_tau, at(j * config.d_tau))
+    return at(config.n_steps * config.d_tau)
 
 
 def circle_samples_loop(r: float, r_lo: float, r_hi: float, n_samples: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from kdsim.cli import (
 from kdsim.fit import band_radius, model_probabilities
 from kdsim.model import MomentSet
 
-from oracles import propagate_full_box, stepped_sectors
+from oracles import propagate_cell_eigh, propagate_full_box, stepped_sectors
 
 J0_2_SQ = 0.050127080984469568505
 J0_1_SQ = 0.58552749951366402438
@@ -670,7 +671,11 @@ class TestPlaneWaveCell:
 
     The reference is the full-box oracle; stepped is the number of points one
     Strang step advances (n_points/f per occupied sector, f = gcd(n_points,
-    n_periods)): one sector for a plane wave, all f for a Gaussian.
+    n_periods)): one sector for a plane wave, all f for a Gaussian.  A plane
+    wave under a rectangular pulse with the kinetic term takes no steps: it is
+    served by tdse.propagate_exact within the n_points/f bins of its sector,
+    checked against a dense diagonalization of that cell, and it stays within
+    the Strang error of the full-box oracle.
     """
 
     BASE = {"mode": "tdse", "u0": 300.0, "alpha": 2.5, "d_tilde": 0.3, "q_tilde": 0.1}
@@ -695,41 +700,73 @@ class TestPlaneWaveCell:
         else:
             start = tdse.init_gaussian(grid, grid.box_length / 2, grid.box_length / 8,
                                        rc.gauss_k0)
-        snaps = {}
+        exact = rc.init_state == "plane" and rc.envelope == "rectangular" and rc.include_kinetic
+        snaps, strang_snaps = {}, {}
         full = propagate_full_box(start, rc.spec, rc.setup, rc.plan,
-                                  snapshot_callback=lambda j, _t, s: snaps.setdefault(j, s.psi))
-        want = tdse.order_probabilities(full, max_order=rc.order_cutoff)
+                                  lambda j, _t, s: strang_snaps.setdefault(j, s.psi))
+        strang = tdse.order_probabilities(full, max_order=rc.order_cutoff)
+        if exact:  # the reference is the cell's dense diagonalization
+            ref = propagate_cell_eigh(start, rc.spec, rc.setup, rc.plan,
+                                      lambda j, _t, s: snaps.setdefault(j, s.psi))
+            want, tol = tdse.order_probabilities(ref, max_order=rc.order_cutoff), 1e-12
+        else:
+            want, snaps, tol = strang, strang_snaps, 1e-13
 
         grids = []
-        propagate = tdse.propagate
+        route = "propagate_exact" if exact else "propagate"
+        propagate = getattr(tdse, route)
 
         def spy(state, *args, **kwargs):
             grids.append(state.grid)
             return propagate(state, *args, **kwargs)
 
-        monkeypatch.setattr(tdse, "propagate", spy)
+        monkeypatch.setattr(tdse, route, spy)
         (code, out, _), shapes = stepped_sectors(lambda: run_main(tmp_path, doc, capsys))
         assert code == 0
         assert grids == [grid]
         f = math.gcd(grid.n_points, grid.n_periods)
-        assert shapes == {(1 if rc.init_state == "plane" else f, grid.n_points // f)}
-        assert math.prod(shapes.pop()) == stepped
+        if exact:
+            assert shapes == set()  # no 2-D FFT: not one Strang step
+            assert grid.n_points // f == stepped
+        else:
+            assert shapes == {(1 if rc.init_state == "plane" else f, grid.n_points // f)}
+            assert math.prod(shapes.pop()) == stepped
         payload = json.loads(out)["payload"]
+        assert payload["generator"] == ("tdse_exact" if exact else "tdse")
         assert payload["orders"] == list(want.orders)
-        assert np.max(np.abs(np.subtract(payload["probabilities"],
-                                         [want.probabilities[p] for p in want.orders]))) <= 1e-13
-        assert abs(payload["tail_mass"] - want.tail_mass) <= 1e-13
+        got = np.array(payload["probabilities"])
+        assert np.max(np.abs(got - [want.probabilities[p] for p in want.orders])) <= tol
+        assert abs(payload["tail_mass"] - want.tail_mass) <= tol
+        if exact:  # within the Strang error of the full-box stepper
+            assert np.max(np.abs(got - [strang.probabilities[p] for p in strang.orders])) <= 1e-5
 
         assert len(snaps) == (rc.plan.n_steps // 20 if "snapshot_every" in extra else 0)
+        assert sorted(snaps) == sorted(strang_snaps)
         k = np.fft.fftshift(grid.wavenumbers())
-        for step, psi in snaps.items():
-            spec = np.fft.fftshift(np.abs(np.fft.fft(psi)) ** 2)
-            for name, coords, dens in (("position", grid.positions(), np.abs(psi) ** 2),
-                                       ("momentum", k, spec / spec.sum())):
-                got = np.loadtxt(tmp_path / f"snap_{step:06d}_{name}.csv", delimiter=",",
-                                 skiprows=1)
-                assert np.array_equal(got[:, 0], coords)
-                assert np.max(np.abs(got[:, 1] - dens)) <= 1e-13
+        for refs, bound in [(snaps, tol)] + [(strang_snaps, 1e-5)] * exact:
+            for step, psi in refs.items():
+                spec = np.fft.fftshift(np.abs(np.fft.fft(psi)) ** 2)
+                for name, coords, dens in (("position", grid.positions(), np.abs(psi) ** 2),
+                                           ("momentum", k, spec / spec.sum())):
+                    got = np.loadtxt(tmp_path / f"snap_{step:06d}_{name}.csv", delimiter=",",
+                                     skiprows=1)
+                    assert np.array_equal(got[:, 0], coords)
+                    assert np.max(np.abs(got[:, 1] - dens)) <= bound
+
+    def test_step_phase_example_served_exactly(self, tmp_path, capsys, recwarn):
+        # 3 rad of potential phase per step: Strang would warn and be far off
+        code = main(["tdse", "--u0", "300", "--alpha", "1.5", "--d-tau", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert len(recwarn) == 0
+        payload = json.loads(out)["payload"]
+        assert payload["generator"] == "tdse_exact"
+        rc = parse_config("{}", {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "d_tau": 0.01})
+        assert rc.plan.n_steps == 1
+        want = tdse.order_probabilities(propagate_cell_eigh(rc.state, rc.spec, rc.setup, rc.plan))
+        assert payload["orders"] == list(want.orders)
+        assert np.max(np.abs(np.subtract(payload["probabilities"],
+                                         [want.probabilities[p] for p in want.orders]))) <= 1e-12
 
 
 class TestDeterminism:
@@ -745,6 +782,21 @@ class TestDeterminism:
             first = run_main(tmp_path, doc, capsys)
             second = run_main(tmp_path, doc, capsys)
             assert first == second, doc["mode"]
+
+    def test_exact_route_with_snapshots_reruns_byte_identical(self, tmp_path, capsys):
+        snap_dir = tmp_path / "snaps"
+        doc = {"mode": "tdse", "u0": 300.0, "alpha": 2.0, "d_tilde": 0.3, "q_tilde": 0.1,
+               "snapshot_every": 16, "snapshot_prefix": str(snap_dir / "snap")}
+        runs = []
+        for _ in range(2):
+            snap_dir.mkdir()
+            code, out, err = run_main(tmp_path, doc, capsys)
+            files = sorted(snap_dir.iterdir())
+            runs.append((code, out, err, [(f.name, f.read_bytes()) for f in files]))
+            shutil.rmtree(snap_dir)
+        assert json.loads(runs[0][1])["payload"]["generator"] == "tdse_exact"
+        assert len(runs[0][3]) == 2 * (parse_config(json.dumps(doc)).plan.n_steps // 16) > 0
+        assert runs[0] == runs[1]
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         doc = {"mode": "analytic", "alpha": 2.0}

@@ -1,21 +1,23 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kdsim import tdse
 from kdsim.analytic import pattern_distance, pointlike_pattern
 from kdsim.model import (
     DimensionlessSetup, MomentSet, PotentialSpec, build_potential,
     evaluate_potential,
 )
 from kdsim.tdse import (
-    _EMPTY_SECTOR, ENVELOPES, Grid1D, PropagationConfig, WaveState, _envelope_weights,
-    init_gaussian, init_plane_wave, max_potential, order_probabilities, plan_propagation,
-    propagate,
+    _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _REACH_TOL, ENVELOPES, Grid1D, PropagationConfig,
+    WaveState, _envelope_weights, _order_reach, exact_route, init_gaussian, init_plane_wave,
+    max_potential, order_probabilities, plan_propagation, propagate, propagate_exact,
 )
 
-from oracles import binned_orders_loop, propagate_full_box, stepped_sectors
+from oracles import binned_orders_loop, propagate_cell_eigh, propagate_full_box, stepped_sectors
 
 POINTLIKE = build_potential(MomentSet())
 
@@ -359,3 +361,160 @@ class TestBlochSectors:
             assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
             want = propagate_full_box(state, POINTLIKE, setup, config)
             assert np.max(np.abs(out.psi - want.psi)) <= 1e-13 + (eps if live == 1 else 0.0)
+
+
+def max_order_gap(a, b):
+    """Largest |P_p| difference between two states' default order tables."""
+    pa, pb = order_probabilities(a), order_probabilities(b)
+    return max(abs(pa.probabilities[p] - pb.probabilities[p]) for p in pa.orders)
+
+
+def exact_case(u0, alpha, moments=(0.3, 0.1), order_offset=0, n_points=1024, n_periods=8,
+               **plan_kw):
+    setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
+    spec = build_potential(MomentSet(moments))
+    state = init_plane_wave(Grid1D(n_points, n_periods), order_offset)
+    return state, spec, setup, plan_propagation(setup, spec, **plan_kw)
+
+
+def reach_bound(x, reach):
+    """x (x/2)^P / P! exp(x^2 / (4(P+1))) in extended precision."""
+    x = mp.mpf(x)
+    return x * (x / 2) ** reach / mp.factorial(reach) * mp.exp(x**2 / (4 * (reach + 1)))
+
+
+class TestExactRoute:
+    # (d~, q~) = (0.3, 0.1) gives a_s = -0.6 != 0, so the gauge phase is exercised
+    CASES = [
+        *[dict(u0=u0, alpha=alpha) for u0 in (10.0, 100.0, 300.0, 1000.0)
+          for alpha in (0.5, 2.0, 8.0, 20.0)],
+        dict(u0=100.0, alpha=8.0, order_offset=1),
+        dict(u0=10.0, alpha=20.0, order_offset=1),
+        dict(u0=300.0, alpha=2.0, moments=(0.0, 0.4)),  # a_s = 0
+        dict(u0=300.0, alpha=20.0, n_points=2048),
+        dict(u0=10.0, alpha=8.0, n_points=2048, order_offset=1),
+        dict(u0=100.0, alpha=8.0, n_periods=6),
+        dict(u0=1000.0, alpha=20.0, n_periods=3),
+        dict(u0=10.0, alpha=2.0, n_periods=3, order_offset=1),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_cell_diagonalization(self, case):
+        state, spec, setup, config = exact_case(**case, snapshot_every=17)
+        got, want = {}, {}
+        out = propagate_exact(state, spec, setup, config,
+                              snapshot_callback=lambda j, t, s: got.setdefault(j, (t, s.psi)))
+        ref = propagate_cell_eigh(state, spec, setup, config,
+                                  snapshot_callback=lambda j, t, s: want.setdefault(j, (t, s.psi)))
+        assert max_order_gap(out, ref) <= 1e-10
+        assert np.max(np.abs(out.psi - ref.psi)) <= 1e-10
+        assert sorted(got) == list(range(17, config.n_steps + 1, 17)) == sorted(want)
+        for j, (tau, psi) in got.items():
+            assert tau == want[j][0] == j * config.d_tau
+            assert np.max(np.abs(psi - want[j][1])) <= 1e-10
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ten_more_orders_move_nothing(self, case, monkeypatch):
+        state, spec, setup, config = exact_case(**case)
+        base = order_probabilities(propagate_exact(state, spec, setup, config)).probabilities
+        monkeypatch.setattr(tdse, "_order_reach", lambda x: _order_reach(x) + 10)
+        more = order_probabilities(propagate_exact(state, spec, setup, config)).probabilities
+        # the added orders gain nothing; the others differ by the rounding of a
+        # second, larger eigh (up to 3e-15 seen), not by what the reach left out
+        x = setup.alpha * math.hypot(spec.a_c, spec.a_s)
+        assert max(more[p] for p in more if abs(p) > _order_reach(x)) <= 1e-15
+        assert max(abs(more[p] - base[p]) for p in base) <= 1e-14
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 10.0, 20.0, 37.3, 150.0])
+    def test_reach_is_least_bounded_order(self, x):
+        reach = _order_reach(x)
+        assert reach >= x and reach_bound(x, reach) <= _REACH_TOL
+        assert reach - 1 < x or reach_bound(x, reach - 1) > _REACH_TOL
+        # the path-counting bound holds for the Bessel function it bounds
+        assert x * mp.besseli(reach, x) <= reach_bound(x, reach)
+
+    def test_reach_values(self):
+        assert [_order_reach(x) for x in (0.0, 2.0, 10.0, 20.0)] == [0, 19, 38, 55]
+
+    def test_strang_converges_at_second_order(self):
+        state, spec, setup, _ = exact_case(20.0, 1.0)  # tau = 0.1
+        exact = propagate_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
+        errors = [np.max(np.abs(exact.psi - propagate(
+            state, spec, setup, PropagationConfig(setup.tau / n, n)).psi)) for n in (40, 80, 160)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize("u0", [100.0, 300.0, 1000.0])
+    def test_default_plan_strang_error(self, u0):
+        # the contract's size: exact-route outputs move from Strang's by at most this
+        for alpha in (0.5, 2.0, 8.0, 20.0):
+            for moments in ((0.0, 0.0), (0.3, 0.1), (0.4, 0.4)):
+                for offset in (0, 1):
+                    state, spec, setup, config = exact_case(u0, alpha, moments, offset)
+                    assert max_order_gap(propagate_exact(state, spec, setup, config),
+                                         propagate(state, spec, setup, config)) <= 1e-5
+
+    def test_route_predicate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the route choice ran a propagation")
+
+        for name in ("propagate", "propagate_exact"):
+            monkeypatch.setattr(tdse, name, refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        state, spec, setup, config = exact_case(300.0, 2.0)
+        assert exact_route(state, spec, setup, config)
+        grid = state.grid
+        packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
+        assert not exact_route(packet, spec, setup, config)
+        for change in ({"envelope": "sin2_ramp"}, {"include_kinetic": False}):
+            assert not exact_route(state, spec, setup, plan_propagation(setup, spec, **change))
+        assert not exact_route(state, spec, DimensionlessSetup.from_alpha(2.0), config)
+
+        # a start at order 63 of 1024 points over 8 periods has no order above it
+        assert not exact_route(init_plane_wave(grid, 63), spec, setup, config)
+
+        # the size cap: a basis of 2 P + 1 orders, on a grid that bins +-1023 of them;
+        # and the grid's: 1024 points over 8 periods bin orders -64..63
+        wide = init_plane_wave(Grid1D(16384, 8))
+        half = (_EXACT_MAX_ORDERS - 1) // 2
+        for reach, start, served in ((half, wide, True), (half + 1, wide, False),
+                                     (63, state, True), (64, state, False)):
+            monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
+            assert exact_route(start, spec, setup, config) is served
+
+    def test_basis_stops_at_the_grid(self, monkeypatch):
+        # 1024 points over 8 periods hold the modes -512..511: orders -64..63
+        # about a start at order 0, -65..62 about one at order 1
+        monkeypatch.setattr(tdse, "_order_reach", lambda x: 600)
+        eigh = np.linalg.eigh
+        for offset in (0, 1):
+            state, spec, setup, config = exact_case(300.0, 2.0, order_offset=offset)
+            assert not exact_route(state, spec, setup, config)  # the grid cuts the reach
+            sizes = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
+                out = propagate_exact(state, spec, setup, config)
+            assert sizes == [(128, 128)]
+            assert max_order_gap(out, propagate_cell_eigh(state, spec, setup, config)) <= 1e-10
+
+    def test_rejects_what_it_cannot_serve(self):
+        state, spec, setup, config = exact_case(300.0, 2.0)
+        grid = state.grid
+        packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
+        with pytest.raises(ValueError, match="plane-wave"):
+            propagate_exact(packet, spec, setup, config)
+        for change in ({"envelope": "sin2_ramp"}, {"include_kinetic": False}):
+            with pytest.raises(ValueError, match="rectangular"):
+                propagate_exact(state, spec, setup, plan_propagation(setup, spec, **change))
+        with pytest.raises(ValueError, match="finite u0"):
+            propagate_exact(state, spec, DimensionlessSetup.from_alpha(2.0), config)
+
+    def test_no_step_phase_warning(self, recwarn):
+        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        config = plan_propagation(setup, POINTLIKE, d_tau=0.01)  # 3 rad per Strang step
+        state = init_plane_wave(Grid1D())
+        out = propagate_exact(state, POINTLIKE, setup, config)
+        assert len(recwarn) == 0
+        assert max_order_gap(out, propagate_cell_eigh(state, POINTLIKE, setup, config)) <= 1e-12
+        with pytest.warns(UserWarning, match="phase per step"):
+            propagate(state, POINTLIKE, setup, config)
