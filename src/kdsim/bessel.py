@@ -9,12 +9,15 @@ superexponentially.  Target: absolute error <= 1e-12 for |x| <= 200 and
 orders up to 80.
 
 bessel_rows runs the same recurrence once over a block of arguments, one
-buffer row per argument.  Each keeps its own start order (it stays zero
+buffer column per argument, so each order step is a few contiguous numpy
+operations.  Each argument keeps its own start order (its column stays zero
 until the sweep reaches it), its own 1e250 rescale and its own
 normalization sum, so every row is bit-identical to bessel_row at that
-argument.  The scalar loop stays the single-argument path: numpy's fixed
-cost per order makes the batched sweep slower for one argument, and the
-two paths are test oracles for each other.
+argument.  The scalar loop steps on Python floats and stays the
+single-argument path: an order step costs it a fraction of a microsecond,
+against several microseconds of numpy calls in the sweep, which therefore
+wins only from about 15 arguments on.  Both paths are pinned bit for bit to
+the same recurrence stepped on a numpy array, kept as a test oracle.
 """
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ import numpy as np
 
 _RESCALE = 1e250
 _TINY_X = 1e-30
-_BLOCK = 256  # arguments per batched sweep; bounds the (block, start) buffer
+_BOUND_SLACK = 1.0 + 1e-12  # covers the roundings of a step and of its bound
+_BLOCK = 1024  # arguments per batched sweep; bounds the (start, block) buffer
 
 
 @dataclass(frozen=True)
@@ -48,14 +52,15 @@ def _start_orders(order_max: int, x):
 
 def _raw_row(order_max: int, x: float) -> np.ndarray:
     start = int(_start_orders(order_max, x))
-    v = np.zeros(start + 2)
+    v = [0.0] * (start + 2)   # Python floats: one step costs far less than a numpy call
     v[start] = 1e-30  # arbitrary seed, scaled out by the normalization
     for k in range(start, 0, -1):
-        v[k - 1] = (2.0 * k / x) * v[k] - v[k + 1]
-        if abs(v[k - 1]) > _RESCALE:
-            v[k - 1:] /= _RESCALE
-    norm = v[0] + 2.0 * v[2:start + 1:2].sum()
-    return v[:order_max + 1] / norm
+        vk = v[k - 1] = (2.0 * k / x) * v[k] - v[k + 1]
+        if abs(vk) > _RESCALE:
+            v[k - 1:] = [u / _RESCALE for u in v[k - 1:]]
+    # numpy's pairwise sum of the even terms, as _raw_rows sums them
+    norm = v[0] + 2.0 * np.array(v[2:start + 1:2]).sum()
+    return np.array(v[:order_max + 1]) / norm
 
 
 def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
@@ -64,28 +69,38 @@ def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
     perm = np.argsort(-starts, kind="stable")
     xs, starts = xs[perm], starts[perm]
     n, top = xs.size, int(starts[0])
-    v = np.zeros((n, top + 2))   # v[j] is _raw_row's v for the j-th argument
-    v[np.arange(n), starts] = 1e-30
-    # rows run by falling start, so those already seeded at order k
+    v = np.zeros((top + 2, n))   # order-major: v[k, j] is _raw_row's v[k] for the j-th argument
+    v[starts, np.arange(n)] = 1e-30
+    # arguments run by falling start, so those already seeded at order k
     # (start >= k) are the first live[k]; the rest stay zero
     live = np.searchsorted(-starts, -np.arange(top + 1), side="right").tolist()
+    x_min = float(xs.min())
+    hi, lo = 0.0, 1e-30   # bounds on |v[k + 1]| and |v[k]| over the block
     for k in range(top, 0, -1):
         m = live[k]
-        col = v[:m, k - 1]   # (2k/x) J_k - J_{k+1}, rounded step by step as in _raw_row
-        np.divide(2.0 * k, xs[:m], out=col)
-        col *= v[:m, k]
-        col -= v[:m, k + 1]
-        if np.abs(col).max() > _RESCALE:
-            v[np.flatnonzero(np.abs(col) > _RESCALE), k - 1:] /= _RESCALE
-    # one normalization per run of equal starts, over the same strided slice
-    # as _raw_row, so numpy's pairwise summation groups the terms identically
+        row = v[k - 1, :m]   # (2k/x) J_k - J_{k+1}, rounded step by step as in _raw_row
+        np.divide(2.0 * k, xs[:m], out=row)
+        row *= v[k, :m]
+        row -= v[k + 1, :m]
+        # |row| <= (2k/x_min) lo + hi, up to rounding; the newly seeded are 1e-30.
+        # Only a bound past _RESCALE needs the elementwise check.
+        bound = max(_BOUND_SLACK * (2.0 * k / x_min * lo + hi), 1e-30)
+        if bound > _RESCALE:
+            mag = np.abs(row)
+            bound = max(float(mag.max()), 1e-30)
+            if bound > _RESCALE:
+                v[k - 1:, np.flatnonzero(mag > _RESCALE)] /= _RESCALE
+                bound = _RESCALE   # the rest are at most that, the rescaled far less
+        hi, lo = lo, bound
+    # one normalization per run of equal starts: its even terms copied to C
+    # order, so numpy's pairwise sum groups each row's terms as _raw_row does
     norm = np.empty(n)
     firsts = np.flatnonzero(np.diff(starts, prepend=-1)).tolist()
     for a, b in zip(firsts, firsts[1:] + [n]):
         s = int(starts[a])
-        norm[a:b] = v[a:b, 0] + 2.0 * v[a:b, 2:s + 1:2].sum(axis=1)
+        norm[a:b] = v[0, a:b] + 2.0 * np.ascontiguousarray(v[2:s + 1:2, a:b].T).sum(axis=1)
     rows = np.empty((n, order_max + 1))
-    rows[perm] = v[:, :order_max + 1] / norm[:, None]
+    rows[perm] = v[:order_max + 1].T / norm[:, None]
     return rows
 
 
@@ -104,7 +119,6 @@ def bessel_row(order_max: int, x: float) -> BesselRow:
         vals = _raw_row(order_max, ax)
         if x < 0.0:
             # J_n(-x) = (-1)^n J_n(x)
-            vals = vals.copy()
             vals[1::2] *= -1.0
     return BesselRow(order_max=order_max, argument=x, values=vals)
 
@@ -113,7 +127,7 @@ def bessel_rows(order_max: int, xs) -> np.ndarray:
     """Rows J_0..J_order_max at each of the arguments xs, shape (len(xs), order_max + 1).
 
     Row i is bit-identical to bessel_row(order_max, xs[i]).values; the
-    recurrence runs once per block of up to 256 arguments.
+    recurrence runs once per block of up to 1024 arguments.
     """
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")

@@ -27,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import analytic, fit as fit_mod, model, tdse
-from .emit import FloatColumn, ResultEnvelope, csv_table, emit, float_texts
+from .emit import FloatColumn, RepeatedColumn, ResultEnvelope, csv_table, emit, float_texts
 from .version import __version__
 
 ENV_CONSTANTS = "KDSIM_CONSTANTS"
@@ -503,23 +503,30 @@ def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
     return fit_mod.ObservedPattern(*columns, alpha=alpha)  # it casts each column to a tuple
 
 
-def _write_snapshot(prefix: str, step: int, state: tdse.WaveState) -> None:
-    k = np.fft.fftshift(state.grid.wavenumbers())
-    spec = np.fft.fftshift(np.abs(np.fft.fft(state.psi)) ** 2)
-    profiles = (("position", "x", state.grid.positions(), np.abs(state.psi) ** 2),
-                ("momentum", "k", k, spec / spec.sum()))
-    for name, axis, coords, dens in profiles:
-        texts = float_texts(coords.tolist()), float_texts(dens.tolist())
-        with open(f"{prefix}_{step:06d}_{name}.csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_table(f"{axis},density", *texts))
+def _snapshot_writer(prefix: str, grid: tdse.Grid1D):
+    """propagate's snapshot callback: position and momentum densities as CSV files.
+
+    The x and k axes are the same in every snapshot of a run, so their texts
+    are formatted once per writer, at the first snapshot.
+    """
+    axes = (("position", "x", FloatColumn(grid.positions().tolist())),
+            ("momentum", "k", FloatColumn(np.fft.fftshift(grid.wavenumbers()).tolist())))
+
+    def write(step: int, _tau: float, state: tdse.WaveState) -> None:
+        spec = np.fft.fftshift(np.abs(np.fft.fft(state.psi)) ** 2)
+        for (name, axis, coords), dens in zip(axes, (np.abs(state.psi) ** 2, spec / spec.sum())):
+            with open(f"{prefix}_{step:06d}_{name}.csv", "w", encoding="utf-8") as fh:
+                fh.write(csv_table(f"{axis},density", coords.texts, float_texts(dens.tolist())))
+
+    return write
 
 
 def _run_tdse(config: RunConfig) -> dict:
     exact = tdse.exact_route(config.state, config.spec, config.setup, config.plan)
+    writer = (_snapshot_writer(config.snapshot_prefix, config.state.grid)
+              if config.plan.snapshot_every else None)
     final = (tdse.propagate_exact if exact else tdse.propagate)(
-        config.state, config.spec, config.setup, config.plan,
-        snapshot_callback=lambda step, _tau, snap: _write_snapshot(
-            config.snapshot_prefix, step, snap))
+        config.state, config.spec, config.setup, config.plan, snapshot_callback=writer)
     pattern = tdse.order_probabilities(final, max_order=config.order_cutoff)
     payload = _pattern_payload(pattern, alpha=config.setup.alpha)
     if exact:
@@ -548,9 +555,10 @@ def _run_fit(config: RunConfig) -> dict:
 
 
 def _run_scan(config: RunConfig) -> dict:
-    axes = (np.linspace(lo, hi, int(n)) for lo, hi, n in (config.d_range, config.q_range))
-    ds, qs = np.meshgrid(*axes, indexing="ij")
-    ds, qs = ds.ravel().tolist(), qs.ravel().tolist()  # d~ major, q~ minor
+    d_axis, q_axis = (np.linspace(lo, hi, int(n)).tolist()
+                      for lo, hi, n in (config.d_range, config.q_range))
+    ds = RepeatedColumn(d_axis, each=len(q_axis))   # d~ major, q~ minor
+    qs = RepeatedColumn(q_axis, times=len(d_axis))
     rs = list(map(fit_mod.band_radius, ds, qs))
     alpha = config.setup.alpha
     p0s = fit_mod.model_probabilities(alpha, np.array(rs), [0])[:, 0].tolist()

@@ -48,6 +48,22 @@ class FloatColumn(list):
         return float_texts(self)
 
 
+class RepeatedColumn(FloatColumn):
+    """The floats of axis, each `each` times in a row, the run `times` times over.
+
+    One coordinate of a flattened grid (the scan's d~ and q~ columns): its
+    texts repeat the axis's, so each distinct float is formatted once.
+    """
+
+    def __init__(self, axis, each: int = 1, times: int = 1):
+        self.axis, self.each, self.times = FloatColumn(axis), each, times
+        super().__init__([v for v in self.axis for _ in range(each)] * times)
+
+    @functools.cached_property
+    def texts(self) -> list[str]:
+        return [text for text in self.axis.texts for _ in range(self.each)] * self.times
+
+
 def _column_texts(column) -> list[str]:
     return column.texts if isinstance(column, FloatColumn) else float_texts(column)
 
@@ -126,7 +142,7 @@ def _csv_region(payload: dict) -> str:
 
 def _csv_scan(payload: dict) -> str:
     keys = ("d_tilde", "q_tilde", "r_eff", "p0")
-    return csv_table(",".join(keys), *(float_texts(payload[k]) for k in keys))
+    return csv_table(",".join(keys), *(_column_texts(payload[k]) for k in keys))
 
 
 _CSV_BY_KIND = {

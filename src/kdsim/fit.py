@@ -13,6 +13,7 @@ of its crossing.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,20 @@ class ObservedPattern:
         object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "alpha", alpha)
 
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+        """|order| index, the largest |order|, values and sigmas, built once for chi_square."""
+        index = np.abs(np.array(self.orders))
+        return index, int(index.max()), np.array(self.values), np.array(self.sigmas)
+
+
+def _model_at(alpha: float, r_eff, index: np.ndarray, order_max: int) -> np.ndarray:
+    if np.ndim(r_eff) == 0:
+        rows = bessel_row(order_max, alpha * r_eff).values
+    else:
+        rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
+    return rows[..., index] ** 2
+
 
 def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:
     """Thin-grating model P_p = J_p(alpha r_eff)^2 at the given orders.
@@ -72,13 +87,8 @@ def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:
     A scalar r_eff gives one value per order; a 1-D array of r_eff gives
     one row per entry, from a single batched Bessel pass.
     """
-    orders = np.asarray(orders, dtype=int)
-    order_max = int(np.max(np.abs(orders))) if orders.size else 0
-    if np.ndim(r_eff) == 0:
-        rows = bessel_row(order_max, alpha * r_eff).values
-    else:
-        rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
-    return rows[..., np.abs(orders)] ** 2
+    index = np.abs(np.asarray(orders, dtype=int))
+    return _model_at(alpha, r_eff, index, int(np.max(index)) if index.size else 0)
 
 
 def chi_square(observed: ObservedPattern, r_eff):
@@ -91,8 +101,8 @@ def chi_square(observed: ObservedPattern, r_eff):
         valid = bool(np.all(np.isfinite(r) & (r >= 0.0)))
     if not valid:
         raise ValueError(f"r_eff must be finite and >= 0, got {r_eff!r}")
-    model = model_probabilities(observed.alpha, r_eff, observed.orders)
-    resid = (np.asarray(observed.values) - model) / np.asarray(observed.sigmas)
+    index, order_max, values, sigmas = observed._arrays
+    resid = (values - _model_at(observed.alpha, r_eff, index, order_max)) / sigmas
     # in C order each row is summed pairwise exactly as a 1-D call sums it,
     # so an array of r_eff gives the scalar calls' values bit for bit
     chi2 = np.sum(np.ascontiguousarray(resid**2), axis=-1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdsim.bessel import BesselRow, bessel_j, bessel_row, bessel_rows
-from oracles import bessel_series
+from oracles import bessel_row_numpy, bessel_series
 
 # frozen from the extended-precision power series
 J0_1 = 0.7651976865579666
@@ -123,22 +123,44 @@ def test_rejects_bad_inputs():
         bessel_j(2, math.nan)
 
 
+def assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("order_max", [0, 1, 9, 40, 80])
 def test_rows_bit_identical_to_scalar(order_max):
-    # the batched pass and the scalar loop are oracles for each other: every
-    # start-order regime, rescaling (small x, high order), both signs, the
-    # |x| < 1e-30 shortcut, and more arguments than one 256-argument block
+    # both kernels are pinned to the recurrence stepped on a numpy array, and
+    # so to each other: every start-order regime, rescaling (small x, high
+    # order), both signs, the |x| < 1e-30 shortcut, and more arguments than
+    # one 1024-argument block
     rng = np.random.default_rng(order_max)
     xs = np.concatenate([
-        [0.0, -0.0, 1e-31, -1e-31, 1e-29, 0.01, 0.1, 20.0, 50.0, 53.0, 200.0, -200.0],
-        rng.uniform(-20.0, 20.0, 150), rng.uniform(20.0, 50.0, 100),
-        rng.uniform(50.0, 200.0, 100), -rng.uniform(20.0, 200.0, 40)])
+        [0.0, -0.0, 1e-31, -1e-31, 1e-29, 0.01, -0.01, 0.1, 20.0, 50.0, 53.0, 200.0, -200.0],
+        rng.uniform(-20.0, 20.0, 400), rng.uniform(20.0, 50.0, 250),
+        rng.uniform(50.0, 200.0, 250), -rng.uniform(20.0, 200.0, 150)])
     rng.shuffle(xs)
+    assert xs.size > 1024
+    ref = np.array([bessel_row_numpy(order_max, x) for x in xs])
     rows = bessel_rows(order_max, xs)
-    ref = np.array([bessel_row(order_max, x).values for x in xs])
     assert rows.shape == (xs.size, order_max + 1)
-    np.testing.assert_array_equal(rows, ref)
-    assert np.array_equal(np.signbit(rows), np.signbit(ref))
+    assert_bits_equal(rows, ref)
+    assert_bits_equal(np.array([bessel_row(order_max, x).values for x in xs]), ref)
+
+
+def test_row_independent_of_its_block():
+    # a row depends on its own argument only: not on the other arguments of
+    # its block (their start orders, their rescaling), nor on its place there
+    rng = np.random.default_rng(13)
+    probe = np.array([0.01, -0.01, 1e-31, 7.3, 20.0, 49.9, 53.0, -131.0, 200.0])
+    ref = np.array([bessel_row_numpy(12, x) for x in probe])
+    for size in (0, 5, 300, 1020, 1500):
+        others = rng.uniform(-200.0, 200.0, size)
+        others[::7] *= 1e-3  # small arguments rescale
+        xs = np.concatenate([others, probe])
+        order = rng.permutation(xs.size)
+        rows = bessel_rows(12, xs[order])
+        assert_bits_equal(rows[np.argsort(order)[size:]], ref)
 
 
 def test_rows_shapes():

@@ -19,6 +19,7 @@ from kdsim.cli import (
     _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main, parse_config,
     read_observed_csv, run,
 )
+from kdsim.emit import float_text
 from kdsim.fit import band_radius, model_probabilities
 from kdsim.model import MomentSet
 
@@ -505,6 +506,39 @@ class TestMainScan:
         assert p0 == pytest.approx(model_probabilities(2.0, r, [0])[0], rel=1e-12)
 
 
+    def test_each_axis_formatted_once(self, tmp_path, capsys, monkeypatch):
+        """A CSV scan formats its d~ and q~ axes once each, not once per cell.
+
+        The spy counts every float the run formats; the rows must still
+        carry each value's own text.
+        """
+        emit_mod = importlib.import_module("kdsim.emit")
+        bulk, counts = emit_mod.float_texts, []
+
+        def spy_bulk(values):
+            values = tuple(values)
+            counts.append(len(values))
+            return bulk(values)
+
+        monkeypatch.setattr(emit_mod, "float_texts", spy_bulk)
+        doc = {"mode": "scan", "alpha": 2.0, "format": "csv",
+               "d_range": [0.0, 0.2, 3], "q_range": [0.0, 0.3, 4]}
+        formatted = []
+        for _ in range(2):  # a second run formats as much again: nothing outlives main
+            counts.clear()
+            code, out, _ = run_main(tmp_path, doc, capsys)
+            assert code == 0
+            formatted.append(sum(counts))
+        assert formatted == [3 + 4 + 2 * 12] * 2
+        payload = run(parse_config(json.dumps(doc))).payload
+        keys = ("d_tilde", "q_tilde", "r_eff", "p0")
+        rows = [",".join(map(float_text, row)) for row in zip(*(payload[k] for k in keys))]
+        assert out.splitlines() == [",".join(keys), *rows]
+        ds, qs = np.meshgrid(np.linspace(0.0, 0.2, 3), np.linspace(0.0, 0.3, 4), indexing="ij")
+        assert payload["d_tilde"] == ds.ravel().tolist()
+        assert payload["q_tilde"] == qs.ravel().tolist()
+
+
 class TestMainFit:
     def test_synthetic_end_to_end(self, tmp_path, capsys):
         region_out = tmp_path / "region.csv"
@@ -656,6 +690,44 @@ class TestMainTdse:
         assert mom_lines[0] == "k,density"
         total = sum(float(line.split(",")[1]) for line in mom_lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_snapshot_axes_formatted_once_per_run(self, tmp_path, capsys, monkeypatch):
+        """The x and k columns are formatted at the first snapshot of each run only.
+
+        Every snapshot still writes each axis value's own text.
+        """
+        emit_mod = importlib.import_module("kdsim.emit")
+        cli_mod = importlib.import_module("kdsim.cli")
+        bulk, counts = emit_mod.float_texts, []
+
+        def spy_bulk(values):
+            values = tuple(values)
+            counts.append(len(values))
+            return bulk(values)
+
+        for module in (emit_mod, cli_mod):
+            monkeypatch.setattr(module, "float_texts", spy_bulk)
+        prefix = tmp_path / "snap"
+        doc = {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "d_tau": 0.0003,
+               "snapshot_every": 10, "snapshot_prefix": str(prefix)}
+        per_run = []
+        for _ in range(2):  # the second run formats its axes again
+            counts.clear()
+            code, _, _ = run_main(tmp_path, doc, capsys)
+            assert code == 0
+            per_run.append(list(counts))
+        snaps = sorted(tmp_path.glob("snap_*_position.csv"))
+        n_snap, n = len(snaps), 1024
+        assert n_snap > 2
+        # json payload columns aside, 2 axes once and 2 densities per snapshot
+        assert per_run[0] == per_run[1]
+        assert per_run[0].count(n) == 2 + 2 * n_snap
+        grid = parse_config(json.dumps(doc)).state.grid
+        want = {"position": [float_text(x) for x in grid.positions()],
+                "momentum": [float_text(k) for k in np.fft.fftshift(grid.wavenumbers())]}
+        for name, texts in want.items():
+            for path in sorted(tmp_path.glob(f"snap_*_{name}.csv")):
+                assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == texts
 
     def test_gaussian_initial_state(self, tmp_path, capsys):
         doc = {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "order_cutoff": 6,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kdsim.emit import (
-    FloatColumn, ResultEnvelope, emit, float_text, float_texts, structured_text,
+    FloatColumn, RepeatedColumn, ResultEnvelope, emit, float_text, float_texts, structured_text,
     svg_bar_chart,
 )
 
@@ -79,6 +79,14 @@ class TestFloatTexts:
         assert column == [0.1, 0.25]
         assert column.texts is column.texts
         assert column.texts == ["0.10000000000000001", "0.25"]
+
+    def test_repeated_column_texts_from_its_axis(self):
+        axis = [0.1, -0.0, 2.5]
+        for each, times in ((1, 1), (3, 1), (1, 4), (2, 3)):
+            column = RepeatedColumn(axis, each=each, times=times)
+            assert column == [v for v in axis for _ in range(each)] * times
+            assert column.texts == float_texts(column)
+            assert structured_text(column) == structured_text(list(column))
 
 
 class TestStructuredText:
