@@ -12,11 +12,11 @@ from .model import (
     derive_scales, moments_from_si, build_potential, evaluate_potential,
     check_regime,
 )
-from .bessel import BesselRow, bessel_j, bessel_row, bessel_rows
+from .bessel import BesselRow, bessel_row, bessel_rows
 from .analytic import (
     DiffractionPattern, default_order_cutoff,
     pointlike_pattern, distribution_pattern, closed_form_pattern,
-    effective_amplitude, grating_oracle, pattern_distance,
+    effective_amplitude, grating_oracle,
 )
 from .tdse import (
     Grid1D, WaveState, PropagationConfig,
@@ -38,10 +38,10 @@ __all__ = [
     "PotentialSpec", "RegimeReport",
     "derive_scales", "moments_from_si", "build_potential", "evaluate_potential",
     "check_regime",
-    "BesselRow", "bessel_j", "bessel_row", "bessel_rows",
+    "BesselRow", "bessel_row", "bessel_rows",
     "DiffractionPattern", "default_order_cutoff",
     "pointlike_pattern", "distribution_pattern", "closed_form_pattern",
-    "effective_amplitude", "grating_oracle", "pattern_distance",
+    "effective_amplitude", "grating_oracle",
     "Grid1D", "WaveState", "PropagationConfig",
     "init_plane_wave", "init_gaussian", "plan_propagation", "propagate",
     "exact_route", "propagate_exact", "order_probabilities",

@@ -199,12 +199,3 @@ def grating_oracle(spec: PotentialSpec, alpha: float, n_grid: int | None = None,
     orders = np.arange(-cut, cut + 1)
     probs = np.abs(coeffs[orders % n]) ** 2
     return _pattern(orders, probs, "grating_oracle", alpha)
-
-
-def pattern_distance(first: DiffractionPattern, second: DiffractionPattern) -> tuple[float, float]:
-    """(max absolute difference, total variation) over the shared orders."""
-    common = sorted(set(first.probabilities) & set(second.probabilities))
-    if not common:
-        raise ValueError("patterns share no diffraction orders")
-    diffs = [abs(first.probabilities[p] - second.probabilities[p]) for p in common]
-    return max(diffs), 0.5 * sum(diffs)

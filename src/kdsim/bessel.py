@@ -42,16 +42,22 @@ class BesselRow:
 
 
 def _start_orders(order_max: int, x):
-    """Even recurrence start order for each x > 0 (a float or an array)."""
+    """Even recurrence start order for each x > 0: an int for a float, an int
+    array for an array."""
     # Start well past the turning point max(x, 20); above x = 50 the margin
-    # grows with x so the seed error still dies out.
-    margin = 30 + np.maximum(np.ceil((x - 50.0) / 3.0), 0.0).astype(int)
-    start = order_max + np.ceil(np.maximum(x, 20.0)).astype(int) + margin
+    # grows with x so the seed error still dies out.  The rule is written once
+    # for both kinds: on a float, math takes a fifth of the numpy calls' time.
+    if isinstance(x, np.ndarray):
+        ceil, maximum = (lambda a: np.ceil(a).astype(int)), np.maximum
+    else:
+        ceil, maximum = math.ceil, max
+    margin = 30 + maximum(ceil((x - 50.0) / 3.0), 0)
+    start = order_max + ceil(maximum(x, 20.0)) + margin
     return start + start % 2
 
 
 def _raw_row(order_max: int, x: float) -> np.ndarray:
-    start = int(_start_orders(order_max, x))
+    start = _start_orders(order_max, x)
     v = [0.0] * (start + 2)   # Python floats: one step costs far less than a numpy call
     v[start] = 1e-30  # arbitrary seed, scaled out by the normalization
     for k in range(start, 0, -1):
@@ -148,19 +154,3 @@ def bessel_rows(order_max: int, xs) -> np.ndarray:
     # J_n(-x) = (-1)^n J_n(x)
     out[(xs < 0.0) & ~tiny, 1::2] *= -1.0
     return out
-
-
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for any integer order and real argument.
-
-    Negative orders and arguments fold onto the positive quadrant through
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
-    """
-    n = int(n)
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    row = bessel_row(n, x)
-    return sign * float(row.values[n])

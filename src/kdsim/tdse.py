@@ -11,14 +11,22 @@ used; order probabilities are insensitive to conjugating the evolution.
 
 The potential (period pi) couples a box mode only to modes n_periods bins away,
 so a state splits exactly into f = gcd(n_points, n_periods) Bloch sectors, each
-evolving on a cell of n_points/f points with the same dx.
+evolving on a cell of n_points/f points with the same dx, and each sector
+further into chains of diffraction orders, the modes of one residue modulo
+n_periods.  A pulse of area x = u0 r_eff (sum of envelope weights) d_tau / 2
+moves no amplitude beyond _order_reach(x) orders from where it starts, under
+the exact evolution and under Strang alike, so both routes work on one order
+band: the occupied columns +- that reach.
 
-A plane wave under a rectangular pulse stays on one chain of those modes, its
-diffraction orders, where H is tridiagonal; propagate_exact diagonalizes it
-once instead of stepping (Batelaan, Rev. Mod. Phys. 79, 929 (2007)).
+propagate steps the band on its own power-of-two cell of m points, its
+kinetic step one matmul with a dense circulant when that is cheaper than an
+FFT pair.  Under a rectangular pulse H is tridiagonal on each chain;
+propagate_exact diagonalizes the band's chains in one stacked eigh instead of
+stepping (Batelaan, Rev. Mod. Phys. 79, 929 (2007)).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,8 +40,12 @@ from .model import DimensionlessSetup, PotentialSpec, evaluate_potential
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
 _EMPTY_SECTOR = 1e-20  # carried unstepped: moves orders by <= this, psi by <= its sqrt
-_REACH_TOL = 1e-16  # amplitude left beyond the exact route's order basis
-_EXACT_MAX_ORDERS = 1025  # one eigh of this size takes ~0.1 s; larger bases are stepped
+_REACH_TOL = 1e-16  # amplitude left beyond the order band
+# the exact route's stacked eigh holds at most this many orders squared (one
+# eigh of 1025 orders takes ~0.1 s); larger bands are stepped
+_EXACT_MAX_ORDERS = 1025
+_DENSE_KINETIC = 1 << 15  # sectors * m^2 up to which one matmul beats an FFT pair
+_KICK_BLOCK = 1 << 14  # ramp half-kick entries (steps * points) built per np.exp call
 ENVELOPES = ("rectangular", "sin2_ramp")
 
 
@@ -215,17 +227,75 @@ def _envelope_weights(config: PropagationConfig) -> np.ndarray:
 SnapshotCallback = Callable[[int, float, WaveState], None]
 
 
+def _half_kicks(v: np.ndarray, config: PropagationConfig, weights: np.ndarray):
+    """exp(-i v w_j d_tau / 2) for each step j; a ramp's are built in blocks of
+    _KICK_BLOCK entries, one np.exp call each, every row bit-identical to that
+    expression on its own."""
+    if config.envelope == "rectangular":
+        return itertools.repeat(np.exp(-0.5j * v * config.d_tau), config.n_steps)
+    exponent = -0.5j * v
+    steps = max(1, _KICK_BLOCK // v.size)
+
+    def block(j: int) -> np.ndarray:
+        kicks = exponent * weights[j:j + steps, None]
+        kicks *= config.d_tau
+        return np.exp(kicks, out=kicks)
+
+    return (half for j in range(0, config.n_steps, steps) for half in block(j))
+
+
+def _area_reach(setup: DimensionlessSetup, spec: PotentialSpec, area: float) -> int:
+    """_order_reach of a pulse of the given area (tau for a rectangular one)."""
+    return _order_reach(0.5 * setup.u0 * area * math.hypot(spec.a_c, spec.a_s))
+
+
+def _occupied(power: np.ndarray, n_points: int) -> np.ndarray:
+    """Bins holding more than _EMPTY_SECTOR / n_points of the weight in power:
+    the others hold at most _EMPTY_SECTOR of it together."""
+    return power > _EMPTY_SECTOR / n_points * power.sum()
+
+
+def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) -> np.ndarray:
+    """Cell columns of propagate's order band, in the FFT order of the band's cell.
+
+    power holds the live sectors' bin weights, one row each, over the cell's
+    columns; a column is occupied where one of its bins is (_occupied).  The
+    band runs reach orders (per_order columns each) beyond the occupied
+    columns on both sides, and its cell is the least power of two m of
+    columns holding it, centred on it.
+    Column a sits at FFT index a mod m there; m divides the cell, so a band
+    that wraps the cell's Nyquist column wraps the same way on its own cell.
+    A band as wide as the cell is the whole cell.
+    """
+    cell = power.shape[1]
+    occupied = np.flatnonzero(_occupied(power, n_points).any(axis=0))
+    if occupied.size:
+        signed = np.where(occupied < cell // 2, occupied, occupied - cell)
+        low = int(signed.min()) - per_order * reach
+        width = int(signed.max()) + per_order * reach + 1 - low
+        if width < cell:
+            m = 1 << (width - 1).bit_length()
+            low -= (m - width) // 2
+            return (low + (np.arange(m) - low) % m) % cell
+    return np.arange(cell)
+
+
 def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
               config: PropagationConfig,
               snapshot_callback: SnapshotCallback | None = None) -> WaveState:
     """Evolve a state through the standing wave; returns a new WaveState.
 
-    The occupied Bloch sectors (module docstring) are stepped together on the
-    cell; the rest (<= _EMPTY_SECTOR of the weight) are carried, moving psi by
+    The occupied Bloch sectors (module docstring) are stepped together; the
+    rest (<= _EMPTY_SECTOR of the weight) are carried, moving psi by
     <= sqrt(_EMPTY_SECTOR) in amplitude.  With include_kinetic the Strang
-    splitting above is applied n_steps times.  Without it the potential
-    factors commute, so the integrated phase is accumulated and applied in
-    one exponential: the exact thin-grating map for the configured envelope.
+    splitting above is applied n_steps times on the order band's own cell
+    (_band_columns); the columns beyond the band, each under
+    _EMPTY_SECTOR / n_points of the weight, are carried too.  The kinetic step
+    is one matmul with the circulant ifft(exp(-i k^2 d_tau))[(i - j) mod m] while
+    sectors * m^2 <= _DENSE_KINETIC, an FFT pair beyond.  Without the kinetic
+    term the potential factors commute, so the integrated phase is accumulated
+    and applied in one exponential: the exact thin-grating map for the
+    configured envelope.
 
     Raises RuntimeError if the final norm drifts from 1 by more than 1e-9.
 
@@ -245,8 +315,8 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     grid = state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
-    v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell])
-    vmax = float(np.max(np.abs(v)))
+    v_cell = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell])
+    vmax = float(np.max(np.abs(v_cell)))
     if config.n_steps > 0 and vmax * config.d_tau > _STEP_PHASE_WARN:
         warnings.warn(
             f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
@@ -254,15 +324,25 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
 
     spectrum = np.fft.fft(state.psi)
     sectors = spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
-    power = np.sum(np.abs(sectors) ** 2, axis=1)
-    live = power > _EMPTY_SECTOR / fold * power.sum()  # carried ones: <= _EMPTY_SECTOR in all
-    phi = np.fft.ifft(sectors[live])  # one row per stepped sector
+    power = np.abs(sectors) ** 2
+    sector_power = np.sum(power, axis=1)
+    # carried sectors: <= _EMPTY_SECTOR in all
+    live = np.flatnonzero(sector_power > _EMPTY_SECTOR / fold * sector_power.sum())
+    weights = _envelope_weights(config)
+    cols = np.arange(cell)
+    if config.include_kinetic:
+        reach = _area_reach(setup, spec, float(np.sum(weights)) * config.d_tau)
+        cols = _band_columns(power[live], grid.n_points, grid.n_periods // fold, reach)
+    band = np.ix_(live, cols)
+    phi = np.fft.ifft(sectors[band])  # one row per stepped sector, on the band's cell
+    m = cols.size
+    v = v_cell[::cell // m]  # the potential on the band's cell, exactly
 
     def on_box(phi: np.ndarray) -> WaveState:
-        sectors[live] = np.fft.fft(phi)  # writes into spectrum; carried rows stay as they were
+        # writes into spectrum; carried bins stay as they were
+        sectors[band] = np.fft.fft(phi.reshape(live.size, m))
         return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
 
-    weights = _envelope_weights(config)
     every = config.snapshot_every
     if not config.include_kinetic:
         area = np.cumsum(np.append(0.0, weights * config.d_tau))  # area[j]: after j steps
@@ -271,17 +351,27 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
                 snapshot_callback(j, j * config.d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
         out = on_box(np.exp(-1j * v * area[-1]) * phi)
     else:
-        exp_kin = np.exp(-1j * grid.wavenumbers().reshape(cell, fold).T[live] ** 2 * config.d_tau)
-        flat = config.envelope == "rectangular"
-        # in phi's own shape: a broadcast multiply per half kick costs more than the copy
-        exp_v_half = np.broadcast_to(np.exp(-0.5j * v * config.d_tau), phi.shape).copy()
-        for j in range(config.n_steps):
-            half = exp_v_half if flat else np.exp(-0.5j * v * weights[j] * config.d_tau)
+        k = grid.wavenumbers().reshape(cell, fold).T[band]
+        exp_kin = np.exp(-1j * k ** 2 * config.d_tau).reshape(live.size, 1, m)
+        phi = phi.reshape(live.size, 1, m)  # contiguous rows: a stacked matmul runs on BLAS
+        if live.size * m * m <= _DENSE_KINETIC:
+            shift = np.arange(m)
+            # [j, i] = ifft(exp_kin)[(i - j) mod m]: the circulant, transposed for
+            # rows; np.take writes it C-ordered, as BLAS wants it
+            circulant = np.take(np.fft.ifft(exp_kin[:, 0]), (shift - shift[:, None]) % m, axis=1)
+
+            def kinetic(phi):
+                return np.matmul(phi, circulant)
+        else:
+            def kinetic(phi):
+                return np.fft.ifft(exp_kin * np.fft.fft(phi))
+
+        for j, half in enumerate(_half_kicks(v, config, weights), 1):
             phi *= half
-            phi = np.fft.ifft(exp_kin * np.fft.fft(phi))
+            phi = kinetic(phi)
             phi *= half
-            if every and (j + 1) % every == 0 and snapshot_callback is not None:
-                snapshot_callback(j + 1, (j + 1) * config.d_tau, on_box(phi))
+            if every and j % every == 0 and snapshot_callback is not None:
+                snapshot_callback(j, j * config.d_tau, on_box(phi))
         out = on_box(phi)
 
     return _checked_norm(state, out)
@@ -312,88 +402,116 @@ def _order_reach(x: float) -> int:
     return reach
 
 
-def _order_chain(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
-                 config: PropagationConfig):
-    """(spectrum, signed start mode, orders p relative to it, reach) for propagate_exact.
+def _order_band(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
+                config: PropagationConfig):
+    """(spectrum, occupied, modes, valid, uncut): propagate_exact's order band.
 
-    The orders run from -reach to +reach (_order_reach), cut where their modes
-    would pass the grid's Nyquist bin.  Raises ValueError unless the state is
-    a plane wave (one FFT bin holds all but _EMPTY_SECTOR of the weight) and
-    the pulse is rectangular with the kinetic term.
+    The occupied bins (_occupied) hold all but _EMPTY_SECTOR of the weight.
+    Their modes' residues modulo n_periods are the live chains, the modes
+    rho + n_periods p of one Bloch momentum; each takes the orders p from the
+    lowest occupied one - reach to the highest + reach (_order_reach), cut
+    where its modes would pass the grid's Nyquist bin.  Row c of modes holds
+    chain c's signed modes, padded past its cut to the longest chain's length;
+    valid marks the unpadded ones, and uncut is whether no chain was cut.
+    Raises ValueError unless the pulse is rectangular with the kinetic term
+    and some bin is occupied.
     """
     if not math.isfinite(setup.u0):
         raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
     if config.envelope != "rectangular" or not config.include_kinetic:
         raise ValueError("the exact route needs a rectangular envelope with include_kinetic")
+    n, h = state.grid.n_points, state.grid.n_periods
     spectrum = np.fft.fft(state.psi)
     power = np.abs(spectrum) ** 2
-    start = int(np.argmax(power))
-    total = power.sum()
-    power[start] = 0.0
-    if not power.sum() <= _EMPTY_SECTOR * total:
-        raise ValueError("the exact route needs a plane-wave start state (one occupied bin)")
-    n, h = state.grid.n_points, state.grid.n_periods
-    mode = start if start < n - n // 2 else start - n  # signed, in [-n/2, n/2)
-    reach = _order_reach(0.5 * setup.u0 * config.tau_total * math.hypot(spec.a_c, spec.a_s))
-    orders = np.arange(max(-reach, -((n // 2 + mode) // h)),
-                       min(reach, (n // 2 - 1 - mode) // h) + 1)
-    return spectrum, mode, orders, reach
+    occupied = _occupied(power, n)
+    live = _signed_modes(np.flatnonzero(occupied), n)
+    if not live.size:
+        raise ValueError("the exact route needs a start state of finite, nonzero weight")
+    residues = np.flatnonzero(np.bincount(live % h, minlength=h))
+    reach = _area_reach(setup, spec, config.tau_total)
+    low, high = live.min() // h - reach, live.max() // h + reach  # mode rho + h p has order p
+    first = np.maximum(low, -((n // 2 + residues) // h))
+    last = np.minimum(high, (n // 2 - 1 - residues) // h)
+    orders = first[:, None] + np.arange(np.max(last - first) + 1)
+    uncut = bool(first[0] == low and last[-1] == high)  # the limits fall as rho rises
+    return (spectrum, occupied, residues[:, None] + h * orders, orders <= last[:, None], uncut)
 
 
 def exact_route(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
                 config: PropagationConfig) -> bool:
-    """Whether propagate_exact serves this run: it applies, and its basis holds
-    the whole reach in at most _EXACT_MAX_ORDERS orders (one eigh of that size
-    costs ~0.1 s).  A reach that the grid cuts is left to propagate, whose
-    cell wraps those orders round at the Nyquist bin instead of ending them."""
+    """Whether propagate_exact serves this run: it applies, and its stacked eigh
+    holds at most _EXACT_MAX_ORDERS^2 entries (one eigh of 1025 orders costs
+    ~0.1 s).  A reach that the grid cuts is left to propagate, whose cell
+    wraps those orders round at the Nyquist bin instead of ending them."""
     try:
-        _, _, orders, reach = _order_chain(state, spec, setup, config)
+        modes, _, uncut = _order_band(state, spec, setup, config)[2:]
     except ValueError:
         return False
-    return orders.size == 2 * reach + 1 <= _EXACT_MAX_ORDERS
+    chains, size = modes.shape
+    return uncut and chains * size * size <= _EXACT_MAX_ORDERS ** 2
 
 
 def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
                     config: PropagationConfig,
                     snapshot_callback: SnapshotCallback | None = None) -> WaveState:
-    """propagate's result for a plane wave under a rectangular pulse, without steps.
+    """propagate's result under a rectangular pulse, without steps.
 
-    Order p of the start plane wave (wavenumber k_p) couples only to p +- 1:
-    H[p, p] = k_p^2 + u0 offset/2 and H[p+1, p] = u0 (a_c - i a_s)/4.  The
-    gauge c_p = exp(-i p theta) b_p, theta = atan2(a_s, a_c), makes H real
-    symmetric with coupling u0 r_eff/4, so one eigh gives the amplitudes at
-    every time.  The basis and the state it needs are those of _order_chain
-    (ValueError otherwise); the other FFT bins, <= _EMPTY_SECTOR of the
-    weight, are carried unchanged.
+    On a chain of modes (_order_band) order p, wavenumber k_p, couples only to
+    p +- 1: H[p, p] = k_p^2 + u0 offset/2 and H[p+1, p] = u0 (a_c - i a_s)/4.
+    The gauge c_p = exp(-i p theta) b_p, theta = atan2(a_s, a_c), makes H real
+    symmetric with coupling u0 r_eff/4, so one eigh stacked over the chains
+    gives the amplitudes at every time.  Each chain's start vector holds its
+    occupied bins in units of its heaviest one.  The other bins, <=
+    _EMPTY_SECTOR of the weight, are left out: those inside the band are
+    overwritten, the rest carried unchanged.
 
-    Takes the same arguments as propagate.  config.d_tau only schedules the
-    snapshots, taken at the steps propagate would take them.  Raises
-    RuntimeError if the final norm drifts from 1 by more than 1e-9.
+    Takes the same arguments as propagate (ValueError for runs _order_band
+    refuses).  config.d_tau only schedules the snapshots, taken at the steps
+    propagate would take them.  Raises RuntimeError if the final norm drifts
+    from 1 by more than 1e-9.
     """
-    spectrum, start, orders, _ = _order_chain(state, spec, setup, config)
+    spectrum, occupied, modes, valid, _ = _order_band(state, spec, setup, config)
     grid = state.grid
-    modes = start + grid.n_periods * orders  # signed; wavenumber 2 mode / n_periods
-    size, u0 = orders.size, setup.u0
-    ham = np.zeros((size, size))
-    ham.flat[::size + 1] = (2.0 * modes / grid.n_periods) ** 2 + 0.5 * u0 * spec.offset
-    ham.flat[1::size + 1] = ham.flat[size::size + 1] = 0.25 * u0 * math.hypot(spec.a_c, spec.a_s)
-    energies, vectors = np.linalg.eigh(ham)
+    h, u0 = grid.n_periods, setup.u0
+    chains, size = modes.shape
+    ham = np.zeros((chains, size * size))  # row c: chain c's matrix, flattened
+    # padding rows are decoupled and start empty, so they stay empty
+    ham[:, ::size + 1] = np.where(valid, (2.0 * modes / h) ** 2 + 0.5 * u0 * spec.offset, 0.0)
+    ham[:, 1::size + 1] = ham[:, size::size + 1] = np.where(
+        valid[:, 1:], 0.25 * u0 * math.hypot(spec.a_c, spec.a_s), 0.0)
+    energies, vectors = np.linalg.eigh(ham.reshape(chains, size, size))
 
-    start_row = vectors[-orders[0]]  # the start is order 0
-    ungauge = spectrum[start % grid.n_points] * np.exp(  # start amplitude, gauge phases
-        -1j * math.atan2(spec.a_s, spec.a_c) * orders)
     bins = modes % grid.n_points
+    amps = np.where(valid & occupied[bins], spectrum[bins], 0.0)
+    rows = np.arange(chains)
+    heaviest = np.argmax(np.abs(amps), axis=1)
+    unit = amps[rows, heaviest]
+    orders = np.arange(size) - heaviest[:, None]  # about the heaviest bin
+    theta = math.atan2(spec.a_s, spec.a_c)
+    start = amps * np.exp(1j * theta * orders) / unit[:, None]
+    start[rows, heaviest] = 1.0  # unit / unit, exactly
+    coef = (np.matmul(start.real[:, None], vectors)
+            + 1j * np.matmul(start.imag[:, None], vectors))[:, 0]  # vectors^T start
+    ungauge = unit[:, None] * np.exp(-1j * theta * orders)  # start amplitude, gauge phases
+    band = bins[valid]
 
     def at(tau: float) -> WaveState:
-        phased = np.exp(-1j * energies * tau) * start_row
+        phased = np.exp(-1j * energies * tau) * coef
         # two real products: a complex one would first copy vectors to complex
-        spectrum[bins] = ungauge * (vectors @ phased.real + 1j * (vectors @ phased.imag))
+        amplitudes = ungauge * (np.matmul(vectors, phased.real[..., None])
+                                + 1j * np.matmul(vectors, phased.imag[..., None]))[..., 0]
+        spectrum[band] = amplitudes[valid]
         return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
 
     if config.snapshot_every and snapshot_callback is not None:
         for j in range(config.snapshot_every, config.n_steps + 1, config.snapshot_every):
             snapshot_callback(j, j * config.d_tau, at(j * config.d_tau))
     return _checked_norm(state, at(config.tau_total))
+
+
+def _signed_modes(bins: np.ndarray, n: int) -> np.ndarray:
+    """Signed mode index, in [-n/2, n/2), of each of the given bins of an n-point FFT."""
+    return np.where(bins < n - n // 2, bins, bins - n)
 
 
 def order_probabilities(state: WaveState, k0: float | None = None,
@@ -416,8 +534,7 @@ def order_probabilities(state: WaveState, k0: float | None = None,
     n = grid.n_points
     h = grid.n_periods
     # FFT bin j corresponds to signed mode index in [-n/2, n/2)
-    modes = np.where(np.arange(n) < n - n // 2, np.arange(n), np.arange(n) - n)
-    rel = modes - k0_units
+    rel = _signed_modes(np.arange(n), n) - k0_units
     orders = (2 * rel + h) // (2 * h)  # floor((rel + h/2) / h) in exact ints
 
     if max_order is None:

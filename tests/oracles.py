@@ -8,22 +8,53 @@ reference: it adds in the same order, so results must be equal bit for bit.
 Miller's recurrence stepped on a numpy array, one argument at a time,
 pins both of the package's Bessel kernels bit for bit.
 Split-step propagation is redone on the full box, without the package's
-split into Bloch sectors; stepped_sectors shows which sectors a run steps.
-The exact order-basis route is checked against a dense diagonalization of
-the occupied sector's whole cell.
+split into Bloch sectors, and on every live sector's whole cell, without its
+order band (the former propagate loop); stepped_sectors shows which sectors
+and band points a run steps.  The exact order-basis route is checked against
+a dense diagonalization of every live sector's whole cell.  bessel_j and
+pattern_distance, once exported by the package, are used only by tests.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from functools import lru_cache
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
 
-from kdsim.bessel import _RESCALE, _TINY_X, _start_orders
+from kdsim.analytic import DiffractionPattern
+from kdsim.bessel import _RESCALE, _TINY_X, _start_orders, bessel_row
 from kdsim.model import evaluate_potential
-from kdsim.tdse import WaveState
+from kdsim.tdse import (
+    _EMPTY_SECTOR, _STEP_PHASE_WARN, WaveState, _checked_norm, _envelope_weights,
+)
+
+
+def bessel_j(n: int, x: float) -> float:
+    """J_n(x) for any integer order and real argument.
+
+    Negative orders and arguments fold onto the positive quadrant through
+    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
+    """
+    n = int(n)
+    sign = 1.0
+    if n < 0:
+        n = -n
+        if n % 2:
+            sign = -sign
+    row = bessel_row(n, x)
+    return sign * float(row.values[n])
+
+
+def pattern_distance(first: DiffractionPattern, second: DiffractionPattern) -> tuple[float, float]:
+    """(max absolute difference, total variation) over the shared orders."""
+    common = sorted(set(first.probabilities) & set(second.probabilities))
+    if not common:
+        raise ValueError("patterns share no diffraction orders")
+    diffs = [abs(first.probabilities[p] - second.probabilities[p]) for p in common]
+    return max(diffs), 0.5 * sum(diffs)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +146,8 @@ def local_minima_loop(values) -> list[int]:
 
 def stepped_sectors(run):
     """run() under a spy on np.fft.fft: its result and the set of 2-D shapes
-    transformed, which in tdse.propagate are (stepped sectors, points per cell)."""
+    transformed, which in tdse.propagate are (stepped sectors, points of the
+    band's cell)."""
     shapes, fft = set(), np.fft.fft
 
     def spy(a, *args, **kwargs):
@@ -167,31 +199,91 @@ def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
     return wave(psi)
 
 
-def propagate_cell_eigh(state, spec, setup, config, snapshot_callback=None):
-    """tdse.propagate_exact's result and snapshots from the sector's whole cell.
+def propagate_cell_fft(state, spec, setup, config, snapshot_callback=None):
+    """tdse.propagate's result and snapshots from every live sector's whole cell.
 
-    For a state in one Bloch sector (FFT bins a*f + s, f = gcd(n_points,
-    n_periods)), H over those cell bins is k^2 on the diagonal plus the
-    circulant of the cell potential's DFT, H[a, b] = DFT(V)[(a - b) mod cell]
-    / cell, wrap-around included.  It is diagonalized as a complex Hermitian
-    matrix: no gauge, no truncation to a few orders.  The other bins are
-    carried.  callback(step, tau, state) is called every
-    config.snapshot_every steps at tau = step * config.d_tau.
+    The loop tdse.propagate ran before it stepped only the order band: the
+    sectors holding more than _EMPTY_SECTOR / f of the weight are stepped as
+    rows of one array on cells of n_points / f points, each kinetic step an
+    FFT pair over the whole cell; the other sectors are carried.
+    """
+    if not math.isfinite(setup.u0):
+        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
+    grid = state.grid
+    fold = math.gcd(grid.n_points, grid.n_periods)
+    cell = grid.n_points // fold
+    v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell])
+    vmax = float(np.max(np.abs(v)))
+    if config.n_steps > 0 and vmax * config.d_tau > _STEP_PHASE_WARN:
+        warnings.warn(
+            f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
+            f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=2)
+
+    spectrum = np.fft.fft(state.psi)
+    sectors = spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
+    power = np.sum(np.abs(sectors) ** 2, axis=1)
+    live = power > _EMPTY_SECTOR / fold * power.sum()  # carried ones: <= _EMPTY_SECTOR in all
+    phi = np.fft.ifft(sectors[live])  # one row per stepped sector
+
+    def on_box(phi: np.ndarray) -> WaveState:
+        sectors[live] = np.fft.fft(phi)  # writes into spectrum; carried rows stay as they were
+        return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
+
+    weights = _envelope_weights(config)
+    every = config.snapshot_every
+    if not config.include_kinetic:
+        area = np.cumsum(np.append(0.0, weights * config.d_tau))  # area[j]: after j steps
+        if every and snapshot_callback is not None:
+            for j in range(every, config.n_steps + 1, every):
+                snapshot_callback(j, j * config.d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
+        out = on_box(np.exp(-1j * v * area[-1]) * phi)
+    else:
+        exp_kin = np.exp(-1j * grid.wavenumbers().reshape(cell, fold).T[live] ** 2 * config.d_tau)
+        flat = config.envelope == "rectangular"
+        # in phi's own shape: a broadcast multiply per half kick costs more than the copy
+        exp_v_half = np.broadcast_to(np.exp(-0.5j * v * config.d_tau), phi.shape).copy()
+        for j in range(config.n_steps):
+            half = exp_v_half if flat else np.exp(-0.5j * v * weights[j] * config.d_tau)
+            phi *= half
+            phi = np.fft.ifft(exp_kin * np.fft.fft(phi))
+            phi *= half
+            if every and (j + 1) % every == 0 and snapshot_callback is not None:
+                snapshot_callback(j + 1, (j + 1) * config.d_tau, on_box(phi))
+        out = on_box(phi)
+
+    return _checked_norm(state, out)
+
+
+def propagate_cell_eigh(state, spec, setup, config, snapshot_callback=None):
+    """tdse.propagate_exact's result and snapshots from each live sector's whole cell.
+
+    A Bloch sector s holds the FFT bins a*f + s, f = gcd(n_points, n_periods);
+    it is live when it holds more than _EMPTY_SECTOR / f of the weight.  H over
+    a live sector's cell bins is k^2 on the diagonal plus the circulant of the
+    cell potential's DFT, H[a, b] = DFT(V)[(a - b) mod cell] / cell, wrap-around
+    included.  Each is diagonalized as a complex Hermitian matrix: no gauge, no
+    truncation to a few orders.  The other sectors are carried.
+    callback(step, tau, state) is called every config.snapshot_every steps at
+    tau = step * config.d_tau.
     """
     grid = state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
     spectrum = np.fft.fft(state.psi)
-    bins = np.arange(cell) * fold + int(np.argmax(np.abs(spectrum))) % fold
+    power = np.sum(np.abs(spectrum.reshape(cell, fold)) ** 2, axis=0)
     vhat = np.fft.fft(0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell]))
     a = np.arange(cell)
-    ham = vhat[(a[:, None] - a[None, :]) % cell] / cell + np.diag(grid.wavenumbers()[bins] ** 2)
-    energies, vectors = np.linalg.eigh(ham)
-    start = vectors.conj().T @ spectrum[bins]
+    sectors = []
+    for s in np.flatnonzero(power > _EMPTY_SECTOR / fold * power.sum()):
+        bins = a * fold + s
+        ham = vhat[(a[:, None] - a[None, :]) % cell] / cell + np.diag(grid.wavenumbers()[bins] ** 2)
+        energies, vectors = np.linalg.eigh(ham)
+        sectors.append((bins, energies, vectors, vectors.conj().T @ spectrum[bins]))
 
     def at(tau):
         out = spectrum.copy()
-        out[bins] = vectors @ (np.exp(-1j * energies * tau) * start)
+        for bins, energies, vectors, start in sectors:
+            out[bins] = vectors @ (np.exp(-1j * energies * tau) * start)
         return WaveState(grid=grid, psi=np.fft.ifft(out), k0=state.k0)
 
     every = config.snapshot_every if snapshot_callback is not None else 0

@@ -12,15 +12,14 @@ import time
 import numpy as np
 
 from kdsim.analytic import (
-    closed_form_pattern, distribution_pattern, grating_oracle,
-    pattern_distance, pointlike_pattern,
+    closed_form_pattern, distribution_pattern, grating_oracle, pointlike_pattern,
 )
 from kdsim.cli import main
 from kdsim.fit import (
     ObservedPattern, fit_effective_amplitude, model_probabilities,
     synthesize_gaussian,
 )
-from kdsim.bessel import bessel_j, bessel_row
+from kdsim.bessel import bessel_row
 from kdsim.model import (
     DimensionlessSetup, LaserSetup, MomentSet, build_potential, check_regime,
     derive_scales,
@@ -30,7 +29,7 @@ from kdsim.tdse import (
     plan_propagation, propagate,
 )
 
-from oracles import bessel_series
+from oracles import bessel_j, bessel_series, pattern_distance
 
 # grid for the three-route equivalence check
 GRID_ALPHAS = (0.5, 2.0, 8.0)

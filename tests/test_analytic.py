@@ -5,10 +5,11 @@ import pytest
 
 from kdsim.analytic import (
     closed_form_pattern, default_order_cutoff, distribution_coefficients,
-    distribution_pattern, effective_amplitude, grating_oracle,
-    pattern_distance, pointlike_pattern,
+    distribution_pattern, effective_amplitude, grating_oracle, pointlike_pattern,
 )
 from kdsim.model import MomentSet, build_potential
+
+from oracles import pattern_distance
 
 # reference squares, frozen from a 40-digit power-series evaluation
 J0_1_SQ = 0.58552749951366402438

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kdsim.bessel import BesselRow, bessel_j, bessel_row, bessel_rows
-from oracles import bessel_row_numpy, bessel_series
+from kdsim.bessel import BesselRow, _start_orders, bessel_row, bessel_rows
+from oracles import bessel_j, bessel_row_numpy, bessel_series
 
 # frozen from the extended-precision power series
 J0_1 = 0.7651976865579666
@@ -161,6 +161,20 @@ def test_row_independent_of_its_block():
         order = rng.permutation(xs.size)
         rows = bessel_rows(12, xs[order])
         assert_bits_equal(rows[np.argsort(order)[size:]], ref)
+
+
+@pytest.mark.parametrize("order_max", [0, 1, 12, 80])
+def test_start_orders_same_for_a_float_and_an_array(order_max):
+    # bessel_row takes its start order from math, bessel_rows from numpy: one
+    # rule, so the same even order at every x, across the ceilings of x, the
+    # floor at 20 and the margin that starts to grow above 50
+    xs = np.concatenate([
+        np.linspace(1e-12, 20.0, 801)[1:], np.nextafter(20.0, [0.0, 40.0]),
+        np.linspace(47.0, 53.0, 601), np.nextafter(50.0, [0.0, 100.0]),
+        np.linspace(20.0, 200.0, 1801), [200.0]])
+    scalar = [_start_orders(order_max, float(x)) for x in xs]
+    assert all(type(s) is int and s % 2 == 0 for s in scalar)
+    assert scalar == _start_orders(order_max, xs).tolist()
 
 
 def test_rows_shapes():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,18 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdsim import tdse
-from kdsim.analytic import pattern_distance, pointlike_pattern
+from kdsim.analytic import pointlike_pattern
 from kdsim.model import (
     DimensionlessSetup, MomentSet, PotentialSpec, build_potential,
     evaluate_potential,
 )
 from kdsim.tdse import (
-    _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _REACH_TOL, ENVELOPES, Grid1D, PropagationConfig,
-    WaveState, _envelope_weights, _order_reach, exact_route, init_gaussian, init_plane_wave,
-    max_potential, order_probabilities, plan_propagation, propagate, propagate_exact,
+    _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _KICK_BLOCK, _REACH_TOL, ENVELOPES, Grid1D,
+    PropagationConfig, WaveState, _envelope_weights, _half_kicks, _order_reach, exact_route,
+    init_gaussian, init_plane_wave, max_potential, order_probabilities, plan_propagation,
+    propagate, propagate_exact,
 )
 
-from oracles import binned_orders_loop, propagate_cell_eigh, propagate_full_box, stepped_sectors
+from oracles import (
+    binned_orders_loop, pattern_distance, propagate_cell_eigh, propagate_cell_fft,
+    propagate_full_box, stepped_sectors,
+)
 
 POINTLIKE = build_potential(MomentSet())
 
@@ -313,6 +318,37 @@ def sector_weights(state):
     return np.sort(power / power.sum())[::-1]
 
 
+def stepped_bins(state, spec, setup, config):
+    """(mask of the FFT bins propagate steps, points of the cell it steps them on).
+
+    Those are the live sectors' band columns: the columns holding a bin over
+    _EMPTY_SECTOR / n_points of the weight, widened by the pulse's reach
+    (n_periods / f columns per order) on both sides and centred in the least
+    power of two of columns; the whole cell when that is as wide, or without
+    the kinetic term.
+    """
+    grid = state.grid
+    f = math.gcd(grid.n_points, grid.n_periods)
+    cell = grid.n_points // f
+    power = np.abs(np.fft.fft(state.psi).reshape(cell, f).T) ** 2
+    live = power.sum(axis=1) > _EMPTY_SECTOR / f * power.sum()
+    cols = np.arange(cell)
+    if config.include_kinetic:
+        occupied = power[live] > _EMPTY_SECTOR / grid.n_points * power[live].sum()
+        occupied = np.flatnonzero(occupied.any(axis=0))
+        signed = np.where(occupied < cell // 2, occupied, occupied - cell)
+        area = np.sum(_envelope_weights(config)) * config.d_tau
+        reach = _order_reach(0.5 * setup.u0 * area * math.hypot(spec.a_c, spec.a_s))
+        low = signed.min() - reach * (grid.n_periods // f)
+        width = signed.max() + reach * (grid.n_periods // f) + 1 - low
+        if width < cell:
+            m = 1 << int(width - 1).bit_length()
+            cols = (low - (m - width) // 2 + np.arange(m)) % cell
+    mask = np.zeros((f, cell), dtype=bool)
+    mask[np.ix_(live, cols)] = True
+    return mask.T.reshape(-1), cols.size
+
+
 class TestBlochSectors:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -343,8 +379,8 @@ class TestBlochSectors:
         assert max(abs(got.probabilities[p] - want.probabilities[p]) for p in got.orders) <= 1e-13
 
         f = math.gcd(n_points, n_periods)
-        (live, cell), = shapes
-        assert cell == n_points // f
+        (live, points), = shapes
+        assert points == stepped_bins(state, spec, setup, config)[1]
         assert live == (1 if plane else f)
         assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
 
@@ -357,10 +393,94 @@ class TestBlochSectors:
             psi = (np.exp(2j * x) + eps * np.exp(0.25j * x)) / math.sqrt(grid.box_length)
             state = WaveState(grid, psi / math.sqrt(1.0 + eps**2), k0=2.0)
             out, shapes = stepped_sectors(lambda: propagate(state, POINTLIKE, setup, config))
-            assert shapes == {(live, 128)}
+            assert shapes == {(live, stepped_bins(state, POINTLIKE, setup, config)[1])}
             assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
             want = propagate_full_box(state, POINTLIKE, setup, config)
             assert np.max(np.abs(out.psi - want.psi)) <= 1e-13 + (eps if live == 1 else 0.0)
+
+
+class TestOrderBand:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_cell_fft(self, data):
+        # gcd(n_points, n_periods) < n_periods puts one order on several columns;
+        # offsets at the alias limit wrap the band round the cell's Nyquist column
+        n_points = data.draw(st.sampled_from([256, 512, 1024, 2048]), "n_points")
+        n_periods = data.draw(st.integers(1, min(8, n_points // 64)), "n_periods")
+        grid = Grid1D(n_points, n_periods)
+        if data.draw(st.booleans(), "plane"):
+            limit = (n_points // n_periods - 1) // 2  # the largest offset that does not alias
+            offset = data.draw(st.one_of(st.sampled_from([-limit, limit - 1, limit]),
+                                         st.integers(-limit, limit)), "offset")
+            state = init_plane_wave(grid, offset)
+        else:
+            k0 = 2.0 * data.draw(st.integers(-4 * n_periods, 4 * n_periods), "k0_units") / n_periods
+            state = init_gaussian(
+                grid, data.draw(st.floats(0.0, grid.box_length), "center"),
+                data.draw(st.floats(4.0 * grid.dx, grid.box_length / 6.0), "sigma"), k0)
+        spec = build_potential(MomentSet((data.draw(st.floats(0.0, 0.4), "d"),
+                                          data.draw(st.floats(0.0, 0.4), "q"))))
+        setup = DimensionlessSetup.from_u0_alpha(data.draw(st.sampled_from([30.0, 300.0]), "u0"),
+                                                 data.draw(st.floats(0.2, 3.0), "alpha"))
+        n_steps = data.draw(st.integers(1, 300), "n_steps")  # past one kick block at m >= 64
+        config = PropagationConfig(
+            d_tau=setup.tau / n_steps, n_steps=n_steps,
+            envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
+            snapshot_every=data.draw(st.integers(0, n_steps), "snapshot_every"))
+
+        # the bins beyond the band, at most _EMPTY_SECTOR of the weight, are
+        # carried: here the start's rounding noise, up to 1e-13 of psi at the
+        # alias limit; the oracle steps the rest
+        spectrum = np.fft.fft(state.psi)
+        stepped = stepped_bins(state, spec, setup, config)[0]
+        carried = np.fft.ifft(np.where(stepped, 0.0, spectrum))
+        banded = WaveState(grid, np.fft.ifft(np.where(stepped, spectrum, 0.0)), state.k0)
+        got, want = {}, {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # coarse plans warn in both
+            out = propagate(state, spec, setup, config,
+                            lambda j, t, s: got.setdefault(j, (t, s.psi)))
+            ref = propagate_cell_fft(banded, spec, setup, config,
+                                     lambda j, t, s: want.setdefault(j, (t, s.psi + carried)))
+            whole = propagate_cell_fft(state, spec, setup, config)
+        ref = WaveState(grid, ref.psi + carried, state.k0)
+        assert max_order_gap(out, ref) <= 1e-13
+        assert np.max(np.abs(out.psi - ref.psi)) <= 1e-13
+        assert sorted(got) == sorted(want)
+        for j, (tau, psi) in got.items():
+            assert tau == want[j][0]
+            assert np.max(np.abs(psi - want[j][1])) <= 1e-13
+        # and the whole start, carried noise included, agrees with the oracle's run
+        assert max_order_gap(out, whole) <= 1e-13
+        # the carried bins' evolution moves psi by at most twice their l2 norm / sqrt(n)
+        bound = 2.0 * np.linalg.norm(spectrum[~stepped]) / math.sqrt(grid.n_points)
+        assert np.max(np.abs(out.psi - whole.psi)) <= 1e-13 + bound
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    def test_blocked_kicks_bit_identical_to_per_step(self, envelope):
+        v = 0.5 * 300.0 * evaluate_potential(build_potential(MomentSet((0.3, 0.1))),
+                                             Grid1D().positions()[:128])
+        # blocks of _KICK_BLOCK / 128 steps on a 128-point cell
+        config = PropagationConfig(d_tau=1e-4, n_steps=2 * _KICK_BLOCK // 128 + 37,
+                                   envelope=envelope)
+        weights = _envelope_weights(config)
+        kicks = list(_half_kicks(v, config, weights))
+        assert len(kicks) == config.n_steps
+        for w, kick in zip(weights, kicks):
+            want = np.exp(-0.5j * v * w * config.d_tau)
+            assert np.array_equal(kick, want)
+            assert np.array_equal(np.signbit(kick.view(float)), np.signbit(want.view(float)))
+
+    def test_band_cell_is_a_power_of_two_inside_the_cell(self):
+        # a plane wave at order 0 of 2048 points over 8 periods (cells of 256):
+        # reach 16 over the ramp's area, so 33 columns on a cell of 64 points
+        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        config = plan_propagation(setup, POINTLIKE, envelope="sin2_ramp")
+        state = init_plane_wave(Grid1D(2048, 8))
+        out, shapes = stepped_sectors(lambda: propagate(state, POINTLIKE, setup, config))
+        assert shapes == {(1, stepped_bins(state, POINTLIKE, setup, config)[1])} == {(1, 64)}
+        want = propagate_cell_fft(state, POINTLIKE, setup, config)
+        assert np.max(np.abs(out.psi - want.psi)) <= 1e-13
 
 
 def max_order_gap(a, b):
@@ -370,10 +490,16 @@ def max_order_gap(a, b):
 
 
 def exact_case(u0, alpha, moments=(0.3, 0.1), order_offset=0, n_points=1024, n_periods=8,
-               **plan_kw):
+               sigma=None, k0_units=0, **plan_kw):
+    """A plane wave at order_offset, or with sigma a Gaussian packet with carrier
+    k0_units grid steps, under a rectangular pulse."""
     setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
     spec = build_potential(MomentSet(moments))
-    state = init_plane_wave(Grid1D(n_points, n_periods), order_offset)
+    grid = Grid1D(n_points, n_periods)
+    if sigma is None:
+        state = init_plane_wave(grid, order_offset)
+    else:
+        state = init_gaussian(grid, grid.box_length / 3, sigma, 2.0 * k0_units / n_periods)
     return state, spec, setup, plan_propagation(setup, spec, **plan_kw)
 
 
@@ -397,10 +523,22 @@ class TestExactRoute:
         dict(u0=1000.0, alpha=20.0, n_periods=3),
         dict(u0=10.0, alpha=2.0, n_periods=3, order_offset=1),
     ]
+    # Gaussian packets fill every chain of their sectors: 8 chains of one
+    # sector each at 8 periods, 2 sectors of 3 chains at 6, 1 sector of 3 at 3
+    PACKETS = [
+        dict(u0=100.0, alpha=2.0, sigma=math.pi),  # the CLI's default packet
+        dict(u0=300.0, alpha=8.0, sigma=1.0, k0_units=3),
+        dict(u0=10.0, alpha=4.0, sigma=0.5, k0_units=-5),
+        dict(u0=1000.0, alpha=20.0, sigma=2.0),
+        dict(u0=30.0, alpha=1.0, sigma=1.5, n_points=2048, k0_units=4),
+        dict(u0=100.0, alpha=4.0, sigma=1.0, n_periods=6, k0_units=1),
+        dict(u0=300.0, alpha=2.0, sigma=0.7, n_periods=3, n_points=512),
+    ]
 
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", CASES + PACKETS)
     def test_matches_cell_diagonalization(self, case):
         state, spec, setup, config = exact_case(**case, snapshot_every=17)
+        assert exact_route(state, spec, setup, config)
         got, want = {}, {}
         out = propagate_exact(state, spec, setup, config,
                               snapshot_callback=lambda j, t, s: got.setdefault(j, (t, s.psi)))
@@ -444,6 +582,14 @@ class TestExactRoute:
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
+    def test_strang_converges_at_second_order_for_a_packet(self):
+        state, spec, setup, _ = exact_case(20.0, 1.0, sigma=1.0, k0_units=2)  # tau = 0.1
+        exact = propagate_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
+        errors = [np.max(np.abs(exact.psi - propagate(
+            state, spec, setup, PropagationConfig(setup.tau / n, n)).psi)) for n in (40, 80, 160)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
     @pytest.mark.parametrize("u0", [100.0, 300.0, 1000.0])
     def test_default_plan_strang_error(self, u0):
         # the contract's size: exact-route outputs move from Strang's by at most this
@@ -464,14 +610,15 @@ class TestExactRoute:
         state, spec, setup, config = exact_case(300.0, 2.0)
         assert exact_route(state, spec, setup, config)
         grid = state.grid
-        packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
-        assert not exact_route(packet, spec, setup, config)
         for change in ({"envelope": "sin2_ramp"}, {"include_kinetic": False}):
             assert not exact_route(state, spec, setup, plan_propagation(setup, spec, **change))
         assert not exact_route(state, spec, DimensionlessSetup.from_alpha(2.0), config)
 
         # a start at order 63 of 1024 points over 8 periods has no order above it
         assert not exact_route(init_plane_wave(grid, 63), spec, setup, config)
+        # any start state: a packet fills all 8 chains of the grid
+        packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
+        assert exact_route(packet, spec, setup, config)
 
         # the size cap: a basis of 2 P + 1 orders, on a grid that bins +-1023 of them;
         # and the grid's: 1024 points over 8 periods bin orders -64..63
@@ -479,6 +626,12 @@ class TestExactRoute:
         half = (_EXACT_MAX_ORDERS - 1) // 2
         for reach, start, served in ((half, wide, True), (half + 1, wide, False),
                                      (63, state, True), (64, state, False)):
+            monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
+            assert exact_route(start, spec, setup, config) is served
+        # the cap is on the stack: 8 chains of about 2 P orders each pass
+        # 1025^2 entries between P = 150 and 200, where one chain is served
+        packet = init_gaussian(wide.grid, wide.grid.box_length / 2, wide.grid.box_length / 8)
+        for reach, start, served in ((150, packet, True), (200, packet, False), (200, wide, True)):
             monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
             assert exact_route(start, spec, setup, config) is served
 
@@ -494,15 +647,22 @@ class TestExactRoute:
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
                 out = propagate_exact(state, spec, setup, config)
-            assert sizes == [(128, 128)]
+            assert sizes == [(1, 128, 128)]
             assert max_order_gap(out, propagate_cell_eigh(state, spec, setup, config)) <= 1e-10
+        # over 6 periods the grid ends its chains at different orders: the
+        # shorter ones are padded with decoupled, empty rows
+        state, spec, setup, config = exact_case(300.0, 2.0, n_periods=6, sigma=1.0, k0_units=1)
+        assert not exact_route(state, spec, setup, config)
+        out = propagate_exact(state, spec, setup, config)
+        ref = propagate_cell_eigh(state, spec, setup, config)
+        assert max_order_gap(out, ref) <= 1e-10
+        assert np.max(np.abs(out.psi - ref.psi)) <= 1e-10
 
     def test_rejects_what_it_cannot_serve(self):
         state, spec, setup, config = exact_case(300.0, 2.0)
-        grid = state.grid
-        packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
-        with pytest.raises(ValueError, match="plane-wave"):
-            propagate_exact(packet, spec, setup, config)
+        with pytest.raises(ValueError, match="nonzero weight"):
+            propagate_exact(WaveState(state.grid, np.zeros(state.grid.n_points)),
+                            spec, setup, config)
         for change in ({"envelope": "sin2_ramp"}, {"include_kinetic": False}):
             with pytest.raises(ValueError, match="rectangular"):
                 propagate_exact(state, spec, setup, plan_propagation(setup, spec, **change))
