@@ -12,16 +12,15 @@ from .model import (
     derive_scales, moments_from_si, build_potential, evaluate_potential,
     check_regime,
 )
-from .bessel import BesselRow, bessel_row, bessel_rows
+from .bessel import bessel_row, bessel_rows
 from .analytic import (
-    DiffractionPattern, default_order_cutoff,
-    pointlike_pattern, distribution_pattern, closed_form_pattern,
+    DiffractionPattern, default_order_cutoff, closed_form_pattern,
     effective_amplitude, grating_oracle,
 )
 from .tdse import (
     Grid1D, WaveState, PropagationConfig,
     init_plane_wave, init_gaussian, plan_propagation, propagate,
-    exact_route, propagate_exact, order_probabilities,
+    propagate_exact, order_probabilities,
 )
 from .fit import (
     ObservedPattern, FitResult, MomentRegion,
@@ -38,13 +37,12 @@ __all__ = [
     "PotentialSpec", "RegimeReport",
     "derive_scales", "moments_from_si", "build_potential", "evaluate_potential",
     "check_regime",
-    "BesselRow", "bessel_row", "bessel_rows",
-    "DiffractionPattern", "default_order_cutoff",
-    "pointlike_pattern", "distribution_pattern", "closed_form_pattern",
+    "bessel_row", "bessel_rows",
+    "DiffractionPattern", "default_order_cutoff", "closed_form_pattern",
     "effective_amplitude", "grating_oracle",
     "Grid1D", "WaveState", "PropagationConfig",
     "init_plane_wave", "init_gaussian", "plan_propagation", "propagate",
-    "exact_route", "propagate_exact", "order_probabilities",
+    "propagate_exact", "order_probabilities",
     "ObservedPattern", "FitResult", "MomentRegion",
     "chi_square", "fit_effective_amplitude", "joint_fit", "moment_region",
     "band_radius", "synthesize_gaussian", "synthesize_counts",

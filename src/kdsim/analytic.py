@@ -1,17 +1,17 @@
-"""Thin-grating diffraction patterns, three independent routes.
+"""Thin-grating diffraction patterns, two independent routes.
 
 In the thin-grating limit the standing wave acts as a pure phase mask
 exp(i alpha (a_c cos 2x + a_s sin 2x)) on the incoming wave, so the order
-amplitudes are Fourier coefficients of that mask.  Three ways to get them:
+amplitudes are Fourier coefficients of that mask.  Two ways to get them:
 
 * ``closed_form_pattern`` -- both quadratures merged into one harmonic of
   effective amplitude r_eff = hypot(a_c, a_s), giving P_p = J_p(alpha r_eff)^2;
-* ``distribution_pattern`` -- double Bessel sum over the cos and sin
-  quadratures (dipole + quadrupole case), convolved numerically;
 * ``grating_oracle`` -- brute-force FFT of the sampled phase mask, kept
   deliberately independent of the Bessel code path.
 
-The command line serves the closed form; the other two are its test oracles.
+The command line serves the closed form; the grating oracle checks it in the
+benchmark, and the tests keep a third route, the double Bessel sum over the
+two quadratures.
 
 Probabilities depend on the moments only through r_eff; the fitting module
 leans on exactly that degeneracy.
@@ -27,7 +27,6 @@ from .bessel import bessel_row
 from .model import MomentSet, PotentialSpec, build_potential
 
 _TAIL_WARN = 1e-8
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n cycle
 
 
 @dataclass(frozen=True)
@@ -88,77 +87,16 @@ def _single_harmonic_pattern(alpha: float, r_eff: float, order_cutoff: int | Non
     cut = default_order_cutoff(alpha, r_eff) if order_cutoff is None else int(order_cutoff)
     if cut < 0:
         raise ValueError(f"order_cutoff must be >= 0, got {cut}")
-    row = bessel_row(cut, alpha * r_eff).values
+    row = bessel_row(cut, alpha * r_eff)
     orders = range(-cut, cut + 1)
     probs = [row[abs(p)] ** 2 for p in orders]
     return _pattern(orders, probs, generator, alpha, moments)
-
-
-def pointlike_pattern(alpha: float, order_cutoff: int | None = None) -> DiffractionPattern:
-    """Pattern of a structureless charge: P_n = J_n(alpha)^2."""
-    return _single_harmonic_pattern(alpha, 1.0, order_cutoff, "pointlike")
 
 
 def effective_amplitude(moments: MomentSet) -> float:
     """r_eff = hypot(a_c, a_s): the single number the pattern depends on."""
     spec = build_potential(moments)
     return math.hypot(spec.a_c, spec.a_s)
-
-
-def _signed_orders(row_values: np.ndarray, p_max: int) -> np.ndarray:
-    """J_n for n = -p_max..p_max from the nonnegative row via parity."""
-    out = np.empty(2 * p_max + 1)
-    out[p_max:] = row_values[:p_max + 1]
-    signs = np.where(np.arange(1, p_max + 1) % 2 == 1, -1.0, 1.0)
-    out[:p_max][::-1] = row_values[1:p_max + 1] * signs
-    return out
-
-
-def distribution_coefficients(alpha: float, moments: MomentSet,
-                              order_cutoff: int | None = None):
-    """Complex order amplitudes c_p for a dipole/quadrupole charge.
-
-    The cos quadrature carries amplitude A = alpha (1 - 2 q~) and expands
-    with an i^n twist per order; the sin quadrature carries B = -2 alpha d~
-    and expands without it.  The product of the two expansions is a discrete
-    convolution over order indices.
-
-    Returns (orders, coefficients) with orders -cut..cut.
-    """
-    alpha = _check_alpha(alpha)
-    if moments.max_order > 2:
-        raise ValueError(
-            "distribution_coefficients handles dipole + quadrupole only; "
-            "use closed_form_pattern for higher moment orders")
-    a_amp = alpha * (1.0 - 2.0 * moments.quadrupole)
-    b_amp = -2.0 * alpha * moments.dipole
-    p_a = int(math.ceil(abs(a_amp))) + 30
-    p_b = int(math.ceil(abs(b_amp))) + 30
-    ja = _signed_orders(bessel_row(p_a, a_amp).values, p_a)
-    jb = _signed_orders(bessel_row(p_b, b_amp).values, p_b)
-    twists = np.array([_I_POW[n % 4] for n in range(-p_a, p_a + 1)])
-    conv = np.convolve(twists * ja, jb.astype(complex))
-    span = p_a + p_b  # conv covers orders -span..span
-
-    if order_cutoff is None:
-        cut = default_order_cutoff(alpha, effective_amplitude(moments))
-    else:
-        cut = int(order_cutoff)
-        if cut < 0:
-            raise ValueError(f"order_cutoff must be >= 0, got {cut}")
-    coeffs = np.zeros(2 * cut + 1, dtype=complex)
-    lo = max(-cut, -span)
-    hi = min(cut, span)
-    coeffs[lo + cut:hi + cut + 1] = conv[lo + span:hi + span + 1]
-    return np.arange(-cut, cut + 1), coeffs
-
-
-def distribution_pattern(alpha: float, moments: MomentSet,
-                         order_cutoff: int | None = None) -> DiffractionPattern:
-    """Pattern from the explicit double Bessel sum (dipole + quadrupole)."""
-    orders, coeffs = distribution_coefficients(alpha, moments, order_cutoff)
-    probs = np.abs(coeffs) ** 2
-    return _pattern(orders, probs, "distribution", alpha, moments)
 
 
 def closed_form_pattern(alpha: float, moments: MomentSet,

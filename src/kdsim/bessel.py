@@ -22,7 +22,6 @@ the same recurrence stepped on a numpy array, kept as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +29,6 @@ _RESCALE = 1e250
 _TINY_X = 1e-30
 _BOUND_SLACK = 1.0 + 1e-12  # covers the roundings of a step and of its bound
 _BLOCK = 1024  # arguments per batched sweep; bounds the (start, block) buffer
-
-
-@dataclass(frozen=True)
-class BesselRow:
-    """J_0(x) .. J_order_max(x) as one contiguous row."""
-
-    order_max: int
-    argument: float
-    values: np.ndarray
 
 
 def _start_orders(order_max: int, x):
@@ -110,8 +100,8 @@ def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def bessel_row(order_max: int, x: float) -> BesselRow:
-    """Whole row J_0..J_order_max at one argument in a single recurrence pass."""
+def bessel_row(order_max: int, x: float) -> np.ndarray:
+    """J_0(x)..J_order_max(x) as one contiguous row, in a single recurrence pass."""
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
     x = float(x)
@@ -126,13 +116,13 @@ def bessel_row(order_max: int, x: float) -> BesselRow:
         if x < 0.0:
             # J_n(-x) = (-1)^n J_n(x)
             vals[1::2] *= -1.0
-    return BesselRow(order_max=order_max, argument=x, values=vals)
+    return vals
 
 
 def bessel_rows(order_max: int, xs) -> np.ndarray:
     """Rows J_0..J_order_max at each of the arguments xs, shape (len(xs), order_max + 1).
 
-    Row i is bit-identical to bessel_row(order_max, xs[i]).values; the
+    Row i is bit-identical to bessel_row(order_max, xs[i]); the
     recurrence runs once per block of up to 1024 arguments.
     """
     if order_max < 0:

@@ -522,14 +522,12 @@ def _snapshot_writer(prefix: str, grid: tdse.Grid1D):
 
 
 def _run_tdse(config: RunConfig) -> dict:
-    exact = tdse.exact_route(config.state, config.spec, config.setup, config.plan)
+    plan = tdse.plan_run(config.state, config.spec, config.setup, config.plan)
     writer = (_snapshot_writer(config.snapshot_prefix, config.state.grid)
               if config.plan.snapshot_every else None)
-    final = (tdse.propagate_exact if exact else tdse.propagate)(
-        config.state, config.spec, config.setup, config.plan, snapshot_callback=writer)
-    pattern = tdse.order_probabilities(final, max_order=config.order_cutoff)
+    pattern = tdse.order_probabilities(tdse.run(plan, writer), max_order=config.order_cutoff)
     payload = _pattern_payload(pattern, alpha=config.setup.alpha)
-    if exact:
+    if plan.route == "exact":
         payload["generator"] = "tdse_exact"
     return payload
 

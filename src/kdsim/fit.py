@@ -75,7 +75,7 @@ class ObservedPattern:
 
 def _model_at(alpha: float, r_eff, index: np.ndarray, order_max: int) -> np.ndarray:
     if np.ndim(r_eff) == 0:
-        rows = bessel_row(order_max, alpha * r_eff).values
+        rows = bessel_row(order_max, alpha * r_eff)
     else:
         rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
     return rows[..., index] ** 2

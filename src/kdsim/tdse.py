@@ -18,11 +18,10 @@ moves no amplitude beyond _order_reach(x) orders from where it starts, under
 the exact evolution and under Strang alike, so both routes work on one order
 band: the occupied columns +- that reach.
 
-propagate steps the band on its own power-of-two cell of m points, its
-kinetic step one matmul with a dense circulant when that is cheaper than an
-FFT pair.  Under a rectangular pulse H is tridiagonal on each chain;
-propagate_exact diagonalizes the band's chains in one stacked eigh instead of
-stepping (Batelaan, Rev. Mod. Phys. 79, 929 (2007)).
+plan_run takes the start's FFT and order band once and chooses the route that
+run executes.  Under a rectangular pulse H is tridiagonal on each chain, and
+one stacked eigh evolves the band exactly (propagate_exact; Batelaan, Rev. Mod.
+Phys. 79, 929 (2007)); otherwise propagate steps it on its own cell.
 """
 from __future__ import annotations
 
@@ -41,9 +40,7 @@ _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
 _EMPTY_SECTOR = 1e-20  # carried unstepped: moves orders by <= this, psi by <= its sqrt
 _REACH_TOL = 1e-16  # amplitude left beyond the order band
-# the exact route's stacked eigh holds at most this many orders squared (one
-# eigh of 1025 orders takes ~0.1 s); larger bands are stepped
-_EXACT_MAX_ORDERS = 1025
+_EXACT_MAX_ORDERS = 1025  # orders^2 in the exact route's eigh stack (one of 1025: ~0.1 s)
 _DENSE_KINETIC = 1 << 15  # sectors * m^2 up to which one matmul beats an FFT pair
 _KICK_BLOCK = 1 << 14  # ramp half-kick entries (steps * points) built per np.exp call
 ENVELOPES = ("rectangular", "sin2_ramp")
@@ -217,8 +214,7 @@ def _envelope_weights(config: PropagationConfig) -> np.ndarray:
     total = config.tau_total
     ramp = config.ramp_fraction * total
     w = np.ones_like(mids)
-    rising = mids < ramp
-    falling = mids > total - ramp
+    rising, falling = mids < ramp, mids > total - ramp
     w[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
     w[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
     return w
@@ -228,9 +224,8 @@ SnapshotCallback = Callable[[int, float, WaveState], None]
 
 
 def _half_kicks(v: np.ndarray, config: PropagationConfig, weights: np.ndarray):
-    """exp(-i v w_j d_tau / 2) for each step j; a ramp's are built in blocks of
-    _KICK_BLOCK entries, one np.exp call each, every row bit-identical to that
-    expression on its own."""
+    """exp(-i v w_j d_tau / 2) for each step j; a ramp's come in blocks of _KICK_BLOCK
+    entries, one np.exp call each, every row bit-identical to that expression alone."""
     if config.envelope == "rectangular":
         return itertools.repeat(np.exp(-0.5j * v * config.d_tau), config.n_steps)
     exponent = -0.5j * v
@@ -244,11 +239,6 @@ def _half_kicks(v: np.ndarray, config: PropagationConfig, weights: np.ndarray):
     return (half for j in range(0, config.n_steps, steps) for half in block(j))
 
 
-def _area_reach(setup: DimensionlessSetup, spec: PotentialSpec, area: float) -> int:
-    """_order_reach of a pulse of the given area (tau for a rectangular one)."""
-    return _order_reach(0.5 * setup.u0 * area * math.hypot(spec.a_c, spec.a_s))
-
-
 def _occupied(power: np.ndarray, n_points: int) -> np.ndarray:
     """Bins holding more than _EMPTY_SECTOR / n_points of the weight in power:
     the others hold at most _EMPTY_SECTOR of it together."""
@@ -258,14 +248,12 @@ def _occupied(power: np.ndarray, n_points: int) -> np.ndarray:
 def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) -> np.ndarray:
     """Cell columns of propagate's order band, in the FFT order of the band's cell.
 
-    power holds the live sectors' bin weights, one row each, over the cell's
-    columns; a column is occupied where one of its bins is (_occupied).  The
-    band runs reach orders (per_order columns each) beyond the occupied
-    columns on both sides, and its cell is the least power of two m of
-    columns holding it, centred on it.
-    Column a sits at FFT index a mod m there; m divides the cell, so a band
+    power holds the live sectors' bin weights, one row each; a column is
+    occupied where one of its bins is (_occupied).  The band runs reach orders
+    (per_order columns each) past the occupied columns on both sides, on the
+    least power of two m of columns holding it, centred on it, or the whole
+    cell.  Column a sits at FFT index a mod m; m divides the cell, so a band
     that wraps the cell's Nyquist column wraps the same way on its own cell.
-    A band as wide as the cell is the whole cell.
     """
     cell = power.shape[1]
     occupied = np.flatnonzero(_occupied(power, n_points).any(axis=0))
@@ -278,6 +266,68 @@ def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) 
             low -= (m - width) // 2
             return (low + (np.arange(m) - low) % m) % cell
     return np.arange(cell)
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """A run, its route chosen by plan_run ("exact", "stepped" or "thin": no kinetic
+    term).  spectrum, the start's FFT, is read-only: each run writes a copy."""
+
+    state: WaveState
+    spec: PotentialSpec
+    setup: DimensionlessSetup
+    config: PropagationConfig
+    route: str
+    spectrum: np.ndarray
+    power: np.ndarray
+    occupied: np.ndarray
+    weights: np.ndarray
+    reach: int
+    modes: np.ndarray | None
+    valid: np.ndarray | None
+
+
+def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
+             config: PropagationConfig) -> RunPlan:
+    """The start's FFT, its order band and the route, each taken once.
+
+    Under a rectangular pulse with the kinetic term each residue rho modulo
+    n_periods of the occupied bins (_occupied) is a chain, the modes
+    rho + n_periods p for the orders p from the lowest occupied - reach to the
+    highest + reach (_order_reach), cut at the Nyquist bin; modes holds one a
+    row, padded to the longest, valid the unpadded.  The run is exact unless a
+    chain is cut (propagate's cell wraps its reach round) or the eigh stack
+    holds over _EXACT_MAX_ORDERS^2 entries.  ValueError unless u0 is finite.
+    """
+    if not math.isfinite(setup.u0):
+        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
+    n, h = state.grid.n_points, state.grid.n_periods
+    spectrum = np.fft.fft(state.psi)
+    spectrum.flags.writeable = False
+    power = np.abs(spectrum) ** 2
+    occupied = _occupied(power, n)
+    weights = _envelope_weights(config)
+    reach = _order_reach(0.5 * setup.u0 * (float(np.sum(weights)) * config.d_tau)
+                         * math.hypot(spec.a_c, spec.a_s)) if config.include_kinetic else 0
+    exact, modes, valid = False, None, None
+    if config.envelope == "rectangular" and config.include_kinetic and occupied.any():
+        live = _signed_modes(np.flatnonzero(occupied), n)
+        residues = np.flatnonzero(np.bincount(live % h, minlength=h))
+        low, high = live.min() // h - reach, live.max() // h + reach  # rho + h p: order p
+        first = np.maximum(low, -((n // 2 + residues) // h))
+        last = np.minimum(high, (n // 2 - 1 - residues) // h)
+        orders = first[:, None] + np.arange(np.max(last - first) + 1)
+        modes, valid = residues[:, None] + h * orders, orders <= last[:, None]
+        exact = bool(first[0] == low and last[-1] == high  # limits fall as rho rises
+                     and modes.size * modes.shape[1] <= _EXACT_MAX_ORDERS ** 2)
+    route = "exact" if exact else "stepped" if config.include_kinetic else "thin"
+    return RunPlan(state, spec, setup, config, route, spectrum, power, occupied, weights,
+                   reach, modes, valid)
+
+
+def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> WaveState:
+    """Execute a plan on its route, snapshots as in propagate; it runs alike every time."""
+    return (_exact if plan.route == "exact" else _stepped)(plan, snapshot_callback)
 
 
 def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
@@ -310,29 +360,29 @@ def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         Called as callback(step, tau, state) every config.snapshot_every
         steps (and never if snapshot_every is 0).
     """
-    if not math.isfinite(setup.u0):
-        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
-    grid = state.grid
+    return _stepped(plan_run(state, spec, setup, config), snapshot_callback)
+
+
+def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
+    """propagate's steps (or its one phase without the kinetic term) on a plan."""
+    state, config, weights, grid = plan.state, plan.config, plan.weights, plan.state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
-    v_cell = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell])
+    v_cell = 0.5 * plan.setup.u0 * evaluate_potential(plan.spec, grid.positions()[:cell])
     vmax = float(np.max(np.abs(v_cell)))
     if config.n_steps > 0 and vmax * config.d_tau > _STEP_PHASE_WARN:
-        warnings.warn(
-            f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
-            f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=2)
+        warnings.warn(f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
+                      f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=3)
 
-    spectrum = np.fft.fft(state.psi)
+    spectrum = plan.spectrum.copy()
     sectors = spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
-    power = np.abs(sectors) ** 2
+    power = plan.power.reshape(cell, fold).T
     sector_power = np.sum(power, axis=1)
     # carried sectors: <= _EMPTY_SECTOR in all
     live = np.flatnonzero(sector_power > _EMPTY_SECTOR / fold * sector_power.sum())
-    weights = _envelope_weights(config)
     cols = np.arange(cell)
     if config.include_kinetic:
-        reach = _area_reach(setup, spec, float(np.sum(weights)) * config.d_tau)
-        cols = _band_columns(power[live], grid.n_points, grid.n_periods // fold, reach)
+        cols = _band_columns(power[live], grid.n_points, grid.n_periods // fold, plan.reach)
     band = np.ix_(live, cols)
     phi = np.fft.ifft(sectors[band])  # one row per stepped sector, on the band's cell
     m = cols.size
@@ -402,61 +452,12 @@ def _order_reach(x: float) -> int:
     return reach
 
 
-def _order_band(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
-                config: PropagationConfig):
-    """(spectrum, occupied, modes, valid, uncut): propagate_exact's order band.
-
-    The occupied bins (_occupied) hold all but _EMPTY_SECTOR of the weight.
-    Their modes' residues modulo n_periods are the live chains, the modes
-    rho + n_periods p of one Bloch momentum; each takes the orders p from the
-    lowest occupied one - reach to the highest + reach (_order_reach), cut
-    where its modes would pass the grid's Nyquist bin.  Row c of modes holds
-    chain c's signed modes, padded past its cut to the longest chain's length;
-    valid marks the unpadded ones, and uncut is whether no chain was cut.
-    Raises ValueError unless the pulse is rectangular with the kinetic term
-    and some bin is occupied.
-    """
-    if not math.isfinite(setup.u0):
-        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
-    if config.envelope != "rectangular" or not config.include_kinetic:
-        raise ValueError("the exact route needs a rectangular envelope with include_kinetic")
-    n, h = state.grid.n_points, state.grid.n_periods
-    spectrum = np.fft.fft(state.psi)
-    power = np.abs(spectrum) ** 2
-    occupied = _occupied(power, n)
-    live = _signed_modes(np.flatnonzero(occupied), n)
-    if not live.size:
-        raise ValueError("the exact route needs a start state of finite, nonzero weight")
-    residues = np.flatnonzero(np.bincount(live % h, minlength=h))
-    reach = _area_reach(setup, spec, config.tau_total)
-    low, high = live.min() // h - reach, live.max() // h + reach  # mode rho + h p has order p
-    first = np.maximum(low, -((n // 2 + residues) // h))
-    last = np.minimum(high, (n // 2 - 1 - residues) // h)
-    orders = first[:, None] + np.arange(np.max(last - first) + 1)
-    uncut = bool(first[0] == low and last[-1] == high)  # the limits fall as rho rises
-    return (spectrum, occupied, residues[:, None] + h * orders, orders <= last[:, None], uncut)
-
-
-def exact_route(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
-                config: PropagationConfig) -> bool:
-    """Whether propagate_exact serves this run: it applies, and its stacked eigh
-    holds at most _EXACT_MAX_ORDERS^2 entries (one eigh of 1025 orders costs
-    ~0.1 s).  A reach that the grid cuts is left to propagate, whose cell
-    wraps those orders round at the Nyquist bin instead of ending them."""
-    try:
-        modes, _, uncut = _order_band(state, spec, setup, config)[2:]
-    except ValueError:
-        return False
-    chains, size = modes.shape
-    return uncut and chains * size * size <= _EXACT_MAX_ORDERS ** 2
-
-
 def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
                     config: PropagationConfig,
                     snapshot_callback: SnapshotCallback | None = None) -> WaveState:
     """propagate's result under a rectangular pulse, without steps.
 
-    On a chain of modes (_order_band) order p, wavenumber k_p, couples only to
+    On a chain of modes (plan_run) order p, wavenumber k_p, couples only to
     p +- 1: H[p, p] = k_p^2 + u0 offset/2 and H[p+1, p] = u0 (a_c - i a_s)/4.
     The gauge c_p = exp(-i p theta) b_p, theta = atan2(a_s, a_c), makes H real
     symmetric with coupling u0 r_eff/4, so one eigh stacked over the chains
@@ -465,15 +466,23 @@ def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessS
     _EMPTY_SECTOR of the weight, are left out: those inside the band are
     overwritten, the rest carried unchanged.
 
-    Takes the same arguments as propagate (ValueError for runs _order_band
-    refuses).  config.d_tau only schedules the snapshots, taken at the steps
-    propagate would take them.  Raises RuntimeError if the final norm drifts
-    from 1 by more than 1e-9.
+    Takes the same arguments as propagate (ValueError unless the pulse is
+    rectangular with the kinetic term and some bin is occupied).  config.d_tau
+    only schedules the snapshots, taken at the steps propagate would take
+    them.  Raises RuntimeError if the final norm drifts from 1 by more than 1e-9.
     """
-    spectrum, occupied, modes, valid, _ = _order_band(state, spec, setup, config)
-    grid = state.grid
-    h, u0 = grid.n_periods, setup.u0
-    chains, size = modes.shape
+    plan = plan_run(state, spec, setup, config)
+    if plan.modes is None:
+        raise ValueError("the exact route needs a rectangular envelope, include_kinetic "
+                         "and a start of finite, nonzero weight")
+    return _exact(plan, snapshot_callback)
+
+
+def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
+    """propagate_exact's order-basis evolution of a plan with an order band."""
+    state, spec, config, modes, valid = plan.state, plan.spec, plan.config, plan.modes, plan.valid
+    grid, spectrum = state.grid, plan.spectrum.copy()
+    chains, size, h, u0 = *modes.shape, grid.n_periods, plan.setup.u0
     ham = np.zeros((chains, size * size))  # row c: chain c's matrix, flattened
     # padding rows are decoupled and start empty, so they stay empty
     ham[:, ::size + 1] = np.where(valid, (2.0 * modes / h) ** 2 + 0.5 * u0 * spec.offset, 0.0)
@@ -482,7 +491,7 @@ def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessS
     energies, vectors = np.linalg.eigh(ham.reshape(chains, size, size))
 
     bins = modes % grid.n_points
-    amps = np.where(valid & occupied[bins], spectrum[bins], 0.0)
+    amps = np.where(valid & plan.occupied[bins], spectrum[bins], 0.0)
     rows = np.arange(chains)
     heaviest = np.argmax(np.abs(amps), axis=1)
     unit = amps[rows, heaviest]
@@ -531,15 +540,11 @@ def order_probabilities(state: WaveState, k0: float | None = None,
     if total <= 0.0:
         raise ValueError("state has zero norm")
 
-    n = grid.n_points
-    h = grid.n_periods
-    # FFT bin j corresponds to signed mode index in [-n/2, n/2)
+    n, h = grid.n_points, grid.n_periods
     rel = _signed_modes(np.arange(n), n) - k0_units
     orders = (2 * rel + h) // (2 * h)  # floor((rel + h/2) / h) in exact ints
 
-    if max_order is None:
-        max_order = n // (2 * h) - 1
-    max_order = int(max_order)
+    max_order = n // (2 * h) - 1 if max_order is None else int(max_order)
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
 

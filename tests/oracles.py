@@ -11,8 +11,10 @@ Split-step propagation is redone on the full box, without the package's
 split into Bloch sectors, and on every live sector's whole cell, without its
 order band (the former propagate loop); stepped_sectors shows which sectors
 and band points a run steps.  The exact order-basis route is checked against
-a dense diagonalization of every live sector's whole cell.  bessel_j and
-pattern_distance, once exported by the package, are used only by tests.
+a dense diagonalization of every live sector's whole cell.  bessel_j,
+pattern_distance, pointlike_pattern and the double Bessel sum over the two
+quadratures (distribution_pattern), once exported by the package, are used
+only by tests.
 """
 from __future__ import annotations
 
@@ -24,12 +26,17 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 
-from kdsim.analytic import DiffractionPattern
+from kdsim.analytic import (
+    DiffractionPattern, _check_alpha, _pattern, _single_harmonic_pattern, default_order_cutoff,
+    effective_amplitude,
+)
 from kdsim.bessel import _RESCALE, _TINY_X, _start_orders, bessel_row
-from kdsim.model import evaluate_potential
+from kdsim.model import MomentSet, evaluate_potential
 from kdsim.tdse import (
     _EMPTY_SECTOR, _STEP_PHASE_WARN, WaveState, _checked_norm, _envelope_weights,
 )
+
+_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n cycle
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -44,8 +51,7 @@ def bessel_j(n: int, x: float) -> float:
         n = -n
         if n % 2:
             sign = -sign
-    row = bessel_row(n, x)
-    return sign * float(row.values[n])
+    return sign * float(bessel_row(n, x)[n])
 
 
 def pattern_distance(first: DiffractionPattern, second: DiffractionPattern) -> tuple[float, float]:
@@ -55,6 +61,67 @@ def pattern_distance(first: DiffractionPattern, second: DiffractionPattern) -> t
         raise ValueError("patterns share no diffraction orders")
     diffs = [abs(first.probabilities[p] - second.probabilities[p]) for p in common]
     return max(diffs), 0.5 * sum(diffs)
+
+
+def pointlike_pattern(alpha: float, order_cutoff: int | None = None) -> DiffractionPattern:
+    """Pattern of a structureless charge: P_n = J_n(alpha)^2."""
+    return _single_harmonic_pattern(alpha, 1.0, order_cutoff, "pointlike")
+
+
+def _signed_orders(row_values: np.ndarray, p_max: int) -> np.ndarray:
+    """J_n for n = -p_max..p_max from the nonnegative row via parity."""
+    out = np.empty(2 * p_max + 1)
+    out[p_max:] = row_values[:p_max + 1]
+    signs = np.where(np.arange(1, p_max + 1) % 2 == 1, -1.0, 1.0)
+    out[:p_max][::-1] = row_values[1:p_max + 1] * signs
+    return out
+
+
+def distribution_coefficients(alpha: float, moments: MomentSet,
+                              order_cutoff: int | None = None):
+    """Complex order amplitudes c_p for a dipole/quadrupole charge.
+
+    The cos quadrature carries amplitude A = alpha (1 - 2 q~) and expands
+    with an i^n twist per order; the sin quadrature carries B = -2 alpha d~
+    and expands without it.  The product of the two expansions is a discrete
+    convolution over order indices.
+
+    Returns (orders, coefficients) with orders -cut..cut.
+    """
+    alpha = _check_alpha(alpha)
+    if moments.max_order > 2:
+        raise ValueError(
+            "distribution_coefficients handles dipole + quadrupole only; "
+            "use closed_form_pattern for higher moment orders")
+    a_amp = alpha * (1.0 - 2.0 * moments.quadrupole)
+    b_amp = -2.0 * alpha * moments.dipole
+    p_a = int(math.ceil(abs(a_amp))) + 30
+    p_b = int(math.ceil(abs(b_amp))) + 30
+    ja = _signed_orders(bessel_row(p_a, a_amp), p_a)
+    jb = _signed_orders(bessel_row(p_b, b_amp), p_b)
+    twists = np.array([_I_POW[n % 4] for n in range(-p_a, p_a + 1)])
+    conv = np.convolve(twists * ja, jb.astype(complex))
+    span = p_a + p_b  # conv covers orders -span..span
+
+    if order_cutoff is None:
+        cut = default_order_cutoff(alpha, effective_amplitude(moments))
+    else:
+        cut = int(order_cutoff)
+        if cut < 0:
+            raise ValueError(f"order_cutoff must be >= 0, got {cut}")
+    coeffs = np.zeros(2 * cut + 1, dtype=complex)
+    lo = max(-cut, -span)
+    hi = min(cut, span)
+    coeffs[lo + cut:hi + cut + 1] = conv[lo + span:hi + span + 1]
+    return np.arange(-cut, cut + 1), coeffs
+
+
+def distribution_pattern(alpha: float, moments: MomentSet,
+                         order_cutoff: int | None = None) -> DiffractionPattern:
+    """Pattern from the explicit double Bessel sum (dipole + quadrupole)."""
+    orders, coeffs = distribution_coefficients(alpha, moments, order_cutoff)
+    probs = np.abs(coeffs) ** 2
+    return _pattern(orders, probs, "distribution", alpha, moments)
 
 
 @lru_cache(maxsize=None)

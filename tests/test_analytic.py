@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from kdsim.analytic import (
-    closed_form_pattern, default_order_cutoff, distribution_coefficients,
-    distribution_pattern, effective_amplitude, grating_oracle, pointlike_pattern,
+    closed_form_pattern, default_order_cutoff, effective_amplitude, grating_oracle,
 )
 from kdsim.model import MomentSet, build_potential
 
-from oracles import pattern_distance
+from oracles import (
+    distribution_coefficients, distribution_pattern, pattern_distance, pointlike_pattern,
+)
 
 # reference squares, frozen from a 40-digit power-series evaluation
 J0_1_SQ = 0.58552749951366402438

@@ -14,7 +14,6 @@ import pytest
 
 import kdsim
 from kdsim import tdse
-from kdsim.analytic import distribution_pattern, pointlike_pattern
 from kdsim.cli import (
     _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main, parse_config,
     read_observed_csv, run,
@@ -23,7 +22,10 @@ from kdsim.emit import float_text
 from kdsim.fit import band_radius, model_probabilities
 from kdsim.model import MomentSet
 
-from oracles import propagate_cell_eigh, propagate_full_box, stepped_sectors
+from oracles import (
+    distribution_pattern, pointlike_pattern, propagate_cell_eigh, propagate_full_box,
+    stepped_sectors,
+)
 
 J0_2_SQ = 0.050127080984469568505
 J0_1_SQ = 0.58552749951366402438
@@ -729,6 +731,31 @@ class TestMainTdse:
             for path in sorted(tmp_path.glob(f"snap_*_{name}.csv")):
                 assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == texts
 
+    FFT_BOX, IFFT_BOX = ("fft", (1024,)), ("ifft", (1024,))  # transforms of the whole box
+
+    @pytest.mark.parametrize("extra, calls", [
+        ({}, [FFT_BOX, ("eigh", (1, 41, 41)), IFFT_BOX, FFT_BOX]),
+        ({"init_state": "gaussian"}, [FFT_BOX, ("eigh", (8, 42, 42)), IFFT_BOX, FFT_BOX]),
+        ({"envelope": "sin2_ramp"},
+         [FFT_BOX, ("ifft", (1, 64)), ("ifft", (1, 64)), ("fft", (1, 64)), IFFT_BOX, FFT_BOX]),
+    ])
+    def test_setup_runs_once(self, tmp_path, capsys, monkeypatch, extra, calls):
+        """A job takes the start's FFT once: an exact one then runs one stacked
+        eigh, one inverse FFT to the box and the binning's FFT, nothing more.
+        A ramp steps its band's cell (circulant kinetic step, no per-step FFT)."""
+        seen = []
+
+        def spy(name, fn):
+            return lambda a, *args, **kwargs: seen.append((name, np.shape(a))) or fn(
+                a, *args, **kwargs)
+
+        for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.linalg, "eigh")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        doc = {"mode": "tdse", "u0": 300.0, "alpha": 2.5, **extra}
+        code, _, _ = run_main(tmp_path, doc, capsys)
+        assert code == 0
+        assert seen == calls
+
     def test_gaussian_initial_state(self, tmp_path, capsys):
         doc = {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "order_cutoff": 6,
                "init_state": "gaussian"}
@@ -745,7 +772,7 @@ class TestPlaneWaveCell:
     Strang step advances: per occupied sector (one for a plane wave, all
     f = gcd(n_points, n_periods) for a Gaussian) the band's own cell, a power
     of two of at most n_points/f points.  A run under a rectangular pulse with
-    the kinetic term takes no steps: it is served by tdse.propagate_exact
+    the kinetic term takes no steps: tdse.run serves it on the exact route
     within the n_points/f bins of each sector (stepped is that cell here),
     checked against a dense diagonalization of each occupied cell, and it
     stays within the Strang error of the full-box oracle.
@@ -788,14 +815,13 @@ class TestPlaneWaveCell:
             want, snaps, tol = strang, strang_snaps, 1e-13
 
         grids = []
-        route = "propagate_exact" if exact else "propagate"
-        propagate = getattr(tdse, route)
+        run_plan = tdse.run
 
-        def spy(state, *args, **kwargs):
-            grids.append(state.grid)
-            return propagate(state, *args, **kwargs)
+        def spy(plan, *args, **kwargs):
+            grids.append(plan.state.grid)
+            return run_plan(plan, *args, **kwargs)
 
-        monkeypatch.setattr(tdse, route, spy)
+        monkeypatch.setattr(tdse, "run", spy)
         (code, out, _), shapes = stepped_sectors(lambda: run_main(tmp_path, doc, capsys))
         assert code == 0
         assert grids == [grid]
@@ -1025,3 +1051,12 @@ def test_readme_names_every_config_key():
     named = set(re.findall(r"`([A-Za-z_0-9]+)`", section))
     assert set(_LEAVES) - named == set()
     assert set(_SYNTHETIC_LEAVES) - named == set()
+
+
+def test_public_api_names_resolve():
+    """Every exported name resolves; the routes and oracles moved out stay out."""
+    for name in kdsim.__all__:
+        assert getattr(kdsim, name) is not None, name
+    dropped = {"exact_route", "BesselRow", "distribution_pattern", "pointlike_pattern",
+               "bessel_j", "pattern_distance"}
+    assert dropped.isdisjoint(kdsim.__all__)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdsim.analytic import closed_form_pattern, distribution_pattern
+from kdsim.analytic import closed_form_pattern
 from kdsim.fit import (
     FitResult, MomentRegion, ObservedPattern, band_radius, chi_square,
     fit_effective_amplitude, joint_fit, model_probabilities, moment_region,
@@ -14,7 +14,8 @@ import kdsim.fit as fit_mod
 from kdsim.model import MomentSet
 
 from oracles import (
-    circle_samples_loop, local_minima_loop, max_band_radius_bruteforce, scan_fit_golden_bisect,
+    circle_samples_loop, distribution_pattern, local_minima_loop, max_band_radius_bruteforce,
+    scan_fit_golden_bisect,
 )
 
 

@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdsim import tdse
-from kdsim.analytic import pointlike_pattern
 from kdsim.model import (
     DimensionlessSetup, MomentSet, PotentialSpec, build_potential,
     evaluate_potential,
 )
 from kdsim.tdse import (
     _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _KICK_BLOCK, _REACH_TOL, ENVELOPES, Grid1D,
-    PropagationConfig, WaveState, _envelope_weights, _half_kicks, _order_reach, exact_route,
-    init_gaussian, init_plane_wave, max_potential, order_probabilities, plan_propagation,
+    PropagationConfig, WaveState, _envelope_weights, _half_kicks, _order_reach, init_gaussian,
+    init_plane_wave, max_potential, order_probabilities, plan_propagation, plan_run,
     propagate, propagate_exact,
 )
 
 from oracles import (
-    binned_orders_loop, pattern_distance, propagate_cell_eigh, propagate_cell_fft,
-    propagate_full_box, stepped_sectors,
+    binned_orders_loop, pattern_distance, pointlike_pattern, propagate_cell_eigh,
+    propagate_cell_fft, propagate_full_box, stepped_sectors,
 )
 
 POINTLIKE = build_potential(MomentSet())
@@ -538,7 +537,7 @@ class TestExactRoute:
     @pytest.mark.parametrize("case", CASES + PACKETS)
     def test_matches_cell_diagonalization(self, case):
         state, spec, setup, config = exact_case(**case, snapshot_every=17)
-        assert exact_route(state, spec, setup, config)
+        assert plan_run(state, spec, setup, config).route == "exact"
         got, want = {}, {}
         out = propagate_exact(state, spec, setup, config,
                               snapshot_callback=lambda j, t, s: got.setdefault(j, (t, s.psi)))
@@ -608,17 +607,20 @@ class TestExactRoute:
             monkeypatch.setattr(tdse, name, refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         state, spec, setup, config = exact_case(300.0, 2.0)
-        assert exact_route(state, spec, setup, config)
+        assert plan_run(state, spec, setup, config).route == "exact"
         grid = state.grid
-        for change in ({"envelope": "sin2_ramp"}, {"include_kinetic": False}):
-            assert not exact_route(state, spec, setup, plan_propagation(setup, spec, **change))
-        assert not exact_route(state, spec, DimensionlessSetup.from_alpha(2.0), config)
+        for change, route in (({"envelope": "sin2_ramp"}, "stepped"),
+                              ({"include_kinetic": False}, "thin")):
+            changed = plan_propagation(setup, spec, **change)
+            assert plan_run(state, spec, setup, changed).route == route
+        with pytest.raises(ValueError, match="finite u0"):
+            plan_run(state, spec, DimensionlessSetup.from_alpha(2.0), config)
 
         # a start at order 63 of 1024 points over 8 periods has no order above it
-        assert not exact_route(init_plane_wave(grid, 63), spec, setup, config)
+        assert plan_run(init_plane_wave(grid, 63), spec, setup, config).route == "stepped"
         # any start state: a packet fills all 8 chains of the grid
         packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
-        assert exact_route(packet, spec, setup, config)
+        assert plan_run(packet, spec, setup, config).route == "exact"
 
         # the size cap: a basis of 2 P + 1 orders, on a grid that bins +-1023 of them;
         # and the grid's: 1024 points over 8 periods bin orders -64..63
@@ -627,13 +629,34 @@ class TestExactRoute:
         for reach, start, served in ((half, wide, True), (half + 1, wide, False),
                                      (63, state, True), (64, state, False)):
             monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
-            assert exact_route(start, spec, setup, config) is served
+            assert (plan_run(start, spec, setup, config).route == "exact") is served
         # the cap is on the stack: 8 chains of about 2 P orders each pass
         # 1025^2 entries between P = 150 and 200, where one chain is served
         packet = init_gaussian(wide.grid, wide.grid.box_length / 2, wide.grid.box_length / 8)
         for reach, start, served in ((150, packet, True), (200, packet, False), (200, wide, True)):
             monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
-            assert exact_route(start, spec, setup, config) is served
+            assert (plan_run(start, spec, setup, config).route == "exact") is served
+
+    @pytest.mark.parametrize("route, change", [
+        ("exact", {}), ("stepped", {"envelope": "sin2_ramp"}),
+        ("thin", {"include_kinetic": False}),
+    ])
+    def test_plan_runs_twice_alike(self, route, change):
+        # each run writes into its own copy of the plan's spectrum
+        state, spec, setup, _ = exact_case(300.0, 2.0, sigma=1.0, k0_units=1)
+        plan = plan_run(state, spec, setup,
+                        plan_propagation(setup, spec, snapshot_every=7, **change))
+        assert plan.route == route and not plan.spectrum.flags.writeable
+        runs = []
+        for _ in range(2):
+            snaps = []
+            out = tdse.run(plan, lambda j, t, s: snaps.append((j, t, s.psi)))
+            runs.append((out.psi, snaps))
+        (first, first_snaps), (second, second_snaps) = runs
+        assert np.array_equal(first, second) and len(first_snaps) > 1
+        assert [(j, t) for j, t, _ in first_snaps] == [(j, t) for j, t, _ in second_snaps]
+        for (_, _, a), (_, _, b) in zip(first_snaps, second_snaps):
+            assert np.array_equal(a, b)
 
     def test_basis_stops_at_the_grid(self, monkeypatch):
         # 1024 points over 8 periods hold the modes -512..511: orders -64..63
@@ -642,7 +665,8 @@ class TestExactRoute:
         eigh = np.linalg.eigh
         for offset in (0, 1):
             state, spec, setup, config = exact_case(300.0, 2.0, order_offset=offset)
-            assert not exact_route(state, spec, setup, config)  # the grid cuts the reach
+            # the grid cuts the reach
+            assert plan_run(state, spec, setup, config).route == "stepped"
             sizes = []
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
@@ -652,7 +676,7 @@ class TestExactRoute:
         # over 6 periods the grid ends its chains at different orders: the
         # shorter ones are padded with decoupled, empty rows
         state, spec, setup, config = exact_case(300.0, 2.0, n_periods=6, sigma=1.0, k0_units=1)
-        assert not exact_route(state, spec, setup, config)
+        assert plan_run(state, spec, setup, config).route == "stepped"
         out = propagate_exact(state, spec, setup, config)
         ref = propagate_cell_eigh(state, spec, setup, config)
         assert max_order_gap(out, ref) <= 1e-10
