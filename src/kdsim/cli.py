@@ -27,7 +27,9 @@ from collections import namedtuple
 import numpy as np
 
 from . import analytic, fit as fit_mod, model, tdse
-from .emit import FloatColumn, RepeatedColumn, ResultEnvelope, csv_table, emit, float_texts
+from .emit import (
+    FloatColumn, RepeatedColumn, ResultEnvelope, csv_table, emit, float_text, float_texts,
+)
 from .version import __version__
 
 ENV_CONSTANTS = "KDSIM_CONSTANTS"
@@ -503,20 +505,45 @@ def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
     return fit_mod.ObservedPattern(*columns, alpha=alpha)  # it casts each column to a tuple
 
 
+def _snapshot_texts(state: tdse.WaveState) -> tuple[list[str], list[str]]:
+    """Texts of a snapshot's densities: |psi|^2 by x, and |spectrum|^2 / its sum by k.
+
+    A spectrum in one Bloch sector s (the bins a*f + s, f = gcd(n_points,
+    n_periods)) makes psi a phase times (1/f) ifft(spectrum[s::f]) repeated f
+    times, so |psi|^2 is formatted over that cell and its texts written f
+    times; its momentum density is exactly 0 off the sector, whose bins keep
+    their residue s modulo f in k order, so only those are formatted.  Any
+    other state is formatted over the whole box.
+    """
+    grid = state.grid
+    fold = math.gcd(grid.n_points, grid.n_periods)
+    power = np.abs(state.spectrum) ** 2
+    spec = np.fft.fftshift(power)
+    spec = spec / spec.sum()
+    sectors = np.flatnonzero(power.reshape(-1, fold).sum(axis=0))
+    if sectors.size != 1:
+        return float_texts((np.abs(state.psi) ** 2).tolist()), float_texts(spec.tolist())
+    s = sectors[0]
+    cell = np.abs(np.fft.ifft(state.spectrum[s::fold])) ** 2 / fold ** 2
+    momentum = [float_text(0.0)] * grid.n_points
+    momentum[s::fold] = float_texts(spec[s::fold].tolist())
+    return float_texts(cell.tolist()) * fold, momentum
+
+
 def _snapshot_writer(prefix: str, grid: tdse.Grid1D):
     """propagate's snapshot callback: position and momentum densities as CSV files.
 
     The x and k axes are the same in every snapshot of a run, so their texts
-    are formatted once per writer, at the first snapshot.
+    are formatted once per writer, at the first snapshot; the densities'
+    texts come from _snapshot_texts.
     """
     axes = (("position", "x", FloatColumn(grid.positions().tolist())),
             ("momentum", "k", FloatColumn(np.fft.fftshift(grid.wavenumbers()).tolist())))
 
     def write(step: int, _tau: float, state: tdse.WaveState) -> None:
-        spec = np.fft.fftshift(np.abs(np.fft.fft(state.psi)) ** 2)
-        for (name, axis, coords), dens in zip(axes, (np.abs(state.psi) ** 2, spec / spec.sum())):
+        for (name, axis, coords), texts in zip(axes, _snapshot_texts(state)):
             with open(f"{prefix}_{step:06d}_{name}.csv", "w", encoding="utf-8") as fh:
-                fh.write(csv_table(f"{axis},density", coords.texts, float_texts(dens.tolist())))
+                fh.write(csv_table(f"{axis},density", coords.texts, texts))
 
     return write
 

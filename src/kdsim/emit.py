@@ -95,6 +95,8 @@ def structured_text(obj, indent: int = 0) -> str:
     if isinstance(obj, FloatColumn) or (
             isinstance(obj, (list, tuple)) and all(isinstance(v, float) for v in obj)):
         return "[" + ", ".join(_column_texts(obj)) + "]"  # same text, no per-item dispatch
+    if isinstance(obj, (list, tuple)) and all(type(v) is int for v in obj):
+        return "[" + ", ".join(map(str, obj)) + "]"  # as _scalar_text writes each
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(structured_text(v, indent) for v in obj) + "]"
     return _scalar_text(obj)

@@ -18,10 +18,15 @@ moves no amplitude beyond _order_reach(x) orders from where it starts, under
 the exact evolution and under Strang alike, so both routes work on one order
 band: the occupied columns +- that reach.
 
-plan_run takes the start's FFT and order band once and chooses the route that
-run executes.  Under a rectangular pulse H is tridiagonal on each chain, and
-one stacked eigh evolves the band exactly (propagate_exact; Batelaan, Rev. Mod.
-Phys. 79, 929 (2007)); otherwise propagate steps it on its own cell.
+A WaveState holds psi or its spectrum and derives the other on first use.
+States stay in momentum space: a plane wave starts as its one nonzero bin, both
+routes return spectra, and order_probabilities bins the spectrum, so a plane
+wave's bins off its chain hold exactly 0.  plan_run takes the start's spectrum
+and order band once and chooses the route that run executes.  Under a
+rectangular pulse H is tridiagonal on each chain, and one stacked eigh evolves
+the band exactly (propagate_exact; Batelaan, Rev. Mod. Phys. 79, 929 (2007)),
+for an order-0 plane wave on the parity-even half of it; otherwise propagate
+steps it on its own cell.
 """
 from __future__ import annotations
 
@@ -89,34 +94,60 @@ class Grid1D:
         return int(nearest)
 
 
-@dataclass
-class WaveState:
-    grid: Grid1D
-    psi: np.ndarray
-    k0: float = 0.0
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=complex)
-        if self.psi.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"psi has shape {self.psi.shape}, grid wants ({self.grid.n_points},)")
+
+class WaveState:
+    """A state on grid, held as psi or as its spectrum np.fft.fft(psi).
+
+    The other array is derived once, on first use, and is read-only; the held
+    one is the array given.  k0 is the carrier the orders are counted from.
+    """
+
+    def __init__(self, grid: Grid1D, psi=None, k0: float = 0.0, *, spectrum=None):
+        if (psi is None) == (spectrum is None):
+            raise ValueError("give exactly one of psi and spectrum")
+        held = np.asarray(psi if spectrum is None else spectrum, dtype=complex)
+        if held.shape != (grid.n_points,):
+            raise ValueError(f"{'psi' if spectrum is None else 'spectrum'} has shape "
+                             f"{held.shape}, grid wants ({grid.n_points},)")
+        self.grid, self.k0 = grid, k0
+        self._psi, self._spectrum = (held, None) if spectrum is None else (None, held)
+
+    @property
+    def psi(self) -> np.ndarray:
+        if self._psi is None:
+            self._psi = _read_only(np.fft.ifft(self._spectrum))
+        return self._psi
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            self._spectrum = _read_only(np.fft.fft(self._psi))
+        return self._spectrum
 
     @property
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dx)
+        if self._spectrum is not None:  # Parseval
+            return float(np.vdot(self._spectrum, self._spectrum).real
+                         * self.grid.dx / self.grid.n_points)
+        return float(np.vdot(self._psi, self._psi).real * self.grid.dx)
 
 
 def init_plane_wave(grid: Grid1D, order_offset: int = 0) -> WaveState:
-    """Normalized plane wave sitting exactly on diffraction order order_offset."""
+    """Normalized plane wave sitting exactly on diffraction order order_offset: its
+    spectrum, one nonzero bin, exp(i k0 x) / sqrt(L) with no rounding of the phase."""
     if order_offset != int(order_offset):
         raise ValueError(f"order_offset must be an integer, got {order_offset!r}")
     if 2 * abs(int(order_offset)) >= grid.n_points / grid.n_periods:
         raise ValueError(f"order_offset {order_offset} aliases: need 2*|order_offset| < "
                          f"n_points/n_periods = {grid.n_points / grid.n_periods:.6g}")
-    k0 = 2.0 * int(order_offset)
-    x = grid.positions()
-    psi = np.exp(1j * k0 * x) / math.sqrt(grid.box_length)
-    return WaveState(grid=grid, psi=psi, k0=k0)
+    spectrum = np.zeros(grid.n_points, dtype=complex)
+    spectrum[int(order_offset) * grid.n_periods % grid.n_points] = (
+        grid.n_points / math.sqrt(grid.box_length))
+    return WaveState(grid, k0=2.0 * int(order_offset), spectrum=spectrum)
 
 
 def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) -> WaveState:
@@ -271,7 +302,8 @@ def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) 
 @dataclass(frozen=True)
 class RunPlan:
     """A run, its route chosen by plan_run ("exact", "stepped" or "thin": no kinetic
-    term).  spectrum, the start's FFT, is read-only: each run writes a copy."""
+    term).  spectrum, the start's, is read-only: each run writes a copy.  even: the
+    exact route evolves the parity-even half of the band (plan_run)."""
 
     state: WaveState
     spec: PotentialSpec
@@ -285,11 +317,12 @@ class RunPlan:
     reach: int
     modes: np.ndarray | None
     valid: np.ndarray | None
+    even: bool
 
 
 def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
              config: PropagationConfig) -> RunPlan:
-    """The start's FFT, its order band and the route, each taken once.
+    """The start's spectrum, its order band and the route, each taken once.
 
     Under a rectangular pulse with the kinetic term each residue rho modulo
     n_periods of the occupied bins (_occupied) is a chain, the modes
@@ -297,19 +330,21 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     highest + reach (_order_reach), cut at the Nyquist bin; modes holds one a
     row, padded to the longest, valid the unpadded.  The run is exact unless a
     chain is cut (propagate's cell wraps its reach round) or the eigh stack
-    holds over _EXACT_MAX_ORDERS^2 entries.  ValueError unless u0 is finite.
+    holds over _EXACT_MAX_ORDERS^2 entries.  An exact start of the one bin at
+    mode 0 is even: its band and H are symmetric under p <-> -p, so the run
+    stays in the parity-even basis of orders 0..reach.  ValueError unless u0
+    is finite.
     """
     if not math.isfinite(setup.u0):
         raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
     n, h = state.grid.n_points, state.grid.n_periods
-    spectrum = np.fft.fft(state.psi)
-    spectrum.flags.writeable = False
+    spectrum = _read_only(state.spectrum.view())
     power = np.abs(spectrum) ** 2
     occupied = _occupied(power, n)
     weights = _envelope_weights(config)
     reach = _order_reach(0.5 * setup.u0 * (float(np.sum(weights)) * config.d_tau)
                          * math.hypot(spec.a_c, spec.a_s)) if config.include_kinetic else 0
-    exact, modes, valid = False, None, None
+    exact, even, modes, valid = False, False, None, None
     if config.envelope == "rectangular" and config.include_kinetic and occupied.any():
         live = _signed_modes(np.flatnonzero(occupied), n)
         residues = np.flatnonzero(np.bincount(live % h, minlength=h))
@@ -320,9 +355,10 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         modes, valid = residues[:, None] + h * orders, orders <= last[:, None]
         exact = bool(first[0] == low and last[-1] == high  # limits fall as rho rises
                      and modes.size * modes.shape[1] <= _EXACT_MAX_ORDERS ** 2)
+        even = exact and live.tolist() == [0]
     route = "exact" if exact else "stepped" if config.include_kinetic else "thin"
     return RunPlan(state, spec, setup, config, route, spectrum, power, occupied, weights,
-                   reach, modes, valid)
+                   reach, modes, valid, even)
 
 
 def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> WaveState:
@@ -374,8 +410,7 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
         warnings.warn(f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
                       f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=3)
 
-    spectrum = plan.spectrum.copy()
-    sectors = spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
+    sectors = plan.spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
     power = plan.power.reshape(cell, fold).T
     sector_power = np.sum(power, axis=1)
     # carried sectors: <= _EMPTY_SECTOR in all
@@ -389,9 +424,10 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
     v = v_cell[::cell // m]  # the potential on the band's cell, exactly
 
     def on_box(phi: np.ndarray) -> WaveState:
-        # writes into spectrum; carried bins stay as they were
-        sectors[band] = np.fft.fft(phi.reshape(live.size, m))
-        return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
+        # the band into a copy of the start's spectrum; carried bins stay as they were
+        spectrum = plan.spectrum.copy()
+        spectrum.reshape(cell, fold).T[band] = np.fft.fft(phi.reshape(live.size, m))
+        return WaveState(grid, k0=state.k0, spectrum=spectrum)
 
     every = config.snapshot_every
     if not config.include_kinetic:
@@ -461,7 +497,8 @@ def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessS
     p +- 1: H[p, p] = k_p^2 + u0 offset/2 and H[p+1, p] = u0 (a_c - i a_s)/4.
     The gauge c_p = exp(-i p theta) b_p, theta = atan2(a_s, a_c), makes H real
     symmetric with coupling u0 r_eff/4, so one eigh stacked over the chains
-    gives the amplitudes at every time.  Each chain's start vector holds its
+    gives the amplitudes at every time (for an order-0 plane wave, one eigh of
+    the parity-even half; plan_run).  Each chain's start vector holds its
     occupied bins in units of its heaviest one.  The other bins, <=
     _EMPTY_SECTOR of the weight, are left out: those inside the band are
     overwritten, the rest carried unchanged.
@@ -481,17 +518,21 @@ def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessS
 def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
     """propagate_exact's order-basis evolution of a plan with an order band."""
     state, spec, config, modes, valid = plan.state, plan.spec, plan.config, plan.modes, plan.valid
-    grid, spectrum = state.grid, plan.spectrum.copy()
+    if plan.even:  # orders 0..reach: e_0 = |0>, e_q = (|q> + |-q>) / sqrt 2
+        modes, valid = modes[:, modes.shape[1] // 2:], valid[:, valid.shape[1] // 2:]
+    grid = state.grid
     chains, size, h, u0 = *modes.shape, grid.n_periods, plan.setup.u0
     ham = np.zeros((chains, size * size))  # row c: chain c's matrix, flattened
     # padding rows are decoupled and start empty, so they stay empty
     ham[:, ::size + 1] = np.where(valid, (2.0 * modes / h) ** 2 + 0.5 * u0 * spec.offset, 0.0)
-    ham[:, 1::size + 1] = ham[:, size::size + 1] = np.where(
-        valid[:, 1:], 0.25 * u0 * math.hypot(spec.a_c, spec.a_s), 0.0)
+    coupling = np.where(valid[:, 1:], 0.25 * u0 * math.hypot(spec.a_c, spec.a_s), 0.0)
+    if plan.even:
+        coupling[:, :1] *= math.sqrt(2.0)  # e_0 to e_1
+    ham[:, 1::size + 1] = ham[:, size::size + 1] = coupling
     energies, vectors = np.linalg.eigh(ham.reshape(chains, size, size))
 
     bins = modes % grid.n_points
-    amps = np.where(valid & plan.occupied[bins], spectrum[bins], 0.0)
+    amps = np.where(valid & plan.occupied[bins], plan.spectrum[bins], 0.0)
     rows = np.arange(chains)
     heaviest = np.argmax(np.abs(amps), axis=1)
     unit = amps[rows, heaviest]
@@ -501,16 +542,27 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
     start[rows, heaviest] = 1.0  # unit / unit, exactly
     coef = (np.matmul(start.real[:, None], vectors)
             + 1j * np.matmul(start.imag[:, None], vectors))[:, 0]  # vectors^T start
-    ungauge = unit[:, None] * np.exp(-1j * theta * orders)  # start amplitude, gauge phases
-    band = bins[valid]
+    # bin band[i] gets entry pick[i] of the evolved vectors times ungauge[i]: the
+    # start amplitude and gauge phase, and for +-q of the even basis 1 / sqrt 2
+    if plan.even:
+        q = orders[0, 1:]
+        pick = np.concatenate(([0], q, q))
+        band = np.concatenate((modes[0], -modes[0, 1:])) % grid.n_points
+        half = np.exp(-1j * theta * q) / math.sqrt(2.0)
+        ungauge = unit[0] * np.concatenate(([1.0], half, half.conj()))
+    else:
+        pick = np.flatnonzero(valid)
+        band = bins.ravel()[pick]
+        ungauge = (unit[:, None] * np.exp(-1j * theta * orders)).ravel()[pick]
 
     def at(tau: float) -> WaveState:
         phased = np.exp(-1j * energies * tau) * coef
         # two real products: a complex one would first copy vectors to complex
-        amplitudes = ungauge * (np.matmul(vectors, phased.real[..., None])
-                                + 1j * np.matmul(vectors, phased.imag[..., None]))[..., 0]
-        spectrum[band] = amplitudes[valid]
-        return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
+        evolved = (np.matmul(vectors, phased.real[..., None])
+                   + 1j * np.matmul(vectors, phased.imag[..., None]))
+        spectrum = plan.spectrum.copy()
+        spectrum[band] = ungauge * evolved.ravel()[pick]
+        return WaveState(grid, k0=state.k0, spectrum=spectrum)
 
     if config.snapshot_every and snapshot_callback is not None:
         for j in range(config.snapshot_every, config.n_steps + 1, config.snapshot_every):
@@ -535,7 +587,7 @@ def order_probabilities(state: WaveState, k0: float | None = None,
     grid = state.grid
     k0 = state.k0 if k0 is None else float(k0)
     k0_units = grid.mode_index(k0)
-    spectrum = np.abs(np.fft.fft(state.psi)) ** 2
+    spectrum = np.abs(state.spectrum) ** 2
     total = float(spectrum.sum())
     if total <= 0.0:
         raise ValueError("state has zero norm")

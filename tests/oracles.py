@@ -181,17 +181,17 @@ def max_band_radius_bruteforce(n: int = 2001) -> float:
     return best
 
 
-def binned_orders_loop(psi, n_periods: int, k0_units: int, max_order: int) -> dict[int, float]:
-    """Order probabilities by visiting every FFT bin in turn.
+def binned_orders_loop(spectrum, n_periods: int, k0_units: int, max_order: int) -> dict[int, float]:
+    """Order probabilities of a state's spectrum, np.fft.fft(psi), visiting every bin in turn.
 
     Bin j holds signed mode m (j, or j - n past the Nyquist bin); order p
     collects the modes with floor((m - k0_units + n_periods/2) / n_periods) = p.
     """
-    spectrum = np.abs(np.fft.fft(psi)) ** 2
-    total = float(spectrum.sum())
-    n = len(psi)
+    power = np.abs(spectrum) ** 2
+    total = float(power.sum())
+    n = len(spectrum)
     table = {p: 0.0 for p in range(-max_order, max_order + 1)}
-    for j, w in enumerate(spectrum):
+    for j, w in enumerate(power):
         mode = j if j < n - n // 2 else j - n
         p = (2 * (mode - k0_units) + n_periods) // (2 * n_periods)
         if -max_order <= p <= max_order:

@@ -719,11 +719,13 @@ class TestMainTdse:
             assert code == 0
             per_run.append(list(counts))
         snaps = sorted(tmp_path.glob("snap_*_position.csv"))
-        n_snap, n = len(snaps), 1024
+        n_snap, n, cell = len(snaps), 1024, 128
         assert n_snap > 2
-        # json payload columns aside, 2 axes once and 2 densities per snapshot
+        # json payload columns aside, 2 axes once and per snapshot the position
+        # density over one Bloch cell and the momentum density of that sector
         assert per_run[0] == per_run[1]
-        assert per_run[0].count(n) == 2 + 2 * n_snap
+        assert per_run[0].count(n) == 2
+        assert per_run[0].count(cell) == 2 * n_snap
         grid = parse_config(json.dumps(doc)).state.grid
         want = {"position": [float_text(x) for x in grid.positions()],
                 "momentum": [float_text(k) for k in np.fft.fftshift(grid.wavenumbers())]}
@@ -731,18 +733,58 @@ class TestMainTdse:
             for path in sorted(tmp_path.glob(f"snap_*_{name}.csv")):
                 assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == texts
 
-    FFT_BOX, IFFT_BOX = ("fft", (1024,)), ("ifft", (1024,))  # transforms of the whole box
+    @pytest.mark.parametrize("extra", [
+        {}, {"order_offset": 1}, {"n_periods": 6, "order_offset": -2}, {"n_periods": 3},
+        {"envelope": "sin2_ramp"}, {"include_kinetic": False}, {"init_state": "gaussian"},
+    ])
+    def test_snapshot_densities_per_cell(self, extra, monkeypatch):
+        """A state in one Bloch sector has |psi|^2 periodic over its cell: formatted
+        there, it equals the whole box's |ifft|^2, and its momentum texts are the
+        box's; any other state is formatted over the whole box."""
+        doc = {"mode": "tdse", "u0": 300.0, "alpha": 2.5, "d_tilde": 0.3, "q_tilde": 0.1,
+               **extra}
+        rc = parse_config(json.dumps(doc))
+        grid = rc.grid
+        out = tdse.run(tdse.plan_run(rc.state, rc.spec, rc.setup, rc.plan))
+        cli_mod = importlib.import_module("kdsim.cli")
+        sizes, bulk = [], cli_mod.float_texts
+        monkeypatch.setattr(cli_mod, "float_texts", lambda v: sizes.append(len(v)) or bulk(v))
+        position, momentum = cli_mod._snapshot_texts(out)
+        fold = math.gcd(grid.n_points, grid.n_periods)
+        one_sector = rc.init_state == "plane"
+        assert sizes == [grid.n_points // fold if one_sector else grid.n_points] * 2
+        whole = np.abs(np.fft.ifft(out.spectrum)) ** 2
+        assert np.max(np.abs(np.array(position, dtype=float) - whole)) <= 1e-15
+        if one_sector:
+            assert position == position[:grid.n_points // fold] * fold
+        spec = np.fft.fftshift(np.abs(out.spectrum) ** 2)
+        assert momentum == [float_text(v) for v in spec / spec.sum()]
+
+    @pytest.mark.parametrize("init_state, box", [("plane", 128), ("gaussian", 1024)])
+    def test_snapshot_density_transform(self, tmp_path, capsys, monkeypatch, init_state, box):
+        """A plane wave's snapshot transforms one 128-point cell, a Gaussian's the box."""
+        shapes, ifft = [], np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kwargs: shapes.append(
+            np.shape(a)) or ifft(a, *args, **kwargs))
+        doc = {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "d_tau": 0.0003, "snapshot_every": 10,
+               "init_state": init_state, "snapshot_prefix": str(tmp_path / "snap")}
+        code, _, _ = run_main(tmp_path, doc, capsys)
+        assert code == 0
+        n_snap = len(list(tmp_path.glob("snap_*_position.csv")))
+        assert n_snap > 2 and shapes == [(box,)] * n_snap
+
+    FFT_BOX = ("fft", (1024,))  # a transform of the whole box
 
     @pytest.mark.parametrize("extra, calls", [
-        ({}, [FFT_BOX, ("eigh", (1, 41, 41)), IFFT_BOX, FFT_BOX]),
-        ({"init_state": "gaussian"}, [FFT_BOX, ("eigh", (8, 42, 42)), IFFT_BOX, FFT_BOX]),
-        ({"envelope": "sin2_ramp"},
-         [FFT_BOX, ("ifft", (1, 64)), ("ifft", (1, 64)), ("fft", (1, 64)), IFFT_BOX, FFT_BOX]),
+        ({}, [("eigh", (1, 21, 21))]),
+        ({"init_state": "gaussian"}, [FFT_BOX, ("eigh", (8, 42, 42))]),
+        ({"envelope": "sin2_ramp"}, [("ifft", (1, 64)), ("ifft", (1, 64)), ("fft", (1, 64))]),
     ])
     def test_setup_runs_once(self, tmp_path, capsys, monkeypatch, extra, calls):
-        """A job takes the start's FFT once: an exact one then runs one stacked
-        eigh, one inverse FFT to the box and the binning's FFT, nothing more.
-        A ramp steps its band's cell (circulant kinetic step, no per-step FFT)."""
+        """States stay in momentum space: a plane wave starts as its spectrum, a
+        Gaussian's is taken once, and results are binned from theirs.  An exact
+        job runs one stacked eigh, the even block for an order-0 plane wave; a
+        ramp steps its band's cell (circulant kinetic step, no per-step FFT)."""
         seen = []
 
         def spy(name, fn):

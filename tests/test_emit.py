@@ -118,6 +118,14 @@ class TestStructuredText:
     def test_infinity_survives(self):
         assert json.loads(structured_text({"x": math.inf}))["x"] == math.inf
 
+    @pytest.mark.parametrize("items", [
+        [0, -3, 12, 10**30], (5, -1), [True, False], [1, True, 0], [2, np.int64(7)],
+        [np.int64(1), np.int64(-2)], [1, 2.5], [],
+    ], ids=["ints", "int_tuple", "bools", "int_bool", "int_numpy", "numpy", "int_float", "empty"])
+    def test_int_list_same_text_as_per_item(self, items):
+        per_item = "[" + ", ".join(structured_text(v) for v in items) + "]"
+        assert structured_text(items) == per_item
+
 
 class TestEnvelope:
     def test_key_order(self):

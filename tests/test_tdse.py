@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -97,6 +98,54 @@ class TestInitialStates:
         assert order_probabilities(state).probability(0) >= 1.0 - 1e-6
 
 
+class TestWaveState:
+    """A state holds psi or its spectrum and derives the other, read-only."""
+
+    @pytest.mark.parametrize("n_points, n_periods", [(1024, 8), (2048, 8), (512, 3)])
+    def test_round_trip(self, n_points, n_periods):
+        grid = Grid1D(n_points, n_periods)
+        limit = (n_points // n_periods - 1) // 2
+        starts = [init_plane_wave(grid, offset) for offset in (0, 1, -3, limit, -limit)]
+        starts.append(init_gaussian(grid, 1.0, grid.box_length / 8, 6.0 / n_periods))
+        for start in starts:
+            from_psi = WaveState(grid, start.psi.copy(), start.k0)
+            from_spectrum = WaveState(grid, k0=start.k0, spectrum=from_psi.spectrum.copy())
+            assert np.max(np.abs(from_spectrum.psi - start.psi)) <= 1e-15
+            assert from_spectrum.norm == pytest.approx(from_psi.norm, rel=1e-14)
+
+    def test_derived_arrays_are_read_only(self):
+        grid = Grid1D()
+        plane, packet = init_plane_wave(grid, 2), init_gaussian(grid, 3.0, 2.0)
+        for derived in (plane.psi, packet.spectrum):
+            assert not derived.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                derived[0] = 1.0
+        assert plane.spectrum.flags.writeable and packet.psi.flags.writeable  # held
+        assert plane.psi is plane.psi and packet.spectrum is packet.spectrum  # derived once
+
+    def test_needs_one_array_of_the_grid(self):
+        grid = Grid1D()
+        for kwargs in ({}, {"psi": np.ones(1024), "spectrum": np.ones(1024)}):
+            with pytest.raises(ValueError, match="exactly one"):
+                WaveState(grid, **kwargs)
+        with pytest.raises(ValueError, match="spectrum has shape"):
+            WaveState(grid, spectrum=np.ones(512))
+
+    @pytest.mark.parametrize("n_points, n_periods", [(1024, 8), (16384, 8), (512, 3)])
+    def test_plane_wave_is_one_exact_bin(self, n_points, n_periods):
+        grid = Grid1D(n_points, n_periods)
+        limit = (n_points // n_periods - 1) // 2
+        j = np.arange(n_points)
+        for offset in (0, 1, -2, limit, -limit):
+            state = init_plane_wave(grid, offset)
+            mode = offset * n_periods
+            assert np.flatnonzero(state.spectrum).tolist() == [mode % n_points]
+            # exp(i k0 x) / sqrt(L) at x_j: k0 x_j = 2 pi mode j / n_points, reduced exactly
+            want = np.exp(2j * math.pi * (mode * j % n_points) / n_points)
+            assert np.max(np.abs(state.psi - want / math.sqrt(grid.box_length))) <= 1e-15
+            assert state.norm == pytest.approx(1.0, rel=1e-15)
+
+
 class TestBinning:
     def test_window_edges_are_half_open(self):
         # k = +1 sits on the upper edge of order 0 and belongs to order 1;
@@ -122,7 +171,7 @@ class TestBinning:
         state = make_state(grid)
         pat = order_probabilities(state, max_order=max_order)
         assert pat.probabilities == binned_orders_loop(
-            state.psi, grid.n_periods, grid.mode_index(state.k0), max_order)
+            state.spectrum, grid.n_periods, grid.mode_index(state.k0), max_order)
 
     def test_zero_state_rejected(self):
         grid = Grid1D()
@@ -275,7 +324,7 @@ class TestDiagnostics:
     def test_corrupted_state_raises(self):
         grid = Grid1D()
         bad = init_plane_wave(grid)
-        bad.psi[3] = math.nan
+        bad.spectrum[3] = math.nan  # the array the state holds
         config = PropagationConfig(d_tau=1e-4, n_steps=1)
         with pytest.raises(RuntimeError, match="unitarity"):
             propagate(bad, POINTLIKE, thin_setup(2.0), config)
@@ -636,6 +685,43 @@ class TestExactRoute:
         for reach, start, served in ((150, packet, True), (200, packet, False), (200, wide, True)):
             monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
             assert (plan_run(start, spec, setup, config).route == "exact") is served
+
+    @pytest.mark.parametrize("case", [case for case in CASES if "order_offset" not in case])
+    def test_even_block_matches_the_full_stack(self, case, monkeypatch):
+        # an order-0 plane wave: orders 0..reach in the parity-even basis, one
+        # eigh of half the band's size, against the whole band's stack
+        state, spec, setup, config = exact_case(**case, snapshot_every=17)
+        plan = plan_run(state, spec, setup, config)
+        assert plan.route == "exact" and plan.even
+        sizes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
+        runs = []
+        for each in (plan, dataclasses.replace(plan, even=False)):
+            snaps = []
+            runs.append((tdse.run(each, lambda j, t, s: snaps.append((j, t, s.psi))), snaps))
+        size = plan.modes.shape[1]
+        assert sizes == [(1, size // 2 + 1, size // 2 + 1), (1, size, size)]
+        (even, even_snaps), (full, full_snaps) = runs
+        assert max_order_gap(even, full) <= 1e-13
+        assert np.max(np.abs(even.psi - full.psi)) <= 1e-13
+        assert [(j, t) for j, t, _ in even_snaps] == [(j, t) for j, t, _ in full_snaps]
+        assert len(even_snaps) == config.n_steps // 17
+        for (_, _, a), (_, _, b) in zip(even_snaps, full_snaps):
+            assert np.max(np.abs(a - b)) <= 1e-13
+
+    @pytest.mark.parametrize("case", [
+        dict(u0=300.0, alpha=2.0, order_offset=1), dict(u0=100.0, alpha=8.0, order_offset=-1),
+        dict(u0=300.0, alpha=2.0, sigma=1.0), dict(u0=100.0, alpha=2.0, sigma=math.pi),
+        dict(u0=300.0, alpha=8.0, sigma=1.0, k0_units=3),
+    ])
+    def test_other_starts_keep_the_full_stack(self, case, monkeypatch):
+        state, spec, setup, config = exact_case(**case)
+        plan = plan_run(state, spec, setup, config)
+        assert plan.route == "exact" and not plan.even
+        sizes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
+        tdse.run(plan)
+        assert sizes == [plan.modes.shape + plan.modes.shape[1:]]
 
     @pytest.mark.parametrize("route, change", [
         ("exact", {}), ("stepped", {"envelope": "sin2_ramp"}),

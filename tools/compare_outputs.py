@@ -9,7 +9,9 @@ REF by `git archive`, once with the working tree's `src/`.  Each tree runs in
 its own interpreter, one after the other, in the same scratch directory, so
 the paths that the setup echo records are equal.  Per job the SHA-256 of
 stdout, stderr and every file the job wrote is compared, together with the
-exit code.  The ids of the differing jobs are printed.  Each is followed by
+exit code.  Each workload's summary line ends with the largest absolute
+difference between corresponding numbers over its differing jobs.  The ids
+of the differing jobs are printed.  Each is followed by
 the largest absolute difference between corresponding numbers in its differing
 CSV files, and the file where it occurs; and, per differing JSON file, by the
 dotted key paths whose values differ (items of a list share the list's path),
@@ -115,10 +117,11 @@ def _key_changes(a, b, path: str = "", out: dict | None = None) -> dict:
     return out
 
 
-def _file_changes(names: list[str], dirs: tuple[Path, Path]) -> tuple[str, list[str]]:
-    """A summary of the numeric change over the CSV files among names, and per
-    JSON file among them a line naming each key path that differs."""
-    changes, notes, lines = [], [], []
+def _file_changes(names: list[str], dirs: tuple[Path, Path]) -> tuple[str, list[str], float]:
+    """A summary of the numeric change over the CSV files among names, per JSON
+    file among them a line naming each key path that differs, and the largest
+    numeric change over both."""
+    changes, notes, lines, largest = [], [], [], 0.0
     for name in names:
         paths = [Path(d, name) for d in dirs]
         if Path(name).suffix not in (".json", ".csv") or not all(p.is_file() for p in paths):
@@ -130,6 +133,7 @@ def _file_changes(names: list[str], dirs: tuple[Path, Path]) -> tuple[str, list[
             except ValueError:  # not JSON on one side: compared as text below
                 pass
             else:
+                largest = max([largest, *(c for c in keys.values() if c is not None)])
                 lines.append(f"{name}: " + (", ".join(
                     f"{k or '(document)'} {'not numeric' if c is None else format(c, '.3g')}"
                     for k, c in keys.items()) or "equal values, other bytes"))
@@ -141,11 +145,13 @@ def _file_changes(names: list[str], dirs: tuple[Path, Path]) -> tuple[str, list[
             changes.append((change, name))
     if changes:
         notes.insert(0, "max |diff| {:.3g} in {}".format(*max(changes)))
-    return "; ".join(notes), lines
+        largest = max(largest, max(changes)[0])
+    return "; ".join(notes), lines, largest
 
 
-def _differences(base: dict, head: dict, dirs: tuple[Path, Path]) -> list[str]:
-    lines = []
+def _differences(base: dict, head: dict, dirs: tuple[Path, Path]) -> tuple[list[str], float]:
+    """A line per differing job, and the largest numeric change over them."""
+    lines, largest = [], 0.0
     for job_id in sorted(set(base) | set(head)):
         a, b = base.get(job_id), head.get(job_id)
         if a is None or b is None:
@@ -155,11 +161,12 @@ def _differences(base: dict, head: dict, dirs: tuple[Path, Path]) -> list[str]:
         files = [name for name in sorted(set(a["files"]) | set(b["files"]))
                  if a["files"].get(name) != b["files"].get(name)]
         if parts or files:
-            summary, keys = _file_changes(files, dirs)
+            summary, keys, change = _file_changes(files, dirs)
+            largest = max(largest, change)
             lines.append(f"{job_id}: {', '.join(parts + files)}"
                          + (f" ({summary})" if summary else "")
                          + "".join(f"\n    {line}" for line in keys))
-    return lines
+    return lines, largest
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,10 +200,11 @@ def main(argv: list[str] | None = None) -> int:
                 runs = [_run_tree(base_src / "src", workload, seed, Path(tmp, "work"))]
                 Path(tmp, "work").rename(base_out)
                 runs.append(_run_tree(ROOT / "src", workload, seed, Path(tmp, "work")))
-                diffs = _differences(*runs, (base_out, Path(tmp, "work")))
+                diffs, largest = _differences(*runs, (base_out, Path(tmp, "work")))
                 total += len(runs[1])
                 differing += len(diffs)
-                print(f"{workload} seed {seed}: {len(runs[1])} jobs, {len(diffs)} differ")
+                print(f"{workload} seed {seed}: {len(runs[1])} jobs, {len(diffs)} differ, "
+                      f"max |diff| {largest:.3g}")
                 for line in diffs:
                     print(f"  {line}")
     print(f"{differing} of {total} jobs differ from {args.base}")
