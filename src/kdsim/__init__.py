@@ -19,13 +19,12 @@ from .analytic import (
 )
 from .tdse import (
     Grid1D, WaveState, PropagationConfig,
-    init_plane_wave, init_gaussian, plan_propagation, propagate,
-    propagate_exact, order_probabilities,
+    init_plane_wave, init_gaussian, plan_propagation, order_probabilities,
 )
 from .fit import (
     ObservedPattern, FitResult, MomentRegion,
-    chi_square, fit_effective_amplitude, joint_fit, moment_region,
-    band_radius, synthesize_gaussian, synthesize_counts,
+    chi_square, joint_fit, moment_region, band_radius,
+    synthesize_gaussian, synthesize_counts,
 )
 from .emit import ResultEnvelope, emit, structured_text, float_text
 from .cli import ConfigError, RunConfig, parse_config, run
@@ -41,11 +40,10 @@ __all__ = [
     "DiffractionPattern", "default_order_cutoff", "closed_form_pattern",
     "effective_amplitude", "grating_oracle",
     "Grid1D", "WaveState", "PropagationConfig",
-    "init_plane_wave", "init_gaussian", "plan_propagation", "propagate",
-    "propagate_exact", "order_probabilities",
+    "init_plane_wave", "init_gaussian", "plan_propagation", "order_probabilities",
     "ObservedPattern", "FitResult", "MomentRegion",
-    "chi_square", "fit_effective_amplitude", "joint_fit", "moment_region",
-    "band_radius", "synthesize_gaussian", "synthesize_counts",
+    "chi_square", "joint_fit", "moment_region", "band_radius",
+    "synthesize_gaussian", "synthesize_counts",
     "ResultEnvelope", "emit", "structured_text", "float_text",
     "ConfigError", "RunConfig", "parse_config", "run",
 ]

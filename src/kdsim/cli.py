@@ -531,7 +531,7 @@ def _snapshot_texts(state: tdse.WaveState) -> tuple[list[str], list[str]]:
 
 
 def _snapshot_writer(prefix: str, grid: tdse.Grid1D):
-    """propagate's snapshot callback: position and momentum densities as CSV files.
+    """tdse.run's snapshot callback: position and momentum densities as CSV files.
 
     The x and k axes are the same in every snapshot of a run, so their texts
     are formatted once per writer, at the first snapshot; the densities'

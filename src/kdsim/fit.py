@@ -337,11 +337,6 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
     return _fit_objective(objective, bounds, delta_chi2, dof, n_grid)
 
 
-def fit_effective_amplitude(observed: ObservedPattern, **kwargs) -> FitResult:
-    """Single-dataset convenience wrapper around joint_fit; keywords go to it."""
-    return joint_fit([observed], **kwargs)
-
-
 @dataclass(frozen=True)
 class MomentRegion:
     """Annular band of (d~, q~) pairs compatible with an r_eff interval.

@@ -22,11 +22,11 @@ A WaveState holds psi or its spectrum and derives the other on first use.
 States stay in momentum space: a plane wave starts as its one nonzero bin, both
 routes return spectra, and order_probabilities bins the spectrum, so a plane
 wave's bins off its chain hold exactly 0.  plan_run takes the start's spectrum
-and order band once and chooses the route that run executes.  Under a
-rectangular pulse H is tridiagonal on each chain, and one stacked eigh evolves
-the band exactly (propagate_exact; Batelaan, Rev. Mod. Phys. 79, 929 (2007)),
-for an order-0 plane wave on the parity-even half of it; otherwise propagate
-steps it on its own cell.
+and order band once and chooses the route that run executes, the one public way
+to propagate.  Under a rectangular pulse H is tridiagonal on each chain, and one
+stacked eigh evolves the band exactly (route "exact"; Batelaan, Rev. Mod. Phys.
+79, 929 (2007)), for an order-0 plane wave on the parity-even half of it;
+otherwise route "stepped" steps it on its own cell.
 """
 from __future__ import annotations
 
@@ -277,7 +277,7 @@ def _occupied(power: np.ndarray, n_points: int) -> np.ndarray:
 
 
 def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) -> np.ndarray:
-    """Cell columns of propagate's order band, in the FFT order of the band's cell.
+    """Cell columns of the stepped route's order band, in the FFT order of its cell.
 
     power holds the live sectors' bin weights, one row each; a column is
     occupied where one of its bins is (_occupied).  The band runs reach orders
@@ -289,7 +289,7 @@ def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) 
     cell = power.shape[1]
     occupied = np.flatnonzero(_occupied(power, n_points).any(axis=0))
     if occupied.size:
-        signed = np.where(occupied < cell // 2, occupied, occupied - cell)
+        signed = _signed_modes(occupied, cell)
         low = int(signed.min()) - per_order * reach
         width = int(signed.max()) + per_order * reach + 1 - low
         if width < cell:
@@ -328,12 +328,12 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     n_periods of the occupied bins (_occupied) is a chain, the modes
     rho + n_periods p for the orders p from the lowest occupied - reach to the
     highest + reach (_order_reach), cut at the Nyquist bin; modes holds one a
-    row, padded to the longest, valid the unpadded.  The run is exact unless a
-    chain is cut (propagate's cell wraps its reach round) or the eigh stack
-    holds over _EXACT_MAX_ORDERS^2 entries.  An exact start of the one bin at
-    mode 0 is even: its band and H are symmetric under p <-> -p, so the run
-    stays in the parity-even basis of orders 0..reach.  ValueError unless u0
-    is finite.
+    row, padded to the longest, valid the unpadded.  The route is "exact" unless
+    a chain is cut (the stepped route's cell wraps its reach round) or the eigh
+    stack holds over _EXACT_MAX_ORDERS^2 entries; else "stepped" ("thin" without
+    the kinetic term), which any plan can run.  An exact start of the one bin at
+    mode 0 is even: its band and H are symmetric under p <-> -p, so the run stays
+    in the parity-even basis of orders 0..reach.  ValueError unless u0 is finite.
     """
     if not math.isfinite(setup.u0):
         raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
@@ -362,45 +362,24 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
 
 
 def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> WaveState:
-    """Execute a plan on its route, snapshots as in propagate; it runs alike every time."""
+    """Evolve plan.state on plan.route into a new WaveState, alike every time.
+
+    "stepped" takes config.n_steps Strang steps, "thin" one phase (_stepped);
+    both warn (UserWarning) when the potential phase per step exceeds
+    _STEP_PHASE_WARN, and "exact" (_exact) never does.  The sectors and bins off
+    the band, each set <= _EMPTY_SECTOR of the weight, are carried unchanged.
+    snapshot_callback(step, tau, state) runs every config.snapshot_every steps
+    (never if 0), at tau = step * d_tau on every route.  RuntimeError if the
+    norm drifts by more than _NORM_FAIL."""
     return (_exact if plan.route == "exact" else _stepped)(plan, snapshot_callback)
 
 
-def propagate(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
-              config: PropagationConfig,
-              snapshot_callback: SnapshotCallback | None = None) -> WaveState:
-    """Evolve a state through the standing wave; returns a new WaveState.
-
-    The occupied Bloch sectors (module docstring) are stepped together; the
-    rest (<= _EMPTY_SECTOR of the weight) are carried, moving psi by
-    <= sqrt(_EMPTY_SECTOR) in amplitude.  With include_kinetic the Strang
-    splitting above is applied n_steps times on the order band's own cell
-    (_band_columns); the columns beyond the band, each under
-    _EMPTY_SECTOR / n_points of the weight, are carried too.  The kinetic step
-    is one matmul with the circulant ifft(exp(-i k^2 d_tau))[(i - j) mod m] while
-    sectors * m^2 <= _DENSE_KINETIC, an FFT pair beyond.  Without the kinetic
-    term the potential factors commute, so the integrated phase is accumulated
-    and applied in one exponential: the exact thin-grating map for the
-    configured envelope.
-
-    Raises RuntimeError if the final norm drifts from 1 by more than 1e-9.
-
-    Parameters
-    ----------
-    state : WaveState
-    spec : PotentialSpec
-    setup : DimensionlessSetup
-        Supplies u0; must be finite.
-    config : PropagationConfig
-    snapshot_callback : callable, optional
-        Called as callback(step, tau, state) every config.snapshot_every
-        steps (and never if snapshot_every is 0).
-    """
-    return _stepped(plan_run(state, spec, setup, config), snapshot_callback)
-
-
 def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
-    """propagate's steps (or its one phase without the kinetic term) on a plan."""
+    """Routes "stepped" and "thin": the sectors over _EMPTY_SECTOR / fold of the
+    weight as rows on the band's cell (_band_columns), each kinetic step one
+    matmul with the circulant ifft(exp(-i k^2 d_tau))[(i - j) mod m] while
+    sectors * m^2 <= _DENSE_KINETIC, else an FFT pair; without the kinetic
+    term the potentials commute, so the pulse area is one exact phase."""
     state, config, weights, grid = plan.state, plan.config, plan.weights, plan.state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
@@ -488,35 +467,14 @@ def _order_reach(x: float) -> int:
     return reach
 
 
-def propagate_exact(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
-                    config: PropagationConfig,
-                    snapshot_callback: SnapshotCallback | None = None) -> WaveState:
-    """propagate's result under a rectangular pulse, without steps.
-
-    On a chain of modes (plan_run) order p, wavenumber k_p, couples only to
-    p +- 1: H[p, p] = k_p^2 + u0 offset/2 and H[p+1, p] = u0 (a_c - i a_s)/4.
-    The gauge c_p = exp(-i p theta) b_p, theta = atan2(a_s, a_c), makes H real
-    symmetric with coupling u0 r_eff/4, so one eigh stacked over the chains
-    gives the amplitudes at every time (for an order-0 plane wave, one eigh of
-    the parity-even half; plan_run).  Each chain's start vector holds its
-    occupied bins in units of its heaviest one.  The other bins, <=
-    _EMPTY_SECTOR of the weight, are left out: those inside the band are
-    overwritten, the rest carried unchanged.
-
-    Takes the same arguments as propagate (ValueError unless the pulse is
-    rectangular with the kinetic term and some bin is occupied).  config.d_tau
-    only schedules the snapshots, taken at the steps propagate would take
-    them.  Raises RuntimeError if the final norm drifts from 1 by more than 1e-9.
-    """
-    plan = plan_run(state, spec, setup, config)
-    if plan.modes is None:
-        raise ValueError("the exact route needs a rectangular envelope, include_kinetic "
-                         "and a start of finite, nonzero weight")
-    return _exact(plan, snapshot_callback)
-
-
 def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
-    """propagate_exact's order-basis evolution of a plan with an order band."""
+    """Route "exact".  On a chain of modes (plan_run) order p, wavenumber k_p,
+    couples only to p +- 1: H[p, p] = k_p^2 + u0 offset/2, H[p+1, p] =
+    u0 (a_c - i a_s)/4.  The gauge c_p = exp(-i p theta) b_p, theta =
+    atan2(a_s, a_c), makes H real symmetric, so one eigh stacked over the chains
+    gives the amplitudes at every time.  Each chain starts from its occupied
+    bins in units of its heaviest; the band's other bins are overwritten.
+    config.d_tau only schedules the snapshots."""
     state, spec, config, modes, valid = plan.state, plan.spec, plan.config, plan.modes, plan.valid
     if plan.even:  # orders 0..reach: e_0 = |0>, e_q = (|q> + |-q>) / sqrt 2
         modes, valid = modes[:, modes.shape[1] // 2:], valid[:, valid.shape[1] // 2:]

@@ -9,15 +9,18 @@ Miller's recurrence stepped on a numpy array, one argument at a time,
 pins both of the package's Bessel kernels bit for bit.
 Split-step propagation is redone on the full box, without the package's
 split into Bloch sectors, and on every live sector's whole cell, without its
-order band (the former propagate loop); stepped_sectors shows which sectors
-and band points a run steps.  The exact order-basis route is checked against
-a dense diagonalization of every live sector's whole cell.  bessel_j,
-pattern_distance, pointlike_pattern and the double Bessel sum over the two
-quadratures (distribution_pattern), once exported by the package, are used
-only by tests.
+order band (the stepped route's former loop); stepped_sectors shows which
+sectors and band points a run steps.  The exact order-basis route is checked
+against a dense diagonalization of every live sector's whole cell.
+run_stepped and run_exact run tdse on the route they name, whichever one
+plan_run would choose, so the two routes can be held against each other.
+bessel_j, pattern_distance, pointlike_pattern and the double Bessel sum over
+the two quadratures (distribution_pattern), once exported by the package, are
+used only by tests.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from functools import lru_cache
@@ -31,6 +34,7 @@ from kdsim.analytic import (
     effective_amplitude,
 )
 from kdsim.bessel import _RESCALE, _TINY_X, _start_orders, bessel_row
+from kdsim import tdse
 from kdsim.model import MomentSet, evaluate_potential
 from kdsim.tdse import (
     _EMPTY_SECTOR, _STEP_PHASE_WARN, WaveState, _checked_norm, _envelope_weights,
@@ -213,8 +217,8 @@ def local_minima_loop(values) -> list[int]:
 
 def stepped_sectors(run):
     """run() under a spy on np.fft.fft: its result and the set of 2-D shapes
-    transformed, which in tdse.propagate are (stepped sectors, points of the
-    band's cell)."""
+    transformed, which on tdse's stepped route are (stepped sectors, points of
+    the band's cell)."""
     shapes, fft = set(), np.fft.fft
 
     def spy(a, *args, **kwargs):
@@ -226,8 +230,20 @@ def stepped_sectors(run):
         return run(), shapes
 
 
+def run_stepped(state, spec, setup, config, snapshot_callback=None):
+    """tdse.run of the plan on route "stepped" ("thin" alike without the kinetic term)."""
+    plan = tdse.plan_run(state, spec, setup, config)
+    return tdse.run(dataclasses.replace(plan, route="stepped"), snapshot_callback)
+
+
+def run_exact(state, spec, setup, config, snapshot_callback=None):
+    """tdse.run of the plan on route "exact"; the plan must have an order band."""
+    plan = tdse.plan_run(state, spec, setup, config)
+    return tdse.run(dataclasses.replace(plan, route="exact"), snapshot_callback)
+
+
 def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
-    """tdse.propagate's result and snapshots, stepping every point of the box.
+    """The stepped route's result and snapshots, stepping every point of the box.
 
     Strang steps exp(-i V dtau/2) F^-1 exp(-i k^2 dtau) F exp(-i V dtau/2) with
     the field envelope sampled at step midpoints; without the kinetic term the
@@ -267,9 +283,9 @@ def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
 
 
 def propagate_cell_fft(state, spec, setup, config, snapshot_callback=None):
-    """tdse.propagate's result and snapshots from every live sector's whole cell.
+    """The stepped route's result and snapshots from every live sector's whole cell.
 
-    The loop tdse.propagate ran before it stepped only the order band: the
+    The loop the stepped route ran before it stepped only the order band: the
     sectors holding more than _EMPTY_SECTOR / f of the weight are stepped as
     rows of one array on cells of n_points / f points, each kinetic step an
     FFT pair over the whole cell; the other sectors are carried.
@@ -322,7 +338,7 @@ def propagate_cell_fft(state, spec, setup, config, snapshot_callback=None):
 
 
 def propagate_cell_eigh(state, spec, setup, config, snapshot_callback=None):
-    """tdse.propagate_exact's result and snapshots from each live sector's whole cell.
+    """The exact route's result and snapshots from each live sector's whole cell.
 
     A Bloch sector s holds the FFT bins a*f + s, f = gcd(n_points, n_periods);
     it is live when it holds more than _EMPTY_SECTOR / f of the weight.  H over

@@ -14,8 +14,7 @@ import numpy as np
 from kdsim.analytic import closed_form_pattern, grating_oracle
 from kdsim.cli import main
 from kdsim.fit import (
-    ObservedPattern, fit_effective_amplitude, model_probabilities,
-    synthesize_gaussian,
+    ObservedPattern, joint_fit, model_probabilities, synthesize_gaussian,
 )
 from kdsim.bessel import bessel_row
 from kdsim.model import (
@@ -23,12 +22,12 @@ from kdsim.model import (
     derive_scales,
 )
 from kdsim.tdse import (
-    Grid1D, PropagationConfig, init_plane_wave, order_probabilities,
-    plan_propagation, propagate,
+    Grid1D, PropagationConfig, init_plane_wave, order_probabilities, plan_propagation,
 )
 
 from oracles import (
     bessel_j, bessel_series, distribution_pattern, pattern_distance, pointlike_pattern,
+    run_stepped,
 )
 
 # grid for the three-route equivalence check
@@ -65,7 +64,7 @@ def tdse_pattern(u0: float, alpha: float, include_kinetic: bool = True,
                  max_order: int = 32):
     setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
     plan = plan_propagation(setup, POINTLIKE_SPEC, include_kinetic=include_kinetic)
-    final = propagate(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, plan)
+    final = run_stepped(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, plan)
     return order_probabilities(final, max_order=max_order)
 
 
@@ -138,7 +137,7 @@ def test_07_strang_order():
 
     def pattern(n_steps):
         config = PropagationConfig(d_tau=setup.tau / n_steps, n_steps=n_steps)
-        out = propagate(init_plane_wave(grid), POINTLIKE_SPEC, setup, config)
+        out = run_stepped(init_plane_wave(grid), POINTLIKE_SPEC, setup, config)
         return order_probabilities(out, max_order=10)
 
     reference = pattern(320)
@@ -152,7 +151,7 @@ def test_07_strang_order():
 def test_08_norm_conservation():
     setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
     config = PropagationConfig(d_tau=setup.tau / 10000, n_steps=10000)
-    out = propagate(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, config)
+    out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, config)
     drift = abs(out.norm - 1.0)
     ok = drift <= 1e-10
     report(8, "norm conservation", ok, f"drift {drift:.2e} over 1e4 steps vs 1e-10")
@@ -167,7 +166,7 @@ def test_09_fit_round_trip():
             values = model_probabilities(alpha, r_true, orders)
             obs = ObservedPattern(orders=orders, values=tuple(values),
                                   sigmas=(0.01,) * len(orders), alpha=alpha)
-            fit = fit_effective_amplitude(obs)
+            fit = joint_fit([obs])
             worst_clean = max(worst_clean, abs(fit.r_eff_hat - r_true))
 
     rng = np.random.default_rng(20240823)
@@ -175,7 +174,7 @@ def test_09_fit_round_trip():
     noisy_orders = tuple(range(-4, 5))
     for _ in range(200):
         obs = synthesize_gaussian(2.0, 0.8, noisy_orders, rng)
-        fit = fit_effective_amplitude(obs)
+        fit = joint_fit([obs])
         hits += abs(fit.r_eff_hat - 0.8) <= 0.02
     elapsed = time.perf_counter() - start
     ok = worst_clean <= 1e-6 and hits >= 190 and elapsed < 60.0

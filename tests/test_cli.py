@@ -1095,10 +1095,20 @@ def test_readme_names_every_config_key():
     assert set(_SYNTHETIC_LEAVES) - named == set()
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as printed, so it names no removed function."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("0.0501")
+
+
 def test_public_api_names_resolve():
     """Every exported name resolves; the routes and oracles moved out stay out."""
     for name in kdsim.__all__:
         assert getattr(kdsim, name) is not None, name
     dropped = {"exact_route", "BesselRow", "distribution_pattern", "pointlike_pattern",
-               "bessel_j", "pattern_distance"}
+               "bessel_j", "pattern_distance", "propagate", "propagate_exact",
+               "fit_effective_amplitude"}
     assert dropped.isdisjoint(kdsim.__all__)

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kdsim.analytic import closed_form_pattern
 from kdsim.fit import (
-    FitResult, MomentRegion, ObservedPattern, band_radius, chi_square,
-    fit_effective_amplitude, joint_fit, model_probabilities, moment_region,
-    synthesize_counts, synthesize_gaussian,
+    FitResult, MomentRegion, ObservedPattern, band_radius, chi_square, joint_fit,
+    model_probabilities, moment_region, synthesize_counts, synthesize_gaussian,
 )
 import kdsim.fit as fit_mod
 from kdsim.model import MomentSet
@@ -170,10 +169,10 @@ class TestRefinement:
         # no scan point lies under the threshold: each end search starts at
         # r_hat -+ sqrt(2 delta_chi2 / curvature), next to its crossing
         obs = exact_observation(6.0, 0.8137, orders=tuple(range(-6, 7)), sigma=1e-4)
-        fit = fit_effective_amplitude(obs)
+        fit = joint_fit([obs])
         assert all(c > fit.chi2_min + fit.delta_chi2 for c in fit.scan_chi2)
         seen = scalar_chi_square_calls(monkeypatch)
-        assert fit_effective_amplitude(obs) == fit
+        assert joint_fit([obs]) == fit
         assert len(seen) <= 20
         for end in fit.ci:
             assert chi_square(obs, end) == pytest.approx(fit.chi2_min + 1.0, abs=1e-6)
@@ -196,27 +195,27 @@ class TestDegeneracy:
 
     def test_alpha_r_products_cohere(self):
         # the data only know alpha * r_eff: fits at different alphas agree on it
-        fit_a = fit_effective_amplitude(exact_observation(2.0, 0.8))
-        fit_b = fit_effective_amplitude(exact_observation(4.0, 0.4))
+        fit_a = joint_fit([exact_observation(2.0, 0.8)])
+        fit_b = joint_fit([exact_observation(4.0, 0.4)])
         assert 2.0 * fit_a.r_eff_hat == pytest.approx(4.0 * fit_b.r_eff_hat, abs=1e-6)
 
 
 class TestRecovery:
     def test_on_grid_truth_exact(self):
-        fit = fit_effective_amplitude(exact_observation(2.0, 0.8))
+        fit = joint_fit([exact_observation(2.0, 0.8)])
         assert fit.r_eff_hat == pytest.approx(0.8, abs=1e-9)
         assert fit.chi2_min == 0.0
         assert fit.dof == 3
         assert not (fit.at_bound or fit.misfit)
 
     def test_off_grid_truth_refined(self):
-        fit = fit_effective_amplitude(exact_observation(2.0, 0.8137))
+        fit = joint_fit([exact_observation(2.0, 0.8137)])
         assert fit.r_eff_hat == pytest.approx(0.8137, abs=1e-6)
 
     def test_interval_brackets_truth(self):
-        fit = fit_effective_amplitude(exact_observation(2.0, 0.8137))
+        fit = joint_fit([exact_observation(2.0, 0.8137)])
         assert fit.ci[0] < 0.8137 < fit.ci[1]
-        wide = fit_effective_amplitude(exact_observation(2.0, 0.8137), delta_chi2=4.0)
+        wide = joint_fit([exact_observation(2.0, 0.8137)], delta_chi2=4.0)
         assert wide.ci[0] < fit.ci[0] and wide.ci[1] > fit.ci[1]
 
     def test_monte_carlo_calibration(self):
@@ -226,7 +225,7 @@ class TestRecovery:
         worst = 0.0
         for _ in range(50):
             obs = synthesize_gaussian(2.0, 0.8, orders, rng)
-            fit = fit_effective_amplitude(obs)
+            fit = joint_fit([obs])
             err = abs(fit.r_eff_hat - 0.8)
             worst = max(worst, err)
             hits += err <= 0.02
@@ -240,7 +239,7 @@ class TestLandscape:
     def test_multiple_minima_reported(self):
         # few orders at large alpha leave aliases; the scan must surface them
         obs = exact_observation(5.0, 0.8, orders=(0, 1, 2))
-        fit = fit_effective_amplitude(obs)
+        fit = joint_fit([obs])
         assert fit.r_eff_hat == pytest.approx(0.8, abs=1e-6)
         assert len(fit.local_minima) >= 3
         rs = [r for r, _ in fit.local_minima]
@@ -250,7 +249,7 @@ class TestLandscape:
 
     def test_bound_hit_is_flagged(self):
         obs = exact_observation(2.0, 1.0)
-        fit = fit_effective_amplitude(obs, bounds=(0.0, 0.5))
+        fit = joint_fit([obs], bounds=(0.0, 0.5))
         assert fit.r_eff_hat == 0.5
         assert fit.at_bound
         assert fit.ci_at_bounds[1]
@@ -265,7 +264,7 @@ class TestLandscape:
         assert fit.reduced_chi2 > 4.0
 
     def test_scan_is_recorded(self):
-        fit = fit_effective_amplitude(exact_observation(2.0, 0.8))
+        fit = joint_fit([exact_observation(2.0, 0.8)])
         assert len(fit.scan_r) == 201
         assert fit.scan_r[0] == 0.0 and fit.scan_r[-1] == 2.0
         assert len(fit.scan_chi2) == 201
@@ -282,15 +281,9 @@ class TestJointFit:
         a = exact_observation(1.5, 0.8137)
         b = exact_observation(2.5, 0.8137)
         joint = joint_fit([a, b])
-        for single in (fit_effective_amplitude(a), fit_effective_amplitude(b)):
+        for single in (joint_fit([a]), joint_fit([b])):
             assert single.ci[0] <= joint.ci[0]
             assert single.ci[1] >= joint.ci[1]
-
-    def test_single_dataset_wrapper_forwards_to_joint_fit(self):
-        obs = exact_observation(2.0, 0.8137)
-        assert fit_effective_amplitude(obs) == joint_fit([obs])  # defaults defined once
-        kw = {"bounds": (0.5, 1.5), "delta_chi2": 4.0, "n_grid": 257}
-        assert fit_effective_amplitude(obs, **kw) == joint_fit([obs], **kw)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -395,7 +388,7 @@ class TestSynthesis:
 
     def test_counts_fit_recovers(self):
         obs = synthesize_counts(2.0, 0.8, tuple(range(-3, 4)), 7, shots=500000)
-        fit = fit_effective_amplitude(obs)
+        fit = joint_fit([obs])
         assert fit.r_eff_hat == pytest.approx(0.8, abs=0.01)
 
 

@@ -16,12 +16,11 @@ from kdsim.tdse import (
     _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _KICK_BLOCK, _REACH_TOL, ENVELOPES, Grid1D,
     PropagationConfig, WaveState, _envelope_weights, _half_kicks, _order_reach, init_gaussian,
     init_plane_wave, max_potential, order_probabilities, plan_propagation, plan_run,
-    propagate, propagate_exact,
 )
 
 from oracles import (
     binned_orders_loop, pattern_distance, pointlike_pattern, propagate_cell_eigh,
-    propagate_cell_fft, propagate_full_box, stepped_sectors,
+    propagate_cell_fft, propagate_full_box, run_exact, run_stepped, stepped_sectors,
 )
 
 POINTLIKE = build_potential(MomentSet())
@@ -222,7 +221,7 @@ class TestThinGratingPath:
         setup = thin_setup(1.5, u0=40.0)
         state = init_plane_wave(grid)
         config = PropagationConfig(d_tau=setup.tau / 60.0, n_steps=60, include_kinetic=False)
-        out = propagate(state, POINTLIKE, setup, config)
+        out = run_stepped(state, POINTLIKE, setup, config)
         v = 0.5 * setup.u0 * evaluate_potential(POINTLIKE, grid.positions())
         direct = np.exp(-1j * v * setup.tau) * state.psi
         assert np.max(np.abs(out.psi - direct)) <= 1e-13
@@ -230,7 +229,7 @@ class TestThinGratingPath:
     def test_reproduces_bessel_pattern(self):
         setup = thin_setup(2.0)
         config = plan_propagation(setup, POINTLIKE, include_kinetic=False)
-        out = propagate(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+        out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
         got = order_probabilities(out, max_order=12)
         want = pointlike_pattern(2.0, order_cutoff=12)
         assert pattern_distance(got, want)[0] <= 1e-10
@@ -241,7 +240,7 @@ class TestThinGratingPath:
         config = PropagationConfig(d_tau=setup.tau / 40.0, n_steps=40,
                                    include_kinetic=False, envelope="sin2_ramp",
                                    ramp_fraction=0.25)
-        out = propagate(init_plane_wave(grid), POINTLIKE, setup, config)
+        out = run_stepped(init_plane_wave(grid), POINTLIKE, setup, config)
         area = float(np.sum(_envelope_weights(config)) * config.d_tau)
         assert area < setup.tau  # ramps remove pulse area
         want = pointlike_pattern(0.5 * setup.u0 * area, order_cutoff=12)
@@ -252,7 +251,7 @@ class TestThinGratingPath:
         grid = Grid1D()
         state = init_plane_wave(grid)
         config = PropagationConfig(d_tau=0.0, n_steps=0)
-        out = propagate(state, POINTLIKE, thin_setup(2.0), config)
+        out = run_stepped(state, POINTLIKE, thin_setup(2.0), config)
         assert np.array_equal(out.psi, state.psi)
 
 
@@ -260,7 +259,7 @@ class TestSplitStep:
     def test_near_thin_grating_at_large_u0(self):
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
         config = plan_propagation(setup, POINTLIKE)
-        out = propagate(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+        out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
         got = order_probabilities(out, max_order=10)
         want = pointlike_pattern(1.5, order_cutoff=10)
         assert pattern_distance(got, want)[0] <= 1e-3
@@ -268,7 +267,7 @@ class TestSplitStep:
     def test_norm_preserved_over_many_steps(self):
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
         config = PropagationConfig(d_tau=setup.tau / 500.0, n_steps=500)
-        out = propagate(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+        out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
         assert abs(out.norm - 1.0) <= 1e-11
 
     def test_second_order_step_convergence(self):
@@ -278,7 +277,7 @@ class TestSplitStep:
 
         def final_psi(n_steps):
             config = PropagationConfig(d_tau=setup.tau / n_steps, n_steps=n_steps)
-            return propagate(state, POINTLIKE, setup, config).psi
+            return run_stepped(state, POINTLIKE, setup, config).psi
 
         ref = final_psi(320)
         err_coarse = np.max(np.abs(final_psi(40) - ref))
@@ -298,9 +297,9 @@ class TestSplitStep:
                                 a_s=-spec.a_c * s + spec.a_s * c)
         config = plan_propagation(setup, spec)
         base = order_probabilities(
-            propagate(init_plane_wave(Grid1D()), spec, setup, config), max_order=10)
+            run_stepped(init_plane_wave(Grid1D()), spec, setup, config), max_order=10)
         moved = order_probabilities(
-            propagate(init_plane_wave(Grid1D()), shifted, setup, config), max_order=10)
+            run_stepped(init_plane_wave(Grid1D()), shifted, setup, config), max_order=10)
         assert pattern_distance(base, moved)[0] <= 1e-12
 
     def test_wavepacket_orders_aggregate_like_plane_wave(self):
@@ -308,7 +307,7 @@ class TestSplitStep:
         setup = thin_setup(1.5)
         packet = init_gaussian(grid, center=grid.box_length / 2.0, sigma=4.0)
         config = plan_propagation(setup, POINTLIKE, include_kinetic=False)
-        out = propagate(packet, POINTLIKE, setup, config)
+        out = run_stepped(packet, POINTLIKE, setup, config)
         got = order_probabilities(out, max_order=10)
         want = pointlike_pattern(1.5, order_cutoff=10)
         assert pattern_distance(got, want)[0] <= 1e-6
@@ -319,7 +318,7 @@ class TestDiagnostics:
         setup = thin_setup(2.0, u0=100.0)  # tau = 0.04
         config = PropagationConfig(d_tau=0.002, n_steps=20)  # 0.2 rad per step
         with pytest.warns(UserWarning, match="phase per step"):
-            propagate(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+            run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
 
     def test_corrupted_state_raises(self):
         grid = Grid1D()
@@ -327,13 +326,13 @@ class TestDiagnostics:
         bad.spectrum[3] = math.nan  # the array the state holds
         config = PropagationConfig(d_tau=1e-4, n_steps=1)
         with pytest.raises(RuntimeError, match="unitarity"):
-            propagate(bad, POINTLIKE, thin_setup(2.0), config)
+            run_stepped(bad, POINTLIKE, thin_setup(2.0), config)
 
     def test_ideal_limit_rejected(self):
         config = PropagationConfig(d_tau=1e-4, n_steps=1)
         with pytest.raises(ValueError):
-            propagate(init_plane_wave(Grid1D()), POINTLIKE,
-                      DimensionlessSetup.from_alpha(2.0), config)
+            run_stepped(init_plane_wave(Grid1D()), POINTLIKE,
+                        DimensionlessSetup.from_alpha(2.0), config)
 
 
 class TestSnapshots:
@@ -343,8 +342,8 @@ class TestSnapshots:
         config = PropagationConfig(d_tau=setup.tau / 12.0, n_steps=12,
                                    include_kinetic=include_kinetic, snapshot_every=5)
         seen = []
-        propagate(init_plane_wave(Grid1D()), POINTLIKE, setup, config,
-                  snapshot_callback=lambda step, tau, st: seen.append((step, tau, st.norm)))
+        run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config,
+                    snapshot_callback=lambda step, tau, st: seen.append((step, tau, st.norm)))
         assert [s[0] for s in seen] == [5, 10]
         assert seen[0][1] == pytest.approx(5.0 * config.d_tau)
         assert all(abs(n - 1.0) <= 1e-10 for _, _, n in seen)
@@ -353,8 +352,8 @@ class TestSnapshots:
         setup = thin_setup(0.5, u0=100.0)
         config = PropagationConfig(d_tau=setup.tau / 12.0, n_steps=12)
         seen = []
-        propagate(init_plane_wave(Grid1D()), POINTLIKE, setup, config,
-                  snapshot_callback=lambda *a: seen.append(a))
+        run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config,
+                    snapshot_callback=lambda *a: seen.append(a))
         assert seen == []
 
 
@@ -367,7 +366,7 @@ def sector_weights(state):
 
 
 def stepped_bins(state, spec, setup, config):
-    """(mask of the FFT bins propagate steps, points of the cell it steps them on).
+    """(mask of the FFT bins the stepped route steps, points of the cell it steps them on).
 
     Those are the live sectors' band columns: the columns holding a bin over
     _EMPTY_SECTOR / n_points of the weight, widened by the pulse's reach
@@ -421,7 +420,7 @@ class TestBlochSectors:
                                   envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
                                   include_kinetic=data.draw(st.booleans(), "kinetic"))
 
-        out, shapes = stepped_sectors(lambda: propagate(state, spec, setup, config))
+        out, shapes = stepped_sectors(lambda: run_stepped(state, spec, setup, config))
         want = order_probabilities(propagate_full_box(state, spec, setup, config))
         got = order_probabilities(out)
         assert max(abs(got.probabilities[p] - want.probabilities[p]) for p in got.orders) <= 1e-13
@@ -440,7 +439,7 @@ class TestBlochSectors:
         for eps, live in ((1e-11, 1), (1e-9, 2)):  # admixed weights 1e-22 and 1e-18
             psi = (np.exp(2j * x) + eps * np.exp(0.25j * x)) / math.sqrt(grid.box_length)
             state = WaveState(grid, psi / math.sqrt(1.0 + eps**2), k0=2.0)
-            out, shapes = stepped_sectors(lambda: propagate(state, POINTLIKE, setup, config))
+            out, shapes = stepped_sectors(lambda: run_stepped(state, POINTLIKE, setup, config))
             assert shapes == {(live, stepped_bins(state, POINTLIKE, setup, config)[1])}
             assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
             want = propagate_full_box(state, POINTLIKE, setup, config)
@@ -486,8 +485,8 @@ class TestOrderBand:
         got, want = {}, {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # coarse plans warn in both
-            out = propagate(state, spec, setup, config,
-                            lambda j, t, s: got.setdefault(j, (t, s.psi)))
+            out = run_stepped(state, spec, setup, config,
+                              lambda j, t, s: got.setdefault(j, (t, s.psi)))
             ref = propagate_cell_fft(banded, spec, setup, config,
                                      lambda j, t, s: want.setdefault(j, (t, s.psi + carried)))
             whole = propagate_cell_fft(state, spec, setup, config)
@@ -525,7 +524,7 @@ class TestOrderBand:
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
         config = plan_propagation(setup, POINTLIKE, envelope="sin2_ramp")
         state = init_plane_wave(Grid1D(2048, 8))
-        out, shapes = stepped_sectors(lambda: propagate(state, POINTLIKE, setup, config))
+        out, shapes = stepped_sectors(lambda: run_stepped(state, POINTLIKE, setup, config))
         assert shapes == {(1, stepped_bins(state, POINTLIKE, setup, config)[1])} == {(1, 64)}
         want = propagate_cell_fft(state, POINTLIKE, setup, config)
         assert np.max(np.abs(out.psi - want.psi)) <= 1e-13
@@ -588,8 +587,8 @@ class TestExactRoute:
         state, spec, setup, config = exact_case(**case, snapshot_every=17)
         assert plan_run(state, spec, setup, config).route == "exact"
         got, want = {}, {}
-        out = propagate_exact(state, spec, setup, config,
-                              snapshot_callback=lambda j, t, s: got.setdefault(j, (t, s.psi)))
+        out = run_exact(state, spec, setup, config,
+                        snapshot_callback=lambda j, t, s: got.setdefault(j, (t, s.psi)))
         ref = propagate_cell_eigh(state, spec, setup, config,
                                   snapshot_callback=lambda j, t, s: want.setdefault(j, (t, s.psi)))
         assert max_order_gap(out, ref) <= 1e-10
@@ -602,9 +601,9 @@ class TestExactRoute:
     @pytest.mark.parametrize("case", CASES)
     def test_ten_more_orders_move_nothing(self, case, monkeypatch):
         state, spec, setup, config = exact_case(**case)
-        base = order_probabilities(propagate_exact(state, spec, setup, config)).probabilities
+        base = order_probabilities(run_exact(state, spec, setup, config)).probabilities
         monkeypatch.setattr(tdse, "_order_reach", lambda x: _order_reach(x) + 10)
-        more = order_probabilities(propagate_exact(state, spec, setup, config)).probabilities
+        more = order_probabilities(run_exact(state, spec, setup, config)).probabilities
         # the added orders gain nothing; the others differ by the rounding of a
         # second, larger eigh (up to 3e-15 seen), not by what the reach left out
         x = setup.alpha * math.hypot(spec.a_c, spec.a_s)
@@ -624,16 +623,16 @@ class TestExactRoute:
 
     def test_strang_converges_at_second_order(self):
         state, spec, setup, _ = exact_case(20.0, 1.0)  # tau = 0.1
-        exact = propagate_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
-        errors = [np.max(np.abs(exact.psi - propagate(
+        exact = run_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
+        errors = [np.max(np.abs(exact.psi - run_stepped(
             state, spec, setup, PropagationConfig(setup.tau / n, n)).psi)) for n in (40, 80, 160)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
     def test_strang_converges_at_second_order_for_a_packet(self):
         state, spec, setup, _ = exact_case(20.0, 1.0, sigma=1.0, k0_units=2)  # tau = 0.1
-        exact = propagate_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
-        errors = [np.max(np.abs(exact.psi - propagate(
+        exact = run_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
+        errors = [np.max(np.abs(exact.psi - run_stepped(
             state, spec, setup, PropagationConfig(setup.tau / n, n)).psi)) for n in (40, 80, 160)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
@@ -645,14 +644,14 @@ class TestExactRoute:
             for moments in ((0.0, 0.0), (0.3, 0.1), (0.4, 0.4)):
                 for offset in (0, 1):
                     state, spec, setup, config = exact_case(u0, alpha, moments, offset)
-                    assert max_order_gap(propagate_exact(state, spec, setup, config),
-                                         propagate(state, spec, setup, config)) <= 1e-5
+                    assert max_order_gap(run_exact(state, spec, setup, config),
+                                         run_stepped(state, spec, setup, config)) <= 1e-5
 
     def test_route_predicate(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the route choice ran a propagation")
 
-        for name in ("propagate", "propagate_exact"):
+        for name in ("_stepped", "_exact"):
             monkeypatch.setattr(tdse, name, refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         state, spec, setup, config = exact_case(300.0, 2.0)
@@ -756,35 +755,37 @@ class TestExactRoute:
             sizes = []
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
-                out = propagate_exact(state, spec, setup, config)
+                out = run_exact(state, spec, setup, config)
             assert sizes == [(1, 128, 128)]
             assert max_order_gap(out, propagate_cell_eigh(state, spec, setup, config)) <= 1e-10
         # over 6 periods the grid ends its chains at different orders: the
         # shorter ones are padded with decoupled, empty rows
         state, spec, setup, config = exact_case(300.0, 2.0, n_periods=6, sigma=1.0, k0_units=1)
         assert plan_run(state, spec, setup, config).route == "stepped"
-        out = propagate_exact(state, spec, setup, config)
+        out = run_exact(state, spec, setup, config)
         ref = propagate_cell_eigh(state, spec, setup, config)
         assert max_order_gap(out, ref) <= 1e-10
         assert np.max(np.abs(out.psi - ref.psi)) <= 1e-10
 
     def test_rejects_what_it_cannot_serve(self):
+        # the exact route needs an order band: plan_run gives none to an empty
+        # start, a ramp or a run without the kinetic term, and routes them away
         state, spec, setup, config = exact_case(300.0, 2.0)
-        with pytest.raises(ValueError, match="nonzero weight"):
-            propagate_exact(WaveState(state.grid, np.zeros(state.grid.n_points)),
-                            spec, setup, config)
-        for change in ({"envelope": "sin2_ramp"}, {"include_kinetic": False}):
-            with pytest.raises(ValueError, match="rectangular"):
-                propagate_exact(state, spec, setup, plan_propagation(setup, spec, **change))
+        empty = WaveState(state.grid, np.zeros(state.grid.n_points))
+        for start, change, route in ((empty, {}, "stepped"),
+                                     (state, {"envelope": "sin2_ramp"}, "stepped"),
+                                     (state, {"include_kinetic": False}, "thin")):
+            plan = plan_run(start, spec, setup, plan_propagation(setup, spec, **change))
+            assert plan.route == route and plan.modes is None
         with pytest.raises(ValueError, match="finite u0"):
-            propagate_exact(state, spec, DimensionlessSetup.from_alpha(2.0), config)
+            run_exact(state, spec, DimensionlessSetup.from_alpha(2.0), config)
 
     def test_no_step_phase_warning(self, recwarn):
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
         config = plan_propagation(setup, POINTLIKE, d_tau=0.01)  # 3 rad per Strang step
         state = init_plane_wave(Grid1D())
-        out = propagate_exact(state, POINTLIKE, setup, config)
+        out = run_exact(state, POINTLIKE, setup, config)
         assert len(recwarn) == 0
         assert max_order_gap(out, propagate_cell_eigh(state, POINTLIKE, setup, config)) <= 1e-12
         with pytest.warns(UserWarning, match="phase per step"):
-            propagate(state, POINTLIKE, setup, config)
+            run_stepped(state, POINTLIKE, setup, config)
