@@ -17,10 +17,7 @@ from .analytic import (
     DiffractionPattern, default_order_cutoff, closed_form_pattern,
     effective_amplitude, grating_oracle,
 )
-from .tdse import (
-    Grid1D, WaveState, PropagationConfig,
-    init_plane_wave, init_gaussian, plan_propagation, order_probabilities,
-)
+from .tdse import Grid1D, WaveState, init_plane_wave, init_gaussian, order_probabilities
 from .fit import (
     ObservedPattern, FitResult, MomentRegion,
     chi_square, joint_fit, moment_region, band_radius,
@@ -39,8 +36,7 @@ __all__ = [
     "bessel_row", "bessel_rows",
     "DiffractionPattern", "default_order_cutoff", "closed_form_pattern",
     "effective_amplitude", "grating_oracle",
-    "Grid1D", "WaveState", "PropagationConfig",
-    "init_plane_wave", "init_gaussian", "plan_propagation", "order_probabilities",
+    "Grid1D", "WaveState", "init_plane_wave", "init_gaussian", "order_probabilities",
     "ObservedPattern", "FitResult", "MomentRegion",
     "chi_square", "joint_fit", "moment_region", "band_radius",
     "synthesize_gaussian", "synthesize_counts",

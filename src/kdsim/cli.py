@@ -178,7 +178,7 @@ _LEAVES = {
     "n_points": _Leaf(_cast_int, tdse.Grid1D.n_points),
     "n_periods": _Leaf(_cast_int, tdse.Grid1D.n_periods),
     "d_tau": _Leaf(_cast_float),
-    "max_step_phase": _Leaf(_cast_float, _default(tdse.plan_propagation, "max_step_phase")),
+    "max_step_phase": _Leaf(_cast_float, _default(tdse.plan_run, "max_step_phase")),
     "include_kinetic": _Leaf(_cast_bool, tdse.PropagationConfig.include_kinetic),
     "envelope": _Leaf(_cast_str, tdse.PropagationConfig.envelope, choices=tdse.ENVELOPES),
     "ramp_fraction": _Leaf(_cast_float, tdse.PropagationConfig.ramp_fraction),
@@ -232,7 +232,7 @@ _PARSER = _build_parser()
 _PHYSICAL_KEYS = ("wavelength_m", "field_V_per_m", "time_s")
 _DIMLESS_KEYS = ("u0", "tau", "alpha")
 _PLAN_KEYS = ("d_tau", "max_step_phase", "include_kinetic", "envelope", "ramp_fraction",
-              "snapshot_every")  # plan_propagation's keywords
+              "snapshot_every")  # plan_run's keywords
 
 
 class RunConfig:
@@ -380,16 +380,16 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config key 'synthetic.orders': need at least {fit_mod.MIN_ORDERS} "
                           f"distinct orders, got {synthetic['orders']}")
 
-    spec = plan = state = None
+    plan = None
     if mode == "tdse":
         if not math.isfinite(setup.u0):
             raise ConfigError("config key 'u0': tdse mode needs a finite well depth")
-        spec = model.build_potential(moments)
+        state = _initial_state(val, grid)
         try:
-            plan = tdse.plan_propagation(setup, spec, **{k: val[k] for k in _PLAN_KEYS})
+            plan = tdse.plan_run(state, model.build_potential(moments), setup,
+                                 **{k: val[k] for k in _PLAN_KEYS})
         except ValueError as exc:
             raise _leading_key_error(exc) from exc
-        state = _initial_state(val, grid)
     if mode == "fit":
         sources = [s for s in ("data", "datasets", "synthetic") if val[s] is not None]
         if len(sources) != 1:
@@ -424,9 +424,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if val["data"] is not None:
         datasets = [{"path": val["data"], "alpha": setup.alpha}]  # read as one dataset
 
-    val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid, spec=spec,
-               plan=plan, state=state, datasets=datasets, bounds=tuple(val["bounds"]),
-               fmt=val["format"], echo=echo)
+    val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid, plan=plan,
+               datasets=datasets, bounds=tuple(val["bounds"]), fmt=val["format"], echo=echo)
     return RunConfig(**val)
 
 
@@ -549,12 +548,11 @@ def _snapshot_writer(prefix: str, grid: tdse.Grid1D):
 
 
 def _run_tdse(config: RunConfig) -> dict:
-    plan = tdse.plan_run(config.state, config.spec, config.setup, config.plan)
-    writer = (_snapshot_writer(config.snapshot_prefix, config.state.grid)
-              if config.plan.snapshot_every else None)
-    pattern = tdse.order_probabilities(tdse.run(plan, writer), max_order=config.order_cutoff)
+    writer = (_snapshot_writer(config.snapshot_prefix, config.grid)
+              if config.snapshot_every else None)
+    pattern = tdse.order_probabilities(tdse.run(config.plan, writer), max_order=config.order_cutoff)
     payload = _pattern_payload(pattern, alpha=config.setup.alpha)
-    if plan.route == "exact":
+    if config.plan.route == "exact":
         payload["generator"] = "tdse_exact"
     return payload
 

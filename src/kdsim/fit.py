@@ -231,8 +231,33 @@ def _brent_root(g, out: float, g_out: float, inn: float, g_in: float, seed: floa
         gb = g(b)
 
 
-def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
-                   dof: int, n_grid: int) -> FitResult:
+def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
+              delta_chi2: float = 1.0, n_grid: int = 201) -> FitResult:
+    """Fit one shared r_eff to several observations by summing chi-squares.
+
+    Parameters
+    ----------
+    datasets : sequence of ObservedPattern
+        At least one; each may carry its own alpha.
+    bounds : (float, float)
+        Scan window for r_eff.
+    delta_chi2 : float
+        Chi-square rise defining the interval (1.0 = one-sigma, one
+        parameter).
+    n_grid : int
+        Coarse scan resolution, at least 200.
+    """
+    datasets = list(datasets)
+    if not datasets:
+        raise ValueError("joint_fit needs at least one dataset")
+    for obs in datasets:
+        if not isinstance(obs, ObservedPattern):
+            raise ValueError(f"expected ObservedPattern, got {type(obs).__name__}")
+    dof = sum(len(obs.orders) for obs in datasets) - 1
+
+    def objective(r):   # a float, or an array over an array of r
+        return sum(chi_square(obs, r) for obs in datasets)
+
     r_min, r_max = float(bounds[0]), float(bounds[1])
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or not 0.0 <= r_min < r_max:
         raise ValueError(f"bounds must satisfy 0 <= r_min < r_max, got {bounds!r}")
@@ -307,36 +332,6 @@ def _fit_objective(objective, bounds: tuple[float, float], delta_chi2: float,
     )
 
 
-def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
-              delta_chi2: float = 1.0, n_grid: int = 201) -> FitResult:
-    """Fit one shared r_eff to several observations by summing chi-squares.
-
-    Parameters
-    ----------
-    datasets : sequence of ObservedPattern
-        At least one; each may carry its own alpha.
-    bounds : (float, float)
-        Scan window for r_eff.
-    delta_chi2 : float
-        Chi-square rise defining the interval (1.0 = one-sigma, one
-        parameter).
-    n_grid : int
-        Coarse scan resolution, at least 200.
-    """
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("joint_fit needs at least one dataset")
-    for obs in datasets:
-        if not isinstance(obs, ObservedPattern):
-            raise ValueError(f"expected ObservedPattern, got {type(obs).__name__}")
-    dof = sum(len(obs.orders) for obs in datasets) - 1
-
-    def objective(r):   # a float, or an array over an array of r
-        return sum(chi_square(obs, r) for obs in datasets)
-
-    return _fit_objective(objective, bounds, delta_chi2, dof, n_grid)
-
-
 @dataclass(frozen=True)
 class MomentRegion:
     """Annular band of (d~, q~) pairs compatible with an r_eff interval.
@@ -400,29 +395,28 @@ def _as_rng(rng) -> np.random.Generator:
 
 
 def synthesize_gaussian(alpha: float, r_eff: float, orders, rng,
-                        rel_sigma: float = 0.01,
-                        sigma_floor: float = SIGMA_FLOOR) -> ObservedPattern:
+                        rel_sigma: float = 0.01) -> ObservedPattern:
     """Model pattern plus independent Gaussian noise per order.
 
     Noise scale is rel_sigma of each probability with an absolute floor
-    (default 1e-4); draws are clipped back into [0, 1].
+    SIGMA_FLOOR; draws are clipped back into [0, 1].
     """
     gen = _as_rng(rng)
     orders = tuple(int(p) for p in orders)
     model = model_probabilities(alpha, r_eff, orders)
-    sig = np.maximum(rel_sigma * model, sigma_floor)
+    sig = np.maximum(rel_sigma * model, SIGMA_FLOOR)
     values = np.clip(model + gen.normal(size=len(orders)) * sig, 0.0, 1.0)
     return ObservedPattern(orders=orders, values=tuple(values),
                            sigmas=tuple(sig), alpha=alpha)
 
 
-def synthesize_counts(alpha: float, r_eff: float, orders, rng, shots: int = 100000,
-                      sigma_floor: float = SIGMA_FLOOR) -> ObservedPattern:
+def synthesize_counts(alpha: float, r_eff: float, orders, rng,
+                      shots: int = 100000) -> ObservedPattern:
     """Multinomial counting noise with the given number of shots.
 
     Counts are drawn over the full pattern out to the default cutoff (plus
     a remainder bucket), then the requested orders are read off as count
-    fractions with binomial standard errors, floored at sigma_floor.
+    fractions with binomial standard errors, floored at SIGMA_FLOOR.
     """
     gen = _as_rng(rng)
     if shots < MIN_SHOTS:
@@ -435,6 +429,6 @@ def synthesize_counts(alpha: float, r_eff: float, orders, rng, shots: int = 1000
     pvec = np.append(probs, rest)
     counts = gen.multinomial(shots, pvec / pvec.sum())
     est = np.array([counts[p + cut] / shots if abs(p) <= cut else 0.0 for p in orders])
-    sig = np.maximum(np.sqrt(np.clip(est * (1.0 - est), 0.0, None) / shots), sigma_floor)
+    sig = np.maximum(np.sqrt(np.clip(est * (1.0 - est), 0.0, None) / shots), SIGMA_FLOOR)
     return ObservedPattern(orders=orders, values=tuple(np.clip(est, 0.0, 1.0)),
                            sigmas=tuple(sig), alpha=alpha)

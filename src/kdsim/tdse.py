@@ -21,12 +21,13 @@ band: the occupied columns +- that reach.
 A WaveState holds psi or its spectrum and derives the other on first use.
 States stay in momentum space: a plane wave starts as its one nonzero bin, both
 routes return spectra, and order_probabilities bins the spectrum, so a plane
-wave's bins off its chain hold exactly 0.  plan_run takes the start's spectrum
-and order band once and chooses the route that run executes, the one public way
-to propagate.  Under a rectangular pulse H is tridiagonal on each chain, and one
-stacked eigh evolves the band exactly (route "exact"; Batelaan, Rev. Mod. Phys.
-79, 929 (2007)), for an order-0 plane wave on the parity-even half of it;
-otherwise route "stepped" steps it on its own cell.
+wave's bins off its chain hold exactly 0.  plan_run sizes the steps from
+setup.tau, takes the start's spectrum and order band once and chooses the route
+that run executes, the one public way to propagate.  Under a rectangular pulse H
+is tridiagonal on each chain, and one stacked eigh evolves the band exactly
+(route "exact"; Batelaan, Rev. Mod. Phys. 79, 929 (2007)), for an order-0 plane
+wave on the parity-even half of it; otherwise route "stepped" steps it on its
+own cell.
 """
 from __future__ import annotations
 
@@ -180,7 +181,7 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Stepping plan; tau_total = n_steps * d_tau."""
+    """Stepping schedule of a RunPlan, built by plan_run; tau_total = n_steps * d_tau."""
 
     d_tau: float
     n_steps: int
@@ -211,30 +212,6 @@ class PropagationConfig:
 def max_potential(setup: DimensionlessSetup, spec: PotentialSpec) -> float:
     """Bound on |V| in recoil units over the grid."""
     return 0.5 * setup.u0 * (abs(spec.offset) + math.hypot(spec.a_c, spec.a_s))
-
-
-def plan_propagation(setup: DimensionlessSetup, spec: PotentialSpec,
-                     d_tau: float | None = None, max_step_phase: float = 0.05,
-                     **config_kw) -> PropagationConfig:
-    """Pick n_steps and d_tau covering setup.tau exactly.
-
-    Without an explicit d_tau the step is set so the largest potential phase
-    advanced per step is max_step_phase radians (default 0.05).
-    """
-    if not math.isfinite(setup.u0):
-        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
-    tau = setup.tau
-    if tau == 0.0:
-        return PropagationConfig(d_tau=0.0, n_steps=0, **config_kw)
-    if d_tau is None:
-        if not (math.isfinite(max_step_phase) and max_step_phase > 0.0):
-            raise ValueError(f"max_step_phase must be finite and > 0, got {max_step_phase!r}")
-        vmax = max_potential(setup, spec)
-        d_tau = max_step_phase / vmax if vmax > 0.0 else tau
-    if d_tau <= 0.0 or not math.isfinite(d_tau):
-        raise ValueError(f"d_tau must be finite and > 0, got {d_tau!r}")
-    n_steps = max(1, int(math.ceil(tau / d_tau - 1e-9)))
-    return PropagationConfig(d_tau=tau / n_steps, n_steps=n_steps, **config_kw)
 
 
 def _envelope_weights(config: PropagationConfig) -> np.ndarray:
@@ -321,8 +298,12 @@ class RunPlan:
 
 
 def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
-             config: PropagationConfig) -> RunPlan:
-    """The start's spectrum, its order band and the route, each taken once.
+             d_tau: float | None = None, max_step_phase: float = 0.05, **schedule) -> RunPlan:
+    """The run's steps, the start's spectrum, its order band and the route, each taken once.
+
+    The steps cover setup.tau: ceil(tau / d_tau - 1e-9) of tau / n_steps (none
+    if tau = 0), d_tau advancing the largest potential phase by max_step_phase
+    radians unless given.  schedule: PropagationConfig's other fields.
 
     Under a rectangular pulse with the kinetic term each residue rho modulo
     n_periods of the occupied bins (_occupied) is a chain, the modes
@@ -333,10 +314,23 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     stack holds over _EXACT_MAX_ORDERS^2 entries; else "stepped" ("thin" without
     the kinetic term), which any plan can run.  An exact start of the one bin at
     mode 0 is even: its band and H are symmetric under p <-> -p, so the run stays
-    in the parity-even basis of orders 0..reach.  ValueError unless u0 is finite.
+    in the parity-even basis of orders 0..reach.  ValueError unless u0 is finite,
+    and for a bad step or schedule.
     """
     if not math.isfinite(setup.u0):
         raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
+    tau, n_steps = setup.tau, 0
+    if tau > 0.0:
+        if d_tau is None:
+            if not (math.isfinite(max_step_phase) and max_step_phase > 0.0):
+                raise ValueError(f"max_step_phase must be finite and > 0, got {max_step_phase!r}")
+            vmax = max_potential(setup, spec)
+            d_tau = max_step_phase / vmax if vmax > 0.0 else tau
+        if d_tau <= 0.0 or not math.isfinite(d_tau):
+            raise ValueError(f"d_tau must be finite and > 0, got {d_tau!r}")
+        n_steps = max(1, int(math.ceil(tau / d_tau - 1e-9)))
+    config = PropagationConfig(d_tau=tau / n_steps if n_steps else 0.0, n_steps=n_steps,
+                               **schedule)
     n, h = state.grid.n_points, state.grid.n_periods
     spectrum = _read_only(state.spectrum.view())
     power = np.abs(spectrum) ** 2
@@ -364,10 +358,11 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
 def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> WaveState:
     """Evolve plan.state on plan.route into a new WaveState, alike every time.
 
-    "stepped" takes config.n_steps Strang steps, "thin" one phase (_stepped);
-    both warn (UserWarning) when the potential phase per step exceeds
-    _STEP_PHASE_WARN, and "exact" (_exact) never does.  The sectors and bins off
-    the band, each set <= _EMPTY_SECTOR of the weight, are carried unchanged.
+    "stepped" takes config.n_steps Strang steps and warns (UserWarning) when the
+    potential phase per step exceeds _STEP_PHASE_WARN; "thin" applies the pulse
+    area as one exact phase (_stepped) and "exact" (_exact) takes no step, so
+    neither warns.  The sectors and bins off the band, each set <= _EMPTY_SECTOR
+    of the weight, are carried unchanged.
     snapshot_callback(step, tau, state) runs every config.snapshot_every steps
     (never if 0), at tau = step * d_tau on every route.  RuntimeError if the
     norm drifts by more than _NORM_FAIL."""
@@ -385,7 +380,7 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
     cell = grid.n_points // fold
     v_cell = 0.5 * plan.setup.u0 * evaluate_potential(plan.spec, grid.positions()[:cell])
     vmax = float(np.max(np.abs(v_cell)))
-    if config.n_steps > 0 and vmax * config.d_tau > _STEP_PHASE_WARN:
+    if plan.route == "stepped" and vmax * config.d_tau > _STEP_PHASE_WARN:
         warnings.warn(f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
                       f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=3)
 
@@ -533,9 +528,8 @@ def _signed_modes(bins: np.ndarray, n: int) -> np.ndarray:
     return np.where(bins < n - n // 2, bins, bins - n)
 
 
-def order_probabilities(state: WaveState, k0: float | None = None,
-                        max_order: int | None = None) -> DiffractionPattern:
-    """Bin the momentum spectrum into diffraction orders.
+def order_probabilities(state: WaveState, max_order: int | None = None) -> DiffractionPattern:
+    """Bin the momentum spectrum into diffraction orders about the carrier k0 = state.k0.
 
     Order p collects the half-open momentum window [k0 + 2p - 1, k0 + 2p + 1);
     a wavepacket's sub-modes inside a window aggregate into that order.  The
@@ -543,8 +537,7 @@ def order_probabilities(state: WaveState, k0: float | None = None,
     deterministically.
     """
     grid = state.grid
-    k0 = state.k0 if k0 is None else float(k0)
-    k0_units = grid.mode_index(k0)
+    k0_units = grid.mode_index(state.k0)
     spectrum = np.abs(state.spectrum) ** 2
     total = float(spectrum.sum())
     if total <= 0.0:

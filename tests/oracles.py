@@ -13,7 +13,9 @@ order band (the stepped route's former loop); stepped_sectors shows which
 sectors and band points a run steps.  The exact order-basis route is checked
 against a dense diagonalization of every live sector's whole cell.
 run_stepped and run_exact run tdse on the route they name, whichever one
-plan_run would choose, so the two routes can be held against each other.
+plan_run chose, so the two routes can be held against each other.  They and the
+three propagators take a tdse.RunPlan and read its state, spec, setup and step
+schedule.
 bessel_j, pattern_distance, pointlike_pattern and the double Bessel sum over
 the two quadratures (distribution_pattern), once exported by the package, are
 used only by tests.
@@ -230,19 +232,18 @@ def stepped_sectors(run):
         return run(), shapes
 
 
-def run_stepped(state, spec, setup, config, snapshot_callback=None):
-    """tdse.run of the plan on route "stepped" ("thin" alike without the kinetic term)."""
-    plan = tdse.plan_run(state, spec, setup, config)
-    return tdse.run(dataclasses.replace(plan, route="stepped"), snapshot_callback)
+def run_stepped(plan, snapshot_callback=None):
+    """tdse.run of the plan on route "stepped"; a "thin" plan stays thin."""
+    route = "thin" if plan.route == "thin" else "stepped"
+    return tdse.run(dataclasses.replace(plan, route=route), snapshot_callback)
 
 
-def run_exact(state, spec, setup, config, snapshot_callback=None):
+def run_exact(plan, snapshot_callback=None):
     """tdse.run of the plan on route "exact"; the plan must have an order band."""
-    plan = tdse.plan_run(state, spec, setup, config)
     return tdse.run(dataclasses.replace(plan, route="exact"), snapshot_callback)
 
 
-def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
+def propagate_full_box(plan, snapshot_callback=None):
     """The stepped route's result and snapshots, stepping every point of the box.
 
     Strang steps exp(-i V dtau/2) F^-1 exp(-i k^2 dtau) F exp(-i V dtau/2) with
@@ -250,6 +251,7 @@ def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
     pulse area is applied as one phase.  callback(step, tau, state) is called
     every config.snapshot_every steps.
     """
+    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
     grid = state.grid
     v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions())
     mids = (np.arange(config.n_steps) + 0.5) * config.d_tau
@@ -282,7 +284,7 @@ def propagate_full_box(state, spec, setup, config, snapshot_callback=None):
     return wave(psi)
 
 
-def propagate_cell_fft(state, spec, setup, config, snapshot_callback=None):
+def propagate_cell_fft(plan, snapshot_callback=None):
     """The stepped route's result and snapshots from every live sector's whole cell.
 
     The loop the stepped route ran before it stepped only the order band: the
@@ -290,8 +292,7 @@ def propagate_cell_fft(state, spec, setup, config, snapshot_callback=None):
     rows of one array on cells of n_points / f points, each kinetic step an
     FFT pair over the whole cell; the other sectors are carried.
     """
-    if not math.isfinite(setup.u0):
-        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
+    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
     grid = state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
@@ -337,7 +338,7 @@ def propagate_cell_fft(state, spec, setup, config, snapshot_callback=None):
     return _checked_norm(state, out)
 
 
-def propagate_cell_eigh(state, spec, setup, config, snapshot_callback=None):
+def propagate_cell_eigh(plan, snapshot_callback=None):
     """The exact route's result and snapshots from each live sector's whole cell.
 
     A Bloch sector s holds the FFT bins a*f + s, f = gcd(n_points, n_periods);
@@ -349,6 +350,7 @@ def propagate_cell_eigh(state, spec, setup, config, snapshot_callback=None):
     callback(step, tau, state) is called every config.snapshot_every steps at
     tau = step * config.d_tau.
     """
+    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
     grid = state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold

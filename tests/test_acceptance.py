@@ -21,9 +21,7 @@ from kdsim.model import (
     DimensionlessSetup, LaserSetup, MomentSet, build_potential, check_regime,
     derive_scales,
 )
-from kdsim.tdse import (
-    Grid1D, PropagationConfig, init_plane_wave, order_probabilities, plan_propagation,
-)
+from kdsim.tdse import Grid1D, init_plane_wave, order_probabilities, plan_run
 
 from oracles import (
     bessel_j, bessel_series, distribution_pattern, pattern_distance, pointlike_pattern,
@@ -63,8 +61,9 @@ def grid_patterns():
 def tdse_pattern(u0: float, alpha: float, include_kinetic: bool = True,
                  max_order: int = 32):
     setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
-    plan = plan_propagation(setup, POINTLIKE_SPEC, include_kinetic=include_kinetic)
-    final = run_stepped(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, plan)
+    plan = plan_run(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup,
+                    include_kinetic=include_kinetic)
+    final = run_stepped(plan)
     return order_probabilities(final, max_order=max_order)
 
 
@@ -136,8 +135,8 @@ def test_07_strang_order():
     grid = Grid1D()
 
     def pattern(n_steps):
-        config = PropagationConfig(d_tau=setup.tau / n_steps, n_steps=n_steps)
-        out = run_stepped(init_plane_wave(grid), POINTLIKE_SPEC, setup, config)
+        plan = plan_run(init_plane_wave(grid), POINTLIKE_SPEC, setup, d_tau=setup.tau / n_steps)
+        out = run_stepped(plan)
         return order_probabilities(out, max_order=10)
 
     reference = pattern(320)
@@ -150,8 +149,8 @@ def test_07_strang_order():
 
 def test_08_norm_conservation():
     setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
-    config = PropagationConfig(d_tau=setup.tau / 10000, n_steps=10000)
-    out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, config)
+    plan = plan_run(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, d_tau=setup.tau / 10000)
+    out = run_stepped(plan)
     drift = abs(out.norm - 1.0)
     ok = drift <= 1e-10
     report(8, "norm conservation", ok, f"drift {drift:.2e} over 1e4 steps vs 1e-10")

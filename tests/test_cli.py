@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import json
 import math
@@ -15,8 +16,8 @@ import pytest
 import kdsim
 from kdsim import tdse
 from kdsim.cli import (
-    _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main, parse_config,
-    read_observed_csv, run,
+    _LEAVES, _PARSER, _PLAN_KEYS, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main,
+    parse_config, read_observed_csv, run,
 )
 from kdsim.emit import float_text
 from kdsim.fit import band_radius, model_probabilities
@@ -224,14 +225,14 @@ class TestParseConfig:
                                 ("gauss_k0", 0.3, "incommensurate")):
             with pytest.raises(ConfigError, match=f"config key '{key}': .*{why}"):
                 parse_config(json.dumps({**gauss, key: value}))
-        assert parse_config(json.dumps({**gauss, "gauss_k0": 0.25})).state.k0 == 0.25
+        assert parse_config(json.dumps({**gauss, "gauss_k0": 0.25})).plan.state.k0 == 0.25
         for center in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match="config key 'gauss_center': must be finite"):
                 parse_config(json.dumps({**gauss, "gauss_center": center}))
-        far = parse_config(json.dumps({**gauss, "gauss_center": -1e300})).state
+        far = parse_config(json.dumps({**gauss, "gauss_center": -1e300})).plan.state
         assert far.norm == pytest.approx(1.0, rel=1e-12)  # taken modulo the box
         plane = {"mode": "tdse", "u0": 100, "tau": 0.01}
-        assert parse_config(json.dumps({**plane, "order_offset": 63})).state.k0 == 126.0
+        assert parse_config(json.dumps({**plane, "order_offset": 63})).plan.state.k0 == 126.0
         for offset in (64, -64):  # 2*|offset| reaches n_points/n_periods = 128: aliased
             with pytest.raises(ConfigError, match="config key 'order_offset': .*aliases"):
                 parse_config(json.dumps({**plane, "order_offset": offset}))
@@ -726,7 +727,7 @@ class TestMainTdse:
         assert per_run[0] == per_run[1]
         assert per_run[0].count(n) == 2
         assert per_run[0].count(cell) == 2 * n_snap
-        grid = parse_config(json.dumps(doc)).state.grid
+        grid = parse_config(json.dumps(doc)).grid
         want = {"position": [float_text(x) for x in grid.positions()],
                 "momentum": [float_text(k) for k in np.fft.fftshift(grid.wavenumbers())]}
         for name, texts in want.items():
@@ -745,7 +746,7 @@ class TestMainTdse:
                **extra}
         rc = parse_config(json.dumps(doc))
         grid = rc.grid
-        out = tdse.run(tdse.plan_run(rc.state, rc.spec, rc.setup, rc.plan))
+        out = tdse.run(rc.plan)
         cli_mod = importlib.import_module("kdsim.cli")
         sizes, bulk = [], cli_mod.float_texts
         monkeypatch.setattr(cli_mod, "float_texts", lambda v: sizes.append(len(v)) or bulk(v))
@@ -844,14 +845,13 @@ class TestPlaneWaveCell:
         else:
             start = tdse.init_gaussian(grid, grid.box_length / 2, grid.box_length / 8,
                                        rc.gauss_k0)
+        plan = dataclasses.replace(rc.plan, state=start)  # the oracles read state, not spectrum
         exact = rc.envelope == "rectangular" and rc.include_kinetic
         snaps, strang_snaps = {}, {}
-        full = propagate_full_box(start, rc.spec, rc.setup, rc.plan,
-                                  lambda j, _t, s: strang_snaps.setdefault(j, s.psi))
+        full = propagate_full_box(plan, lambda j, _t, s: strang_snaps.setdefault(j, s.psi))
         strang = tdse.order_probabilities(full, max_order=rc.order_cutoff)
         if exact:  # the reference is the cell's dense diagonalization
-            ref = propagate_cell_eigh(start, rc.spec, rc.setup, rc.plan,
-                                      lambda j, _t, s: snaps.setdefault(j, s.psi))
+            ref = propagate_cell_eigh(plan, lambda j, _t, s: snaps.setdefault(j, s.psi))
             want, tol = tdse.order_probabilities(ref, max_order=rc.order_cutoff), 1e-12
         else:
             want, snaps, tol = strang, strang_snaps, 1e-13
@@ -884,7 +884,7 @@ class TestPlaneWaveCell:
         if exact:  # within the Strang error of the full-box stepper
             assert np.max(np.abs(got - [strang.probabilities[p] for p in strang.orders])) <= 1e-5
 
-        assert len(snaps) == (rc.plan.n_steps // 20 if "snapshot_every" in extra else 0)
+        assert len(snaps) == (rc.plan.config.n_steps // 20 if "snapshot_every" in extra else 0)
         assert sorted(snaps) == sorted(strang_snaps)
         k = np.fft.fftshift(grid.wavenumbers())
         for refs, bound in [(snaps, tol)] + [(strang_snaps, 1e-5)] * exact:
@@ -906,8 +906,8 @@ class TestPlaneWaveCell:
         payload = json.loads(out)["payload"]
         assert payload["generator"] == "tdse_exact"
         rc = parse_config("{}", {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "d_tau": 0.01})
-        assert rc.plan.n_steps == 1
-        want = tdse.order_probabilities(propagate_cell_eigh(rc.state, rc.spec, rc.setup, rc.plan))
+        assert rc.plan.config.n_steps == 1
+        want = tdse.order_probabilities(propagate_cell_eigh(rc.plan))
         assert payload["orders"] == list(want.orders)
         assert np.max(np.abs(np.subtract(payload["probabilities"],
                                          [want.probabilities[p] for p in want.orders]))) <= 1e-12
@@ -939,7 +939,7 @@ class TestDeterminism:
             runs.append((code, out, err, [(f.name, f.read_bytes()) for f in files]))
             shutil.rmtree(snap_dir)
         assert json.loads(runs[0][1])["payload"]["generator"] == "tdse_exact"
-        assert len(runs[0][3]) == 2 * (parse_config(json.dumps(doc)).plan.n_steps // 16) > 0
+        assert len(runs[0][3]) == 2 * (parse_config(json.dumps(doc)).plan.config.n_steps // 16) > 0
         assert runs[0] == runs[1]
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
@@ -1110,5 +1110,13 @@ def test_public_api_names_resolve():
         assert getattr(kdsim, name) is not None, name
     dropped = {"exact_route", "BesselRow", "distribution_pattern", "pointlike_pattern",
                "bessel_j", "pattern_distance", "propagate", "propagate_exact",
-               "fit_effective_amplitude"}
+               "fit_effective_amplitude", "plan_propagation", "PropagationConfig"}
     assert dropped.isdisjoint(kdsim.__all__)
+    assert not hasattr(tdse, "plan_propagation")
+
+
+def test_plan_keys_are_the_planner_keywords():
+    """The CLI hands plan_run exactly its step keywords and PropagationConfig's schedule
+    fields, so the config table and the library planner cannot drift apart."""
+    fields = {f.name for f in dataclasses.fields(tdse.PropagationConfig)}
+    assert set(_PLAN_KEYS) == {"d_tau", "max_step_phase"} | fields - {"d_tau", "n_steps"}

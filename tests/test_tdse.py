@@ -15,7 +15,7 @@ from kdsim.model import (
 from kdsim.tdse import (
     _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _KICK_BLOCK, _REACH_TOL, ENVELOPES, Grid1D,
     PropagationConfig, WaveState, _envelope_weights, _half_kicks, _order_reach, init_gaussian,
-    init_plane_wave, max_potential, order_probabilities, plan_propagation, plan_run,
+    init_plane_wave, max_potential, order_probabilities, plan_run,
 )
 
 from oracles import (
@@ -28,6 +28,11 @@ POINTLIKE = build_potential(MomentSet())
 
 def thin_setup(alpha, u0=1000.0):
     return DimensionlessSetup.from_u0_alpha(u0, alpha)
+
+
+def plane_plan(setup, spec=POINTLIKE, **plan_kw):
+    """plan_run of an order-0 plane wave on the default grid."""
+    return plan_run(init_plane_wave(Grid1D()), spec, setup, **plan_kw)
 
 
 class TestGrid:
@@ -71,7 +76,8 @@ class TestInitialStates:
         assert state.k0 == 4.0
         # relative to its own carrier it is order 0; relative to k = 0 it is order 2
         assert order_probabilities(state).probability(0) == pytest.approx(1.0, abs=1e-13)
-        assert order_probabilities(state, k0=0.0).probability(2) == pytest.approx(1.0, abs=1e-13)
+        about_zero = WaveState(state.grid, k0=0.0, spectrum=state.spectrum)
+        assert order_probabilities(about_zero).probability(2) == pytest.approx(1.0, abs=1e-13)
 
     def test_gaussian_normalized(self):
         grid = Grid1D()
@@ -184,23 +190,40 @@ class TestBinning:
 class TestPlan:
     def test_covers_tau_exactly(self):
         setup = thin_setup(2.0)
-        config = plan_propagation(setup, POINTLIKE)
+        config = plane_plan(setup).config
         assert config.n_steps * config.d_tau == pytest.approx(setup.tau, rel=1e-15)
         assert max_potential(setup, POINTLIKE) * config.d_tau <= 0.05 * (1.0 + 1e-12)
 
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(u0=st.floats(10.0, 1000.0), alpha=st.floats(0.0, 20.0),
+           d_tau=st.one_of(st.none(), st.floats(1e-3, 1.0)), envelope=st.sampled_from(ENVELOPES),
+           kinetic=st.booleans(), moments=st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4)))
+    def test_every_plan_covers_tau(self, u0, alpha, d_tau, envelope, kinetic, moments):
+        # the one planner takes the pulse length from the setup alone
+        setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
+        spec = build_potential(MomentSet(moments))
+        config = plane_plan(setup, spec, d_tau=d_tau, envelope=envelope,
+                            include_kinetic=kinetic).config
+        assert config.n_steps * config.d_tau == pytest.approx(setup.tau, rel=1e-15)
+        assert (config.n_steps == 0) == (setup.tau == 0.0)
+        largest = 0.05 / max_potential(setup, spec) if d_tau is None else d_tau
+        assert config.d_tau <= largest * (1.0 + 1e-9)
+        assert (config.envelope, config.include_kinetic) == (envelope, kinetic)
+
     def test_explicit_step_rounded_up(self):
         setup = thin_setup(2.0)  # tau = 0.004
-        config = plan_propagation(setup, POINTLIKE, d_tau=0.003)
+        config = plane_plan(setup, d_tau=0.003).config
         assert config.n_steps == 2
         assert config.d_tau == pytest.approx(0.002)
 
     def test_zero_duration(self):
         setup = DimensionlessSetup.from_u0_tau(100.0, 0.0)
-        assert plan_propagation(setup, POINTLIKE).n_steps == 0
+        config = plane_plan(setup, d_tau=0.01).config
+        assert (config.n_steps, config.d_tau) == (0, 0.0)
 
     def test_ideal_limit_rejected(self):
         with pytest.raises(ValueError):
-            plan_propagation(DimensionlessSetup.from_alpha(2.0), POINTLIKE)
+            plane_plan(DimensionlessSetup.from_alpha(2.0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -220,16 +243,15 @@ class TestThinGratingPath:
         grid = Grid1D()
         setup = thin_setup(1.5, u0=40.0)
         state = init_plane_wave(grid)
-        config = PropagationConfig(d_tau=setup.tau / 60.0, n_steps=60, include_kinetic=False)
-        out = run_stepped(state, POINTLIKE, setup, config)
+        out = run_stepped(plan_run(state, POINTLIKE, setup, d_tau=setup.tau / 60.0,
+                                   include_kinetic=False))
         v = 0.5 * setup.u0 * evaluate_potential(POINTLIKE, grid.positions())
         direct = np.exp(-1j * v * setup.tau) * state.psi
         assert np.max(np.abs(out.psi - direct)) <= 1e-13
 
     def test_reproduces_bessel_pattern(self):
         setup = thin_setup(2.0)
-        config = plan_propagation(setup, POINTLIKE, include_kinetic=False)
-        out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+        out = run_stepped(plane_plan(setup, include_kinetic=False))
         got = order_probabilities(out, max_order=12)
         want = pointlike_pattern(2.0, order_cutoff=12)
         assert pattern_distance(got, want)[0] <= 1e-10
@@ -237,11 +259,10 @@ class TestThinGratingPath:
     def test_ramp_accumulates_effective_area(self):
         grid = Grid1D()
         setup = thin_setup(2.0, u0=40.0)  # tau = 0.1
-        config = PropagationConfig(d_tau=setup.tau / 40.0, n_steps=40,
-                                   include_kinetic=False, envelope="sin2_ramp",
-                                   ramp_fraction=0.25)
-        out = run_stepped(init_plane_wave(grid), POINTLIKE, setup, config)
-        area = float(np.sum(_envelope_weights(config)) * config.d_tau)
+        plan = plan_run(init_plane_wave(grid), POINTLIKE, setup, d_tau=setup.tau / 40.0,
+                        include_kinetic=False, envelope="sin2_ramp", ramp_fraction=0.25)
+        out = run_stepped(plan)
+        area = float(np.sum(_envelope_weights(plan.config)) * plan.config.d_tau)
         assert area < setup.tau  # ramps remove pulse area
         want = pointlike_pattern(0.5 * setup.u0 * area, order_cutoff=12)
         got = order_probabilities(out, max_order=12)
@@ -250,24 +271,31 @@ class TestThinGratingPath:
     def test_zero_steps_identity(self):
         grid = Grid1D()
         state = init_plane_wave(grid)
-        config = PropagationConfig(d_tau=0.0, n_steps=0)
-        out = run_stepped(state, POINTLIKE, thin_setup(2.0), config)
+        out = run_stepped(plan_run(state, POINTLIKE, DimensionlessSetup.from_u0_tau(1000.0, 0.0)))
         assert np.array_equal(out.psi, state.psi)
+
+    def test_no_step_phase_warning(self):
+        # one exact phase of the pulse area: d_tau changes nothing, so no warning
+        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        coarse = plane_plan(setup, d_tau=0.01, include_kinetic=False)  # 3 rad per step
+        assert coarse.route == "thin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = tdse.run(coarse)
+        assert max_order_gap(out, tdse.run(plane_plan(setup, include_kinetic=False))) <= 1e-15
 
 
 class TestSplitStep:
     def test_near_thin_grating_at_large_u0(self):
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
-        config = plan_propagation(setup, POINTLIKE)
-        out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+        out = run_stepped(plane_plan(setup))
         got = order_probabilities(out, max_order=10)
         want = pointlike_pattern(1.5, order_cutoff=10)
         assert pattern_distance(got, want)[0] <= 1e-3
 
     def test_norm_preserved_over_many_steps(self):
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
-        config = PropagationConfig(d_tau=setup.tau / 500.0, n_steps=500)
-        out = run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+        out = run_stepped(plane_plan(setup, d_tau=setup.tau / 500.0))
         assert abs(out.norm - 1.0) <= 1e-11
 
     def test_second_order_step_convergence(self):
@@ -276,8 +304,7 @@ class TestSplitStep:
         state = init_plane_wave(grid)
 
         def final_psi(n_steps):
-            config = PropagationConfig(d_tau=setup.tau / n_steps, n_steps=n_steps)
-            return run_stepped(state, POINTLIKE, setup, config).psi
+            return run_stepped(plan_run(state, POINTLIKE, setup, d_tau=setup.tau / n_steps)).psi
 
         ref = final_psi(320)
         err_coarse = np.max(np.abs(final_psi(40) - ref))
@@ -295,19 +322,15 @@ class TestSplitStep:
         shifted = PotentialSpec(offset=spec.offset,
                                 a_c=spec.a_c * c + spec.a_s * s,
                                 a_s=-spec.a_c * s + spec.a_s * c)
-        config = plan_propagation(setup, spec)
-        base = order_probabilities(
-            run_stepped(init_plane_wave(Grid1D()), spec, setup, config), max_order=10)
-        moved = order_probabilities(
-            run_stepped(init_plane_wave(Grid1D()), shifted, setup, config), max_order=10)
+        base = order_probabilities(run_stepped(plane_plan(setup, spec)), max_order=10)
+        moved = order_probabilities(run_stepped(plane_plan(setup, shifted)), max_order=10)
         assert pattern_distance(base, moved)[0] <= 1e-12
 
     def test_wavepacket_orders_aggregate_like_plane_wave(self):
         grid = Grid1D()
         setup = thin_setup(1.5)
         packet = init_gaussian(grid, center=grid.box_length / 2.0, sigma=4.0)
-        config = plan_propagation(setup, POINTLIKE, include_kinetic=False)
-        out = run_stepped(packet, POINTLIKE, setup, config)
+        out = run_stepped(plan_run(packet, POINTLIKE, setup, include_kinetic=False))
         got = order_probabilities(out, max_order=10)
         want = pointlike_pattern(1.5, order_cutoff=10)
         assert pattern_distance(got, want)[0] <= 1e-6
@@ -316,43 +339,39 @@ class TestSplitStep:
 class TestDiagnostics:
     def test_large_step_warns(self):
         setup = thin_setup(2.0, u0=100.0)  # tau = 0.04
-        config = PropagationConfig(d_tau=0.002, n_steps=20)  # 0.2 rad per step
+        plan = plane_plan(setup, d_tau=0.002)  # 0.2 rad per step
         with pytest.warns(UserWarning, match="phase per step"):
-            run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config)
+            run_stepped(plan)
 
     def test_corrupted_state_raises(self):
         grid = Grid1D()
         bad = init_plane_wave(grid)
         bad.spectrum[3] = math.nan  # the array the state holds
-        config = PropagationConfig(d_tau=1e-4, n_steps=1)
+        plan = plan_run(bad, POINTLIKE, DimensionlessSetup.from_u0_tau(1000.0, 1e-4), d_tau=1e-4)
         with pytest.raises(RuntimeError, match="unitarity"):
-            run_stepped(bad, POINTLIKE, thin_setup(2.0), config)
+            run_stepped(plan)
 
     def test_ideal_limit_rejected(self):
-        config = PropagationConfig(d_tau=1e-4, n_steps=1)
-        with pytest.raises(ValueError):
-            run_stepped(init_plane_wave(Grid1D()), POINTLIKE,
-                        DimensionlessSetup.from_alpha(2.0), config)
+        with pytest.raises(ValueError):  # tau = 0: no step to take, and no finite u0
+            plane_plan(DimensionlessSetup.from_alpha(2.0), d_tau=1e-4)
 
 
 class TestSnapshots:
     @pytest.mark.parametrize("include_kinetic", [True, False])
     def test_callback_schedule(self, include_kinetic):
         setup = thin_setup(0.5, u0=100.0)
-        config = PropagationConfig(d_tau=setup.tau / 12.0, n_steps=12,
-                                   include_kinetic=include_kinetic, snapshot_every=5)
+        plan = plane_plan(setup, d_tau=setup.tau / 12.0, include_kinetic=include_kinetic,
+                          snapshot_every=5)
         seen = []
-        run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config,
-                    snapshot_callback=lambda step, tau, st: seen.append((step, tau, st.norm)))
+        run_stepped(plan, snapshot_callback=lambda step, tau, st: seen.append((step, tau, st.norm)))
         assert [s[0] for s in seen] == [5, 10]
-        assert seen[0][1] == pytest.approx(5.0 * config.d_tau)
+        assert seen[0][1] == pytest.approx(5.0 * plan.config.d_tau)
         assert all(abs(n - 1.0) <= 1e-10 for _, _, n in seen)
 
     def test_no_snapshots_by_default(self):
         setup = thin_setup(0.5, u0=100.0)
-        config = PropagationConfig(d_tau=setup.tau / 12.0, n_steps=12)
         seen = []
-        run_stepped(init_plane_wave(Grid1D()), POINTLIKE, setup, config,
+        run_stepped(plane_plan(setup, d_tau=setup.tau / 12.0),
                     snapshot_callback=lambda *a: seen.append(a))
         assert seen == []
 
@@ -365,7 +384,7 @@ def sector_weights(state):
     return np.sort(power / power.sum())[::-1]
 
 
-def stepped_bins(state, spec, setup, config):
+def stepped_bins(plan):
     """(mask of the FFT bins the stepped route steps, points of the cell it steps them on).
 
     Those are the live sectors' band columns: the columns holding a bin over
@@ -374,6 +393,7 @@ def stepped_bins(state, spec, setup, config):
     power of two of columns; the whole cell when that is as wide, or without
     the kinetic term.
     """
+    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
     grid = state.grid
     f = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // f
@@ -416,18 +436,18 @@ class TestBlochSectors:
                                           data.draw(st.floats(0.0, 0.4), "q"))))
         setup = DimensionlessSetup.from_u0_alpha(data.draw(st.sampled_from([30.0, 300.0]), "u0"),
                                                  data.draw(st.floats(0.2, 3.0), "alpha"))
-        config = plan_propagation(setup, spec,
-                                  envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
-                                  include_kinetic=data.draw(st.booleans(), "kinetic"))
+        plan = plan_run(state, spec, setup,
+                        envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
+                        include_kinetic=data.draw(st.booleans(), "kinetic"))
 
-        out, shapes = stepped_sectors(lambda: run_stepped(state, spec, setup, config))
-        want = order_probabilities(propagate_full_box(state, spec, setup, config))
+        out, shapes = stepped_sectors(lambda: run_stepped(plan))
+        want = order_probabilities(propagate_full_box(plan))
         got = order_probabilities(out)
         assert max(abs(got.probabilities[p] - want.probabilities[p]) for p in got.orders) <= 1e-13
 
         f = math.gcd(n_points, n_periods)
         (live, points), = shapes
-        assert points == stepped_bins(state, spec, setup, config)[1]
+        assert points == stepped_bins(plan)[1]
         assert live == (1 if plane else f)
         assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
 
@@ -435,14 +455,14 @@ class TestBlochSectors:
         grid = Grid1D()  # 8 sectors of 128 points
         x = grid.positions()
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
-        config = plan_propagation(setup, POINTLIKE)
         for eps, live in ((1e-11, 1), (1e-9, 2)):  # admixed weights 1e-22 and 1e-18
             psi = (np.exp(2j * x) + eps * np.exp(0.25j * x)) / math.sqrt(grid.box_length)
             state = WaveState(grid, psi / math.sqrt(1.0 + eps**2), k0=2.0)
-            out, shapes = stepped_sectors(lambda: run_stepped(state, POINTLIKE, setup, config))
-            assert shapes == {(live, stepped_bins(state, POINTLIKE, setup, config)[1])}
+            plan = plan_run(state, POINTLIKE, setup)
+            out, shapes = stepped_sectors(lambda: run_stepped(plan))
+            assert shapes == {(live, stepped_bins(plan)[1])}
             assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
-            want = propagate_full_box(state, POINTLIKE, setup, config)
+            want = propagate_full_box(plan)
             assert np.max(np.abs(out.psi - want.psi)) <= 1e-13 + (eps if live == 1 else 0.0)
 
 
@@ -470,26 +490,25 @@ class TestOrderBand:
         setup = DimensionlessSetup.from_u0_alpha(data.draw(st.sampled_from([30.0, 300.0]), "u0"),
                                                  data.draw(st.floats(0.2, 3.0), "alpha"))
         n_steps = data.draw(st.integers(1, 300), "n_steps")  # past one kick block at m >= 64
-        config = PropagationConfig(
-            d_tau=setup.tau / n_steps, n_steps=n_steps,
-            envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
-            snapshot_every=data.draw(st.integers(0, n_steps), "snapshot_every"))
+        schedule = dict(d_tau=setup.tau / n_steps,
+                        envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
+                        snapshot_every=data.draw(st.integers(0, n_steps), "snapshot_every"))
+        plan = plan_run(state, spec, setup, **schedule)
 
         # the bins beyond the band, at most _EMPTY_SECTOR of the weight, are
         # carried: here the start's rounding noise, up to 1e-13 of psi at the
         # alias limit; the oracle steps the rest
         spectrum = np.fft.fft(state.psi)
-        stepped = stepped_bins(state, spec, setup, config)[0]
+        stepped = stepped_bins(plan)[0]
         carried = np.fft.ifft(np.where(stepped, 0.0, spectrum))
         banded = WaveState(grid, np.fft.ifft(np.where(stepped, spectrum, 0.0)), state.k0)
         got, want = {}, {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # coarse plans warn in both
-            out = run_stepped(state, spec, setup, config,
-                              lambda j, t, s: got.setdefault(j, (t, s.psi)))
-            ref = propagate_cell_fft(banded, spec, setup, config,
+            out = run_stepped(plan, lambda j, t, s: got.setdefault(j, (t, s.psi)))
+            ref = propagate_cell_fft(plan_run(banded, spec, setup, **schedule),
                                      lambda j, t, s: want.setdefault(j, (t, s.psi + carried)))
-            whole = propagate_cell_fft(state, spec, setup, config)
+            whole = propagate_cell_fft(plan)
         ref = WaveState(grid, ref.psi + carried, state.k0)
         assert max_order_gap(out, ref) <= 1e-13
         assert np.max(np.abs(out.psi - ref.psi)) <= 1e-13
@@ -522,11 +541,10 @@ class TestOrderBand:
         # a plane wave at order 0 of 2048 points over 8 periods (cells of 256):
         # reach 16 over the ramp's area, so 33 columns on a cell of 64 points
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
-        config = plan_propagation(setup, POINTLIKE, envelope="sin2_ramp")
-        state = init_plane_wave(Grid1D(2048, 8))
-        out, shapes = stepped_sectors(lambda: run_stepped(state, POINTLIKE, setup, config))
-        assert shapes == {(1, stepped_bins(state, POINTLIKE, setup, config)[1])} == {(1, 64)}
-        want = propagate_cell_fft(state, POINTLIKE, setup, config)
+        plan = plan_run(init_plane_wave(Grid1D(2048, 8)), POINTLIKE, setup, envelope="sin2_ramp")
+        out, shapes = stepped_sectors(lambda: run_stepped(plan))
+        assert shapes == {(1, stepped_bins(plan)[1])} == {(1, 64)}
+        want = propagate_cell_fft(plan)
         assert np.max(np.abs(out.psi - want.psi)) <= 1e-13
 
 
@@ -538,8 +556,8 @@ def max_order_gap(a, b):
 
 def exact_case(u0, alpha, moments=(0.3, 0.1), order_offset=0, n_points=1024, n_periods=8,
                sigma=None, k0_units=0, **plan_kw):
-    """A plane wave at order_offset, or with sigma a Gaussian packet with carrier
-    k0_units grid steps, under a rectangular pulse."""
+    """The plan of a plane wave at order_offset, or with sigma a Gaussian packet with
+    carrier k0_units grid steps, under a rectangular pulse."""
     setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
     spec = build_potential(MomentSet(moments))
     grid = Grid1D(n_points, n_periods)
@@ -547,7 +565,7 @@ def exact_case(u0, alpha, moments=(0.3, 0.1), order_offset=0, n_points=1024, n_p
         state = init_plane_wave(grid, order_offset)
     else:
         state = init_gaussian(grid, grid.box_length / 3, sigma, 2.0 * k0_units / n_periods)
-    return state, spec, setup, plan_propagation(setup, spec, **plan_kw)
+    return plan_run(state, spec, setup, **plan_kw)
 
 
 def reach_bound(x, reach):
@@ -584,29 +602,28 @@ class TestExactRoute:
 
     @pytest.mark.parametrize("case", CASES + PACKETS)
     def test_matches_cell_diagonalization(self, case):
-        state, spec, setup, config = exact_case(**case, snapshot_every=17)
-        assert plan_run(state, spec, setup, config).route == "exact"
+        plan = exact_case(**case, snapshot_every=17)
+        assert plan.route == "exact"
         got, want = {}, {}
-        out = run_exact(state, spec, setup, config,
-                        snapshot_callback=lambda j, t, s: got.setdefault(j, (t, s.psi)))
-        ref = propagate_cell_eigh(state, spec, setup, config,
+        out = run_exact(plan, snapshot_callback=lambda j, t, s: got.setdefault(j, (t, s.psi)))
+        ref = propagate_cell_eigh(plan,
                                   snapshot_callback=lambda j, t, s: want.setdefault(j, (t, s.psi)))
         assert max_order_gap(out, ref) <= 1e-10
         assert np.max(np.abs(out.psi - ref.psi)) <= 1e-10
-        assert sorted(got) == list(range(17, config.n_steps + 1, 17)) == sorted(want)
+        assert sorted(got) == list(range(17, plan.config.n_steps + 1, 17)) == sorted(want)
         for j, (tau, psi) in got.items():
-            assert tau == want[j][0] == j * config.d_tau
+            assert tau == want[j][0] == j * plan.config.d_tau
             assert np.max(np.abs(psi - want[j][1])) <= 1e-10
 
     @pytest.mark.parametrize("case", CASES)
     def test_ten_more_orders_move_nothing(self, case, monkeypatch):
-        state, spec, setup, config = exact_case(**case)
-        base = order_probabilities(run_exact(state, spec, setup, config)).probabilities
+        plan = exact_case(**case)
+        base = order_probabilities(run_exact(plan)).probabilities
         monkeypatch.setattr(tdse, "_order_reach", lambda x: _order_reach(x) + 10)
-        more = order_probabilities(run_exact(state, spec, setup, config)).probabilities
+        more = order_probabilities(run_exact(exact_case(**case))).probabilities
         # the added orders gain nothing; the others differ by the rounding of a
         # second, larger eigh (up to 3e-15 seen), not by what the reach left out
-        x = setup.alpha * math.hypot(spec.a_c, spec.a_s)
+        x = plan.setup.alpha * math.hypot(plan.spec.a_c, plan.spec.a_s)
         assert max(more[p] for p in more if abs(p) > _order_reach(x)) <= 1e-15
         assert max(abs(more[p] - base[p]) for p in base) <= 1e-14
 
@@ -622,18 +639,20 @@ class TestExactRoute:
         assert [_order_reach(x) for x in (0.0, 2.0, 10.0, 20.0)] == [0, 19, 38, 55]
 
     def test_strang_converges_at_second_order(self):
-        state, spec, setup, _ = exact_case(20.0, 1.0)  # tau = 0.1
-        exact = run_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
+        plan = exact_case(20.0, 1.0)  # tau = 0.1
+        state, spec, setup = plan.state, plan.spec, plan.setup
+        exact = run_exact(plan_run(state, spec, setup, d_tau=setup.tau))
         errors = [np.max(np.abs(exact.psi - run_stepped(
-            state, spec, setup, PropagationConfig(setup.tau / n, n)).psi)) for n in (40, 80, 160)]
+            plan_run(state, spec, setup, d_tau=setup.tau / n)).psi)) for n in (40, 80, 160)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
     def test_strang_converges_at_second_order_for_a_packet(self):
-        state, spec, setup, _ = exact_case(20.0, 1.0, sigma=1.0, k0_units=2)  # tau = 0.1
-        exact = run_exact(state, spec, setup, PropagationConfig(setup.tau, 1))
+        plan = exact_case(20.0, 1.0, sigma=1.0, k0_units=2)  # tau = 0.1
+        state, spec, setup = plan.state, plan.spec, plan.setup
+        exact = run_exact(plan_run(state, spec, setup, d_tau=setup.tau))
         errors = [np.max(np.abs(exact.psi - run_stepped(
-            state, spec, setup, PropagationConfig(setup.tau / n, n)).psi)) for n in (40, 80, 160)]
+            plan_run(state, spec, setup, d_tau=setup.tau / n)).psi)) for n in (40, 80, 160)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
@@ -643,9 +662,8 @@ class TestExactRoute:
         for alpha in (0.5, 2.0, 8.0, 20.0):
             for moments in ((0.0, 0.0), (0.3, 0.1), (0.4, 0.4)):
                 for offset in (0, 1):
-                    state, spec, setup, config = exact_case(u0, alpha, moments, offset)
-                    assert max_order_gap(run_exact(state, spec, setup, config),
-                                         run_stepped(state, spec, setup, config)) <= 1e-5
+                    plan = exact_case(u0, alpha, moments, offset)
+                    assert max_order_gap(run_exact(plan), run_stepped(plan)) <= 1e-5
 
     def test_route_predicate(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -654,21 +672,21 @@ class TestExactRoute:
         for name in ("_stepped", "_exact"):
             monkeypatch.setattr(tdse, name, refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        state, spec, setup, config = exact_case(300.0, 2.0)
-        assert plan_run(state, spec, setup, config).route == "exact"
+        plan = exact_case(300.0, 2.0)
+        assert plan.route == "exact"
+        state, spec, setup = plan.state, plan.spec, plan.setup
         grid = state.grid
         for change, route in (({"envelope": "sin2_ramp"}, "stepped"),
                               ({"include_kinetic": False}, "thin")):
-            changed = plan_propagation(setup, spec, **change)
-            assert plan_run(state, spec, setup, changed).route == route
+            assert plan_run(state, spec, setup, **change).route == route
         with pytest.raises(ValueError, match="finite u0"):
-            plan_run(state, spec, DimensionlessSetup.from_alpha(2.0), config)
+            plan_run(state, spec, DimensionlessSetup.from_alpha(2.0))
 
         # a start at order 63 of 1024 points over 8 periods has no order above it
-        assert plan_run(init_plane_wave(grid, 63), spec, setup, config).route == "stepped"
+        assert plan_run(init_plane_wave(grid, 63), spec, setup).route == "stepped"
         # any start state: a packet fills all 8 chains of the grid
         packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
-        assert plan_run(packet, spec, setup, config).route == "exact"
+        assert plan_run(packet, spec, setup).route == "exact"
 
         # the size cap: a basis of 2 P + 1 orders, on a grid that bins +-1023 of them;
         # and the grid's: 1024 points over 8 periods bin orders -64..63
@@ -677,20 +695,19 @@ class TestExactRoute:
         for reach, start, served in ((half, wide, True), (half + 1, wide, False),
                                      (63, state, True), (64, state, False)):
             monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
-            assert (plan_run(start, spec, setup, config).route == "exact") is served
+            assert (plan_run(start, spec, setup).route == "exact") is served
         # the cap is on the stack: 8 chains of about 2 P orders each pass
         # 1025^2 entries between P = 150 and 200, where one chain is served
         packet = init_gaussian(wide.grid, wide.grid.box_length / 2, wide.grid.box_length / 8)
         for reach, start, served in ((150, packet, True), (200, packet, False), (200, wide, True)):
             monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
-            assert (plan_run(start, spec, setup, config).route == "exact") is served
+            assert (plan_run(start, spec, setup).route == "exact") is served
 
     @pytest.mark.parametrize("case", [case for case in CASES if "order_offset" not in case])
     def test_even_block_matches_the_full_stack(self, case, monkeypatch):
         # an order-0 plane wave: orders 0..reach in the parity-even basis, one
         # eigh of half the band's size, against the whole band's stack
-        state, spec, setup, config = exact_case(**case, snapshot_every=17)
-        plan = plan_run(state, spec, setup, config)
+        plan = exact_case(**case, snapshot_every=17)
         assert plan.route == "exact" and plan.even
         sizes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
@@ -704,7 +721,7 @@ class TestExactRoute:
         assert max_order_gap(even, full) <= 1e-13
         assert np.max(np.abs(even.psi - full.psi)) <= 1e-13
         assert [(j, t) for j, t, _ in even_snaps] == [(j, t) for j, t, _ in full_snaps]
-        assert len(even_snaps) == config.n_steps // 17
+        assert len(even_snaps) == plan.config.n_steps // 17
         for (_, _, a), (_, _, b) in zip(even_snaps, full_snaps):
             assert np.max(np.abs(a - b)) <= 1e-13
 
@@ -714,8 +731,7 @@ class TestExactRoute:
         dict(u0=300.0, alpha=8.0, sigma=1.0, k0_units=3),
     ])
     def test_other_starts_keep_the_full_stack(self, case, monkeypatch):
-        state, spec, setup, config = exact_case(**case)
-        plan = plan_run(state, spec, setup, config)
+        plan = exact_case(**case)
         assert plan.route == "exact" and not plan.even
         sizes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
@@ -728,9 +744,7 @@ class TestExactRoute:
     ])
     def test_plan_runs_twice_alike(self, route, change):
         # each run writes into its own copy of the plan's spectrum
-        state, spec, setup, _ = exact_case(300.0, 2.0, sigma=1.0, k0_units=1)
-        plan = plan_run(state, spec, setup,
-                        plan_propagation(setup, spec, snapshot_every=7, **change))
+        plan = exact_case(300.0, 2.0, sigma=1.0, k0_units=1, snapshot_every=7, **change)
         assert plan.route == route and not plan.spectrum.flags.writeable
         runs = []
         for _ in range(2):
@@ -749,43 +763,42 @@ class TestExactRoute:
         monkeypatch.setattr(tdse, "_order_reach", lambda x: 600)
         eigh = np.linalg.eigh
         for offset in (0, 1):
-            state, spec, setup, config = exact_case(300.0, 2.0, order_offset=offset)
-            # the grid cuts the reach
-            assert plan_run(state, spec, setup, config).route == "stepped"
+            plan = exact_case(300.0, 2.0, order_offset=offset)
+            assert plan.route == "stepped"  # the grid cuts the reach
             sizes = []
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
-                out = run_exact(state, spec, setup, config)
+                out = run_exact(plan)
             assert sizes == [(1, 128, 128)]
-            assert max_order_gap(out, propagate_cell_eigh(state, spec, setup, config)) <= 1e-10
+            assert max_order_gap(out, propagate_cell_eigh(plan)) <= 1e-10
         # over 6 periods the grid ends its chains at different orders: the
         # shorter ones are padded with decoupled, empty rows
-        state, spec, setup, config = exact_case(300.0, 2.0, n_periods=6, sigma=1.0, k0_units=1)
-        assert plan_run(state, spec, setup, config).route == "stepped"
-        out = run_exact(state, spec, setup, config)
-        ref = propagate_cell_eigh(state, spec, setup, config)
+        plan = exact_case(300.0, 2.0, n_periods=6, sigma=1.0, k0_units=1)
+        assert plan.route == "stepped"
+        out = run_exact(plan)
+        ref = propagate_cell_eigh(plan)
         assert max_order_gap(out, ref) <= 1e-10
         assert np.max(np.abs(out.psi - ref.psi)) <= 1e-10
 
     def test_rejects_what_it_cannot_serve(self):
         # the exact route needs an order band: plan_run gives none to an empty
         # start, a ramp or a run without the kinetic term, and routes them away
-        state, spec, setup, config = exact_case(300.0, 2.0)
+        plan = exact_case(300.0, 2.0)
+        state, spec, setup = plan.state, plan.spec, plan.setup
         empty = WaveState(state.grid, np.zeros(state.grid.n_points))
         for start, change, route in ((empty, {}, "stepped"),
                                      (state, {"envelope": "sin2_ramp"}, "stepped"),
                                      (state, {"include_kinetic": False}, "thin")):
-            plan = plan_run(start, spec, setup, plan_propagation(setup, spec, **change))
+            plan = plan_run(start, spec, setup, **change)
             assert plan.route == route and plan.modes is None
         with pytest.raises(ValueError, match="finite u0"):
-            run_exact(state, spec, DimensionlessSetup.from_alpha(2.0), config)
+            plan_run(state, spec, DimensionlessSetup.from_alpha(2.0))
 
     def test_no_step_phase_warning(self, recwarn):
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
-        config = plan_propagation(setup, POINTLIKE, d_tau=0.01)  # 3 rad per Strang step
-        state = init_plane_wave(Grid1D())
-        out = run_exact(state, POINTLIKE, setup, config)
+        plan = plane_plan(setup, d_tau=0.01)  # 3 rad per Strang step
+        out = run_exact(plan)
         assert len(recwarn) == 0
-        assert max_order_gap(out, propagate_cell_eigh(state, POINTLIKE, setup, config)) <= 1e-12
+        assert max_order_gap(out, propagate_cell_eigh(plan)) <= 1e-12
         with pytest.warns(UserWarning, match="phase per step"):
-            run_stepped(state, POINTLIKE, setup, config)
+            run_stepped(plan)
