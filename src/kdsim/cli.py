@@ -112,6 +112,8 @@ def _default(func, name: str):
 # default or least value of a library call is read from it: defined in one place.
 _Leaf = namedtuple("_Leaf", "cast default flag choices low", defaults=(None, True, None, None))
 _REQUIRED = object()  # the default of a leaf that must be given
+_PLAN_KEYS = [k for k, p in inspect.signature(tdse.plan_run).parameters.items()
+              if p.default is not p.empty]  # plan_run's schedule keywords
 
 
 def _cast_leaf(key: str, leaf: _Leaf, v):
@@ -179,15 +181,15 @@ _LEAVES = {
     "n_periods": _Leaf(_cast_int, tdse.Grid1D.n_periods),
     "d_tau": _Leaf(_cast_float),
     "max_step_phase": _Leaf(_cast_float, _default(tdse.plan_run, "max_step_phase")),
-    "include_kinetic": _Leaf(_cast_bool, tdse.PropagationConfig.include_kinetic),
-    "envelope": _Leaf(_cast_str, tdse.PropagationConfig.envelope, choices=tdse.ENVELOPES),
-    "ramp_fraction": _Leaf(_cast_float, tdse.PropagationConfig.ramp_fraction),
+    "include_kinetic": _Leaf(_cast_bool, _default(tdse.plan_run, "include_kinetic")),
+    "envelope": _Leaf(_cast_str, _default(tdse.plan_run, "envelope"), choices=tdse.ENVELOPES),
+    "ramp_fraction": _Leaf(_cast_float, _default(tdse.plan_run, "ramp_fraction")),
     "init_state": _Leaf(_cast_str, "plane", choices=("plane", "gaussian")),
     "order_offset": _Leaf(_cast_int, _default(tdse.init_plane_wave, "order_offset")),
     "gauss_center": _Leaf(_cast_float),
     "gauss_sigma": _Leaf(_cast_float),
     "gauss_k0": _Leaf(_cast_float, _default(tdse.init_gaussian, "k0")),
-    "snapshot_every": _Leaf(_cast_int, tdse.PropagationConfig.snapshot_every),
+    "snapshot_every": _Leaf(_cast_int, _default(tdse.plan_run, "snapshot_every")),
     "snapshot_prefix": _Leaf(_cast_str, "snapshot"),
     "data": _Leaf(_cast_str),
     "datasets": _Leaf(_cast_object({"entries": _Leaf(_cast_entries, _REQUIRED)}), flag=False),
@@ -231,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 _PHYSICAL_KEYS = ("wavelength_m", "field_V_per_m", "time_s")
 _DIMLESS_KEYS = ("u0", "tau", "alpha")
-_PLAN_KEYS = ("d_tau", "max_step_phase", "include_kinetic", "envelope", "ramp_fraction",
-              "snapshot_every")  # plan_run's keywords
 
 
 class RunConfig:
@@ -382,8 +382,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     plan = None
     if mode == "tdse":
-        if not math.isfinite(setup.u0):
-            raise ConfigError("config key 'u0': tdse mode needs a finite well depth")
         state = _initial_state(val, grid)
         try:
             plan = tdse.plan_run(state, model.build_potential(moments), setup,
@@ -481,27 +479,29 @@ _OBS_COLUMNS = (("order", int), ("probability", float), ("sigma", float))
 
 
 def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
-    """Load an observation from CSV columns order, probability, sigma (after an
-    optional header row); a bad cell is named by its file, line and column."""
+    """Load an observation from CSV columns order, probability, sigma (after an optional
+    header row); each error names the file, and a bad cell its line and column."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [(i, row) for i, row in enumerate(_csvmod.reader(fh), 1)
                     if "".join(row).strip()]
+        columns = [], [], []
+        for n, (line, row) in enumerate(rows):
+            for (name, cast), text, column in zip(_OBS_COLUMNS, row, columns):
+                try:
+                    column.append(cast(text))
+                except ValueError:
+                    if n == 0 and name == "order":
+                        break  # header row
+                    raise ValueError(f"line {line}: bad {name} {text!r}") from None
+            else:
+                if len(row) < 3:
+                    raise ValueError(f"line {line}: need order,probability,sigma")
+        return fit_mod.ObservedPattern(*columns, alpha=alpha)  # it casts each column to a tuple
     except OSError as exc:
         raise ValueError(f"cannot read observation file {path!r}: {exc}") from exc
-    columns = [], [], []
-    for n, (line, row) in enumerate(rows):
-        for (name, cast), text, column in zip(_OBS_COLUMNS, row, columns):
-            try:
-                column.append(cast(text))
-            except ValueError:
-                if n == 0 and name == "order":
-                    break  # header row
-                raise ValueError(f"{path}: line {line}: bad {name} {text!r}") from None
-        else:
-            if len(row) < 3:
-                raise ValueError(f"{path}: line {line}: need order,probability,sigma")
-    return fit_mod.ObservedPattern(*columns, alpha=alpha)  # it casts each column to a tuple
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _snapshot_texts(state: tdse.WaveState) -> tuple[list[str], list[str]]:

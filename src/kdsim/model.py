@@ -73,8 +73,9 @@ class DimensionlessSetup:
     u0 is the well depth over the recoil energy, tau the interaction time in
     recoil units, and alpha = u0 * tau / 2 the accumulated grating phase.
     A setup built from alpha alone represents the ideal thin-grating limit
-    and is stored as u0 = inf, tau = 0.  recoil_energy_J and v0_V keep the
-    SI anchors when the setup came from laboratory inputs.
+    and is stored as u0 = inf, tau = 0; an infinite u0 with tau > 0 is
+    rejected.  recoil_energy_J and v0_V keep the SI anchors when the setup
+    came from laboratory inputs.
     """
 
     u0: float
@@ -90,6 +91,9 @@ class DimensionlessSetup:
                 raise ValueError(f"{name} must be a nonnegative number, got {v!r}")
         if not math.isfinite(self.tau) or not math.isfinite(self.alpha):
             raise ValueError("tau and alpha must be finite")
+        if math.isinf(self.u0) and self.tau != 0.0:
+            raise ValueError(f"tau must be 0 with an infinite u0 (the ideal limit), "
+                             f"got {self.tau!r}")
         if math.isfinite(self.u0):
             expect = 0.5 * self.u0 * self.tau
             if abs(self.alpha - expect) > _REL_TOL * max(1.0, abs(self.alpha)):

@@ -18,16 +18,15 @@ moves no amplitude beyond _order_reach(x) orders from where it starts, under
 the exact evolution and under Strang alike, so both routes work on one order
 band: the occupied columns +- that reach.
 
-A WaveState holds psi or its spectrum and derives the other on first use.
-States stay in momentum space: a plane wave starts as its one nonzero bin, both
-routes return spectra, and order_probabilities bins the spectrum, so a plane
-wave's bins off its chain hold exactly 0.  plan_run sizes the steps from
-setup.tau, takes the start's spectrum and order band once and chooses the route
-that run executes, the one public way to propagate.  Under a rectangular pulse H
-is tridiagonal on each chain, and one stacked eigh evolves the band exactly
-(route "exact"; Batelaan, Rev. Mod. Phys. 79, 929 (2007)), for an order-0 plane
-wave on the parity-even half of it; otherwise route "stepped" steps it on its
-own cell.
+A WaveState holds its spectrum and derives psi on first use.  States stay in
+momentum space: a plane wave starts as its one nonzero bin, both routes return
+spectra, and order_probabilities bins the spectrum, so a plane wave's bins off
+its chain hold exactly 0.  plan_run sizes the steps from setup.tau, takes the
+start's order band once and chooses the route that run executes, the one
+public way to propagate.  Under a rectangular pulse H is tridiagonal on each
+chain, and one stacked eigh evolves the band exactly (route "exact"; Batelaan,
+Rev. Mod. Phys. 79, 929 (2007)), for an order-0 plane wave on the parity-even
+half of it; otherwise route "stepped" steps it on its own cell.
 """
 from __future__ import annotations
 
@@ -101,40 +100,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class WaveState:
-    """A state on grid, held as psi or as its spectrum np.fft.fft(psi).
+    """A state on grid, held as its spectrum np.fft.fft(psi): a read-only view of
+    the array given, never a copy.  psi is derived once, on first use, and is
+    read-only too.  k0 is the carrier the orders are counted from."""
 
-    The other array is derived once, on first use, and is read-only; the held
-    one is the array given.  k0 is the carrier the orders are counted from.
-    """
-
-    def __init__(self, grid: Grid1D, psi=None, k0: float = 0.0, *, spectrum=None):
-        if (psi is None) == (spectrum is None):
-            raise ValueError("give exactly one of psi and spectrum")
-        held = np.asarray(psi if spectrum is None else spectrum, dtype=complex)
-        if held.shape != (grid.n_points,):
-            raise ValueError(f"{'psi' if spectrum is None else 'spectrum'} has shape "
-                             f"{held.shape}, grid wants ({grid.n_points},)")
-        self.grid, self.k0 = grid, k0
-        self._psi, self._spectrum = (held, None) if spectrum is None else (None, held)
+    def __init__(self, grid: Grid1D, *, spectrum, k0: float = 0.0):
+        spectrum = np.asarray(spectrum, dtype=complex)
+        if spectrum.shape != (grid.n_points,):
+            raise ValueError(f"spectrum has shape {spectrum.shape}, grid wants ({grid.n_points},)")
+        self.grid, self.k0, self._psi = grid, k0, None
+        self.spectrum = _read_only(spectrum.view())
 
     @property
     def psi(self) -> np.ndarray:
         if self._psi is None:
-            self._psi = _read_only(np.fft.ifft(self._spectrum))
+            self._psi = _read_only(np.fft.ifft(self.spectrum))
         return self._psi
 
     @property
-    def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = _read_only(np.fft.fft(self._psi))
-        return self._spectrum
-
-    @property
-    def norm(self) -> float:
-        if self._spectrum is not None:  # Parseval
-            return float(np.vdot(self._spectrum, self._spectrum).real
-                         * self.grid.dx / self.grid.n_points)
-        return float(np.vdot(self._psi, self._psi).real * self.grid.dx)
+    def norm(self) -> float:  # by Parseval
+        return float(np.vdot(self.spectrum, self.spectrum).real
+                     * self.grid.dx / self.grid.n_points)
 
 
 def init_plane_wave(grid: Grid1D, order_offset: int = 0) -> WaveState:
@@ -158,9 +144,12 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
     the box.  The envelope is wrapped around the periodic box, so the
     momentum spectrum is an exactly sampled Gaussian with no seam at the
     boundary.  k0 must be representable on the momentum grid, i.e. an
-    integer multiple of 2/n_periods.  center is taken modulo the box length.
+    integer multiple of 2/n_periods.  center must be finite and is taken modulo
+    the box length.
     """
-    sigma = float(sigma)
+    center, sigma = float(center), float(sigma)
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     if not math.isfinite(sigma) or sigma <= 3.0 * grid.dx:
         raise ValueError(f"sigma = {sigma!r} too narrow: need > 3 dx = {3.0 * grid.dx:.4g}")
     if sigma > grid.box_length / 6.0 * (1.0 + 1e-12):
@@ -169,44 +158,14 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
     grid.mode_index(k0)  # rejects incommensurate carriers
     x = grid.positions()
     length = grid.box_length
-    center = float(center) % length  # exact, so a center inside the box is kept as is
+    center %= length  # exact, so a center inside the box is kept as is
     envelope = np.zeros(grid.n_points)
     # commensurate k0 makes exp(i k0 n L) = 1, so images share one carrier
     for image in range(-2, 3):
         envelope += np.exp(-((x - center + image * length) ** 2) / (4.0 * sigma**2))
     psi = envelope * np.exp(1j * k0 * x)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    return WaveState(grid=grid, psi=psi, k0=float(k0))
-
-
-@dataclass(frozen=True)
-class PropagationConfig:
-    """Stepping schedule of a RunPlan, built by plan_run; tau_total = n_steps * d_tau."""
-
-    d_tau: float
-    n_steps: int
-    include_kinetic: bool = True
-    envelope: str = "rectangular"
-    ramp_fraction: float = 0.25
-    snapshot_every: int = 0
-
-    def __post_init__(self):
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
-        if not math.isfinite(self.d_tau) or self.d_tau < 0.0:
-            raise ValueError(f"d_tau must be finite and >= 0, got {self.d_tau!r}")
-        if self.n_steps > 0 and self.d_tau == 0.0:
-            raise ValueError("d_tau must be > 0 when n_steps > 0")
-        if self.envelope not in ENVELOPES:
-            raise ValueError(f"unknown envelope {self.envelope!r}")
-        if self.envelope == "sin2_ramp" and not 0.0 < self.ramp_fraction <= 0.5:
-            raise ValueError(f"ramp_fraction must be in (0, 0.5], got {self.ramp_fraction!r}")
-        if self.snapshot_every < 0:
-            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
-
-    @property
-    def tau_total(self) -> float:
-        return self.n_steps * self.d_tau
+    return WaveState(grid, spectrum=np.fft.fft(psi), k0=float(k0))
 
 
 def max_potential(setup: DimensionlessSetup, spec: PotentialSpec) -> float:
@@ -214,37 +173,23 @@ def max_potential(setup: DimensionlessSetup, spec: PotentialSpec) -> float:
     return 0.5 * setup.u0 * (abs(spec.offset) + math.hypot(spec.a_c, spec.a_s))
 
 
-def _envelope_weights(config: PropagationConfig) -> np.ndarray:
-    """Field envelope sampled at each step midpoint."""
-    mids = (np.arange(config.n_steps) + 0.5) * config.d_tau
-    if config.envelope == "rectangular":
-        return np.ones_like(mids)
-    total = config.tau_total
-    ramp = config.ramp_fraction * total
-    w = np.ones_like(mids)
-    rising, falling = mids < ramp, mids > total - ramp
-    w[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
-    w[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
-    return w
-
-
 SnapshotCallback = Callable[[int, float, WaveState], None]
 
 
-def _half_kicks(v: np.ndarray, config: PropagationConfig, weights: np.ndarray):
+def _half_kicks(v: np.ndarray, plan: RunPlan):
     """exp(-i v w_j d_tau / 2) for each step j; a ramp's come in blocks of _KICK_BLOCK
     entries, one np.exp call each, every row bit-identical to that expression alone."""
-    if config.envelope == "rectangular":
-        return itertools.repeat(np.exp(-0.5j * v * config.d_tau), config.n_steps)
+    if plan.envelope == "rectangular":
+        return itertools.repeat(np.exp(-0.5j * v * plan.d_tau), plan.n_steps)
     exponent = -0.5j * v
     steps = max(1, _KICK_BLOCK // v.size)
 
     def block(j: int) -> np.ndarray:
-        kicks = exponent * weights[j:j + steps, None]
-        kicks *= config.d_tau
+        kicks = exponent * plan.weights[j:j + steps, None]
+        kicks *= plan.d_tau
         return np.exp(kicks, out=kicks)
 
-    return (half for j in range(0, config.n_steps, steps) for half in block(j))
+    return (half for j in range(0, plan.n_steps, steps) for half in block(j))
 
 
 def _occupied(power: np.ndarray, n_points: int) -> np.ndarray:
@@ -279,15 +224,19 @@ def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) 
 @dataclass(frozen=True)
 class RunPlan:
     """A run, its route chosen by plan_run ("exact", "stepped" or "thin": no kinetic
-    term).  spectrum, the start's, is read-only: each run writes a copy.  even: the
-    exact route evolves the parity-even half of the band (plan_run)."""
+    term), and its schedule: n_steps steps of d_tau, which cover setup.tau.  Each
+    run writes a copy of the start's read-only spectrum.  even: the exact route
+    evolves the parity-even half of the band (plan_run)."""
 
     state: WaveState
     spec: PotentialSpec
     setup: DimensionlessSetup
-    config: PropagationConfig
+    d_tau: float
+    n_steps: int
+    envelope: str
+    ramp_fraction: float
+    snapshot_every: int
     route: str
-    spectrum: np.ndarray
     power: np.ndarray
     occupied: np.ndarray
     weights: np.ndarray
@@ -298,12 +247,16 @@ class RunPlan:
 
 
 def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
-             d_tau: float | None = None, max_step_phase: float = 0.05, **schedule) -> RunPlan:
-    """The run's steps, the start's spectrum, its order band and the route, each taken once.
+             d_tau: float | None = None, max_step_phase: float = 0.05,
+             include_kinetic: bool = True, envelope: str = "rectangular",
+             ramp_fraction: float = 0.25, snapshot_every: int = 0) -> RunPlan:
+    """The run's steps, the start's order band and the route, each taken once.
 
     The steps cover setup.tau: ceil(tau / d_tau - 1e-9) of tau / n_steps (none
     if tau = 0), d_tau advancing the largest potential phase by max_step_phase
-    radians unless given.  schedule: PropagationConfig's other fields.
+    radians unless given; a sin2_ramp envelope rises and falls over
+    ramp_fraction of the pulse, and snapshot_every steps (0: never) separate
+    the snapshots.
 
     Under a rectangular pulse with the kinetic term each residue rho modulo
     n_periods of the occupied bins (_occupied) is a chain, the modes
@@ -315,31 +268,42 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     the kinetic term), which any plan can run.  An exact start of the one bin at
     mode 0 is even: its band and H are symmetric under p <-> -p, so the run stays
     in the parity-even basis of orders 0..reach.  ValueError unless u0 is finite,
-    and for a bad step or schedule.
+    and for a bad step or schedule, whether or not the run would use it.
     """
     if not math.isfinite(setup.u0):
-        raise ValueError("propagation needs a finite u0 (not the ideal grating limit)")
+        raise ValueError(f"u0 must be finite to propagate (not the ideal grating limit), "
+                         f"got {setup.u0!r}")
+    for name, value in (("d_tau", d_tau), ("max_step_phase", max_step_phase)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if envelope not in ENVELOPES:
+        raise ValueError(f"unknown envelope {envelope!r}")
+    if envelope == "sin2_ramp" and not 0.0 < ramp_fraction <= 0.5:
+        raise ValueError(f"ramp_fraction must be in (0, 0.5], got {ramp_fraction!r}")
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     tau, n_steps = setup.tau, 0
     if tau > 0.0:
         if d_tau is None:
-            if not (math.isfinite(max_step_phase) and max_step_phase > 0.0):
-                raise ValueError(f"max_step_phase must be finite and > 0, got {max_step_phase!r}")
             vmax = max_potential(setup, spec)
             d_tau = max_step_phase / vmax if vmax > 0.0 else tau
-        if d_tau <= 0.0 or not math.isfinite(d_tau):
-            raise ValueError(f"d_tau must be finite and > 0, got {d_tau!r}")
         n_steps = max(1, int(math.ceil(tau / d_tau - 1e-9)))
-    config = PropagationConfig(d_tau=tau / n_steps if n_steps else 0.0, n_steps=n_steps,
-                               **schedule)
+    d_tau = tau / n_steps if n_steps else 0.0
     n, h = state.grid.n_points, state.grid.n_periods
-    spectrum = _read_only(state.spectrum.view())
-    power = np.abs(spectrum) ** 2
+    power = np.abs(state.spectrum) ** 2
     occupied = _occupied(power, n)
-    weights = _envelope_weights(config)
-    reach = _order_reach(0.5 * setup.u0 * (float(np.sum(weights)) * config.d_tau)
-                         * math.hypot(spec.a_c, spec.a_s)) if config.include_kinetic else 0
+    mids = (np.arange(n_steps) + 0.5) * d_tau
+    weights = np.ones_like(mids)  # the field envelope at each step's midpoint
+    if envelope == "sin2_ramp":
+        total = n_steps * d_tau
+        ramp = ramp_fraction * total
+        rising, falling = mids < ramp, mids > total - ramp
+        weights[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
+        weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
+    reach = _order_reach(0.5 * setup.u0 * (float(np.sum(weights)) * d_tau)
+                         * math.hypot(spec.a_c, spec.a_s)) if include_kinetic else 0
     exact, even, modes, valid = False, False, None, None
-    if config.envelope == "rectangular" and config.include_kinetic and occupied.any():
+    if envelope == "rectangular" and include_kinetic and occupied.any():
         live = _signed_modes(np.flatnonzero(occupied), n)
         residues = np.flatnonzero(np.bincount(live % h, minlength=h))
         low, high = live.min() // h - reach, live.max() // h + reach  # rho + h p: order p
@@ -350,20 +314,20 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         exact = bool(first[0] == low and last[-1] == high  # limits fall as rho rises
                      and modes.size * modes.shape[1] <= _EXACT_MAX_ORDERS ** 2)
         even = exact and live.tolist() == [0]
-    route = "exact" if exact else "stepped" if config.include_kinetic else "thin"
-    return RunPlan(state, spec, setup, config, route, spectrum, power, occupied, weights,
-                   reach, modes, valid, even)
+    route = "exact" if exact else "stepped" if include_kinetic else "thin"
+    return RunPlan(state, spec, setup, d_tau, n_steps, envelope, ramp_fraction, snapshot_every,
+                   route, power, occupied, weights, reach, modes, valid, even)
 
 
 def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> WaveState:
     """Evolve plan.state on plan.route into a new WaveState, alike every time.
 
-    "stepped" takes config.n_steps Strang steps and warns (UserWarning) when the
+    "stepped" takes plan.n_steps Strang steps and warns (UserWarning) when the
     potential phase per step exceeds _STEP_PHASE_WARN; "thin" applies the pulse
     area as one exact phase (_stepped) and "exact" (_exact) takes no step, so
     neither warns.  The sectors and bins off the band, each set <= _EMPTY_SECTOR
     of the weight, are carried unchanged.
-    snapshot_callback(step, tau, state) runs every config.snapshot_every steps
+    snapshot_callback(step, tau, state) runs every plan.snapshot_every steps
     (never if 0), at tau = step * d_tau on every route.  RuntimeError if the
     norm drifts by more than _NORM_FAIL."""
     return (_exact if plan.route == "exact" else _stepped)(plan, snapshot_callback)
@@ -375,22 +339,23 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
     matmul with the circulant ifft(exp(-i k^2 d_tau))[(i - j) mod m] while
     sectors * m^2 <= _DENSE_KINETIC, else an FFT pair; without the kinetic
     term the potentials commute, so the pulse area is one exact phase."""
-    state, config, weights, grid = plan.state, plan.config, plan.weights, plan.state.grid
+    state, d_tau, weights, grid = plan.state, plan.d_tau, plan.weights, plan.state.grid
+    thin = plan.route == "thin"
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
     v_cell = 0.5 * plan.setup.u0 * evaluate_potential(plan.spec, grid.positions()[:cell])
     vmax = float(np.max(np.abs(v_cell)))
-    if plan.route == "stepped" and vmax * config.d_tau > _STEP_PHASE_WARN:
-        warnings.warn(f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
+    if not thin and vmax * d_tau > _STEP_PHASE_WARN:
+        warnings.warn(f"potential phase per step = {vmax * d_tau:.3g} rad exceeds "
                       f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=3)
 
-    sectors = plan.spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
+    sectors = state.spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
     power = plan.power.reshape(cell, fold).T
     sector_power = np.sum(power, axis=1)
     # carried sectors: <= _EMPTY_SECTOR in all
     live = np.flatnonzero(sector_power > _EMPTY_SECTOR / fold * sector_power.sum())
     cols = np.arange(cell)
-    if config.include_kinetic:
+    if not thin:
         cols = _band_columns(power[live], grid.n_points, grid.n_periods // fold, plan.reach)
     band = np.ix_(live, cols)
     phi = np.fft.ifft(sectors[band])  # one row per stepped sector, on the band's cell
@@ -399,20 +364,20 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
 
     def on_box(phi: np.ndarray) -> WaveState:
         # the band into a copy of the start's spectrum; carried bins stay as they were
-        spectrum = plan.spectrum.copy()
+        spectrum = state.spectrum.copy()
         spectrum.reshape(cell, fold).T[band] = np.fft.fft(phi.reshape(live.size, m))
         return WaveState(grid, k0=state.k0, spectrum=spectrum)
 
-    every = config.snapshot_every
-    if not config.include_kinetic:
-        area = np.cumsum(np.append(0.0, weights * config.d_tau))  # area[j]: after j steps
+    every = plan.snapshot_every
+    if thin:
+        area = np.cumsum(np.append(0.0, weights * d_tau))  # area[j]: after j steps
         if every and snapshot_callback is not None:
-            for j in range(every, config.n_steps + 1, every):
-                snapshot_callback(j, j * config.d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
+            for j in range(every, plan.n_steps + 1, every):
+                snapshot_callback(j, j * d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
         out = on_box(np.exp(-1j * v * area[-1]) * phi)
     else:
         k = grid.wavenumbers().reshape(cell, fold).T[band]
-        exp_kin = np.exp(-1j * k ** 2 * config.d_tau).reshape(live.size, 1, m)
+        exp_kin = np.exp(-1j * k ** 2 * d_tau).reshape(live.size, 1, m)
         phi = phi.reshape(live.size, 1, m)  # contiguous rows: a stacked matmul runs on BLAS
         if live.size * m * m <= _DENSE_KINETIC:
             shift = np.arange(m)
@@ -426,12 +391,12 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
             def kinetic(phi):
                 return np.fft.ifft(exp_kin * np.fft.fft(phi))
 
-        for j, half in enumerate(_half_kicks(v, config, weights), 1):
+        for j, half in enumerate(_half_kicks(v, plan), 1):
             phi *= half
             phi = kinetic(phi)
             phi *= half
             if every and j % every == 0 and snapshot_callback is not None:
-                snapshot_callback(j, j * config.d_tau, on_box(phi))
+                snapshot_callback(j, j * d_tau, on_box(phi))
         out = on_box(phi)
 
     return _checked_norm(state, out)
@@ -469,8 +434,8 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
     atan2(a_s, a_c), makes H real symmetric, so one eigh stacked over the chains
     gives the amplitudes at every time.  Each chain starts from its occupied
     bins in units of its heaviest; the band's other bins are overwritten.
-    config.d_tau only schedules the snapshots."""
-    state, spec, config, modes, valid = plan.state, plan.spec, plan.config, plan.modes, plan.valid
+    plan.d_tau only schedules the snapshots."""
+    state, spec, d_tau, modes, valid = plan.state, plan.spec, plan.d_tau, plan.modes, plan.valid
     if plan.even:  # orders 0..reach: e_0 = |0>, e_q = (|q> + |-q>) / sqrt 2
         modes, valid = modes[:, modes.shape[1] // 2:], valid[:, valid.shape[1] // 2:]
     grid = state.grid
@@ -485,7 +450,7 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
     energies, vectors = np.linalg.eigh(ham.reshape(chains, size, size))
 
     bins = modes % grid.n_points
-    amps = np.where(valid & plan.occupied[bins], plan.spectrum[bins], 0.0)
+    amps = np.where(valid & plan.occupied[bins], state.spectrum[bins], 0.0)
     rows = np.arange(chains)
     heaviest = np.argmax(np.abs(amps), axis=1)
     unit = amps[rows, heaviest]
@@ -513,14 +478,15 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
         # two real products: a complex one would first copy vectors to complex
         evolved = (np.matmul(vectors, phased.real[..., None])
                    + 1j * np.matmul(vectors, phased.imag[..., None]))
-        spectrum = plan.spectrum.copy()
+        spectrum = state.spectrum.copy()
         spectrum[band] = ungauge * evolved.ravel()[pick]
         return WaveState(grid, k0=state.k0, spectrum=spectrum)
 
-    if config.snapshot_every and snapshot_callback is not None:
-        for j in range(config.snapshot_every, config.n_steps + 1, config.snapshot_every):
-            snapshot_callback(j, j * config.d_tau, at(j * config.d_tau))
-    return _checked_norm(state, at(config.tau_total))
+    every = plan.snapshot_every
+    if every and snapshot_callback is not None:
+        for j in range(every, plan.n_steps + 1, every):
+            snapshot_callback(j, j * d_tau, at(j * d_tau))
+    return _checked_norm(state, at(plan.n_steps * d_tau))
 
 
 def _signed_modes(bins: np.ndarray, n: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from kdsim.bessel import _RESCALE, _TINY_X, _start_orders, bessel_row
 from kdsim import tdse
 from kdsim.model import MomentSet, evaluate_potential
 from kdsim.tdse import (
-    _EMPTY_SECTOR, _STEP_PHASE_WARN, WaveState, _checked_norm, _envelope_weights,
+    _EMPTY_SECTOR, _STEP_PHASE_WARN, WaveState, _checked_norm,
 )
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n cycle
@@ -249,38 +249,37 @@ def propagate_full_box(plan, snapshot_callback=None):
     Strang steps exp(-i V dtau/2) F^-1 exp(-i k^2 dtau) F exp(-i V dtau/2) with
     the field envelope sampled at step midpoints; without the kinetic term the
     pulse area is applied as one phase.  callback(step, tau, state) is called
-    every config.snapshot_every steps.
+    every plan.snapshot_every steps.
     """
-    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
+    state, spec, setup, d_tau = plan.state, plan.spec, plan.setup, plan.d_tau
     grid = state.grid
     v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions())
-    mids = (np.arange(config.n_steps) + 0.5) * config.d_tau
+    mids = (np.arange(plan.n_steps) + 0.5) * d_tau
     weights = np.ones_like(mids)
-    if config.envelope == "sin2_ramp":
-        total = config.n_steps * config.d_tau
-        ramp = config.ramp_fraction * total
+    if plan.envelope == "sin2_ramp":
+        total = plan.n_steps * d_tau
+        ramp = plan.ramp_fraction * total
         rising, falling = mids < ramp, mids > total - ramp
         weights[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
         weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
-    every = config.snapshot_every if snapshot_callback is not None else 0
+    every = plan.snapshot_every if snapshot_callback is not None else 0
 
     def wave(psi):
-        return WaveState(grid=grid, psi=psi, k0=state.k0)
+        return WaveState(grid, spectrum=np.fft.fft(psi), k0=state.k0)
 
-    if not config.include_kinetic:
-        area = np.cumsum(np.append(0.0, weights * config.d_tau))  # area[j]: after j steps
+    if plan.route == "thin":
+        area = np.cumsum(np.append(0.0, weights * d_tau))  # area[j]: after j steps
         if every:
-            for j in range(every, config.n_steps + 1, every):
-                snapshot_callback(j, j * config.d_tau,
-                                  wave(np.exp(-1j * v * area[j]) * state.psi))
+            for j in range(every, plan.n_steps + 1, every):
+                snapshot_callback(j, j * d_tau, wave(np.exp(-1j * v * area[j]) * state.psi))
         return wave(np.exp(-1j * v * area[-1]) * state.psi)
-    exp_kin = np.exp(-1j * grid.wavenumbers() ** 2 * config.d_tau)
+    exp_kin = np.exp(-1j * grid.wavenumbers() ** 2 * d_tau)
     psi = state.psi.copy()
-    for j in range(config.n_steps):
-        half = np.exp(-0.5j * v * weights[j] * config.d_tau)
+    for j in range(plan.n_steps):
+        half = np.exp(-0.5j * v * weights[j] * d_tau)
         psi = half * np.fft.ifft(exp_kin * np.fft.fft(half * psi))
         if every and (j + 1) % every == 0:
-            snapshot_callback(j + 1, (j + 1) * config.d_tau, wave(psi.copy()))
+            snapshot_callback(j + 1, (j + 1) * d_tau, wave(psi))
     return wave(psi)
 
 
@@ -292,15 +291,15 @@ def propagate_cell_fft(plan, snapshot_callback=None):
     rows of one array on cells of n_points / f points, each kinetic step an
     FFT pair over the whole cell; the other sectors are carried.
     """
-    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
+    state, spec, setup, d_tau = plan.state, plan.spec, plan.setup, plan.d_tau
     grid = state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
     v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell])
     vmax = float(np.max(np.abs(v)))
-    if config.n_steps > 0 and vmax * config.d_tau > _STEP_PHASE_WARN:
+    if plan.n_steps > 0 and vmax * d_tau > _STEP_PHASE_WARN:
         warnings.warn(
-            f"potential phase per step = {vmax * config.d_tau:.3g} rad exceeds "
+            f"potential phase per step = {vmax * d_tau:.3g} rad exceeds "
             f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=2)
 
     spectrum = np.fft.fft(state.psi)
@@ -311,28 +310,28 @@ def propagate_cell_fft(plan, snapshot_callback=None):
 
     def on_box(phi: np.ndarray) -> WaveState:
         sectors[live] = np.fft.fft(phi)  # writes into spectrum; carried rows stay as they were
-        return WaveState(grid=grid, psi=np.fft.ifft(spectrum), k0=state.k0)
+        return WaveState(grid, spectrum=spectrum.copy(), k0=state.k0)
 
-    weights = _envelope_weights(config)
-    every = config.snapshot_every
-    if not config.include_kinetic:
-        area = np.cumsum(np.append(0.0, weights * config.d_tau))  # area[j]: after j steps
+    weights = plan.weights
+    every = plan.snapshot_every
+    if plan.route == "thin":
+        area = np.cumsum(np.append(0.0, weights * d_tau))  # area[j]: after j steps
         if every and snapshot_callback is not None:
-            for j in range(every, config.n_steps + 1, every):
-                snapshot_callback(j, j * config.d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
+            for j in range(every, plan.n_steps + 1, every):
+                snapshot_callback(j, j * d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
         out = on_box(np.exp(-1j * v * area[-1]) * phi)
     else:
-        exp_kin = np.exp(-1j * grid.wavenumbers().reshape(cell, fold).T[live] ** 2 * config.d_tau)
-        flat = config.envelope == "rectangular"
+        exp_kin = np.exp(-1j * grid.wavenumbers().reshape(cell, fold).T[live] ** 2 * d_tau)
+        flat = plan.envelope == "rectangular"
         # in phi's own shape: a broadcast multiply per half kick costs more than the copy
-        exp_v_half = np.broadcast_to(np.exp(-0.5j * v * config.d_tau), phi.shape).copy()
-        for j in range(config.n_steps):
-            half = exp_v_half if flat else np.exp(-0.5j * v * weights[j] * config.d_tau)
+        exp_v_half = np.broadcast_to(np.exp(-0.5j * v * d_tau), phi.shape).copy()
+        for j in range(plan.n_steps):
+            half = exp_v_half if flat else np.exp(-0.5j * v * weights[j] * d_tau)
             phi *= half
             phi = np.fft.ifft(exp_kin * np.fft.fft(phi))
             phi *= half
             if every and (j + 1) % every == 0 and snapshot_callback is not None:
-                snapshot_callback(j + 1, (j + 1) * config.d_tau, on_box(phi))
+                snapshot_callback(j + 1, (j + 1) * d_tau, on_box(phi))
         out = on_box(phi)
 
     return _checked_norm(state, out)
@@ -347,10 +346,10 @@ def propagate_cell_eigh(plan, snapshot_callback=None):
     cell potential's DFT, H[a, b] = DFT(V)[(a - b) mod cell] / cell, wrap-around
     included.  Each is diagonalized as a complex Hermitian matrix: no gauge, no
     truncation to a few orders.  The other sectors are carried.
-    callback(step, tau, state) is called every config.snapshot_every steps at
-    tau = step * config.d_tau.
+    callback(step, tau, state) is called every plan.snapshot_every steps at
+    tau = step * plan.d_tau.
     """
-    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
+    state, spec, setup, d_tau = plan.state, plan.spec, plan.setup, plan.d_tau
     grid = state.grid
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
@@ -369,13 +368,13 @@ def propagate_cell_eigh(plan, snapshot_callback=None):
         out = spectrum.copy()
         for bins, energies, vectors, start in sectors:
             out[bins] = vectors @ (np.exp(-1j * energies * tau) * start)
-        return WaveState(grid=grid, psi=np.fft.ifft(out), k0=state.k0)
+        return WaveState(grid, spectrum=out, k0=state.k0)
 
-    every = config.snapshot_every if snapshot_callback is not None else 0
+    every = plan.snapshot_every if snapshot_callback is not None else 0
     if every:
-        for j in range(every, config.n_steps + 1, every):
-            snapshot_callback(j, j * config.d_tau, at(j * config.d_tau))
-    return at(config.n_steps * config.d_tau)
+        for j in range(every, plan.n_steps + 1, every):
+            snapshot_callback(j, j * d_tau, at(j * d_tau))
+    return at(plan.n_steps * d_tau)
 
 
 def circle_samples_loop(r: float, r_lo: float, r_hi: float, n_samples: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 import kdsim
 from kdsim import tdse
 from kdsim.cli import (
-    _LEAVES, _PARSER, _PLAN_KEYS, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main,
+    _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main,
     parse_config, read_observed_csv, run,
 )
 from kdsim.emit import float_text
@@ -49,6 +49,7 @@ _SYN = {"mode": "fit", "alpha": 2.0, "seed": 1, "synthetic": {"r_eff": 0.8}}
 _LAB = {"mode": "validate", "wavelength_m": 1e-10}
 _IDEAL = {"mode": "analytic", "alpha": 2.0}
 _SCAN = {"mode": "scan", "alpha": 2.0, "d_range": [0, 0, 1], "q_range": [0, 0, 1]}
+_TDSE = {"mode": "tdse", "u0": 100.0, "tau": 0.1, "d_tau": 0.01}
 
 
 class TestParseConfig:
@@ -310,7 +311,13 @@ class TestParseConfig:
             (_IDEAL, "higher[1]", [0.01, math.nan], "must be finite"),
             (_IDEAL, "q_tilde", -math.inf, "must be finite"),
             (_IDEAL, "alpha", math.inf, "must be finite"),
-            (_SCAN, "higher", [0.5], "scan mode takes d_tilde and q_tilde only"))  # was ignored
+            (_SCAN, "higher", [0.5], "scan mode takes d_tilde and q_tilde only"),  # was ignored
+            # checked only where the plan used them, these two ran to exit 0
+            (_TDSE, "max_step_phase", -3.0, "max_step_phase must be finite and > 0, got -3.0"),
+            ({**_TDSE, "tau": 0.0}, "d_tau", -1.0, "d_tau must be finite and > 0, got -1.0"),
+            # u0 = 2 alpha / tau overflows: analytic dropped tau, tdse named u0, never given
+            (_IDEAL, "tau", 1e-310, "tau must be 0 with an infinite u0 (the ideal limit)"),
+            ({**_IDEAL, "mode": "tdse"}, "tau", 1e-309, "tau must be 0 with an infinite u0"))
     ])
     def test_bad_input_named_while_parsing(self, doc, named):
         """Each config here ran before, to a meaningless interval (a NaN delta_chi2),
@@ -395,7 +402,13 @@ class TestObservationFiles:
             read_observed_csv(str(path), 2.0)
         for text, why in (("0,abc,0.1\n", "line 1: bad probability 'abc'"),
                           ("0,0.5,0.01\n\n1,0.3,-\n", "line 3: bad sigma '-'"),
-                          ("order,probability,sigma\nsigma,0.5,0.01\n", "line 2: bad order")):
+                          ("order,probability,sigma\nsigma,0.5,0.01\n", "line 2: bad order"),
+                          # cells that parse into an invalid observation named no file
+                          ("0,0.5,0.1\n1,1.5,0.1\n2,0.1,0.1\n",
+                           "probabilities must lie in [0, 1], got 1.5"),
+                          ("0,0.5,0.1\n1,0.3,0\n2,0.1,0.1\n", "sigmas must be > 0, got 0.0"),
+                          ("0,0.5,0.1\n1,0.3,0.1\n1,0.1,0.1\n2,0.1,0.1\n",
+                           "duplicate orders in observation")):
             path.write_text(text)
             with pytest.raises(ValueError, match=re.escape(f"{path}: {why}")):
                 read_observed_csv(str(path), 2.0)
@@ -845,7 +858,7 @@ class TestPlaneWaveCell:
         else:
             start = tdse.init_gaussian(grid, grid.box_length / 2, grid.box_length / 8,
                                        rc.gauss_k0)
-        plan = dataclasses.replace(rc.plan, state=start)  # the oracles read state, not spectrum
+        plan = dataclasses.replace(rc.plan, state=start)  # the oracles run from this start
         exact = rc.envelope == "rectangular" and rc.include_kinetic
         snaps, strang_snaps = {}, {}
         full = propagate_full_box(plan, lambda j, _t, s: strang_snaps.setdefault(j, s.psi))
@@ -884,7 +897,7 @@ class TestPlaneWaveCell:
         if exact:  # within the Strang error of the full-box stepper
             assert np.max(np.abs(got - [strang.probabilities[p] for p in strang.orders])) <= 1e-5
 
-        assert len(snaps) == (rc.plan.config.n_steps // 20 if "snapshot_every" in extra else 0)
+        assert len(snaps) == (rc.plan.n_steps // 20 if "snapshot_every" in extra else 0)
         assert sorted(snaps) == sorted(strang_snaps)
         k = np.fft.fftshift(grid.wavenumbers())
         for refs, bound in [(snaps, tol)] + [(strang_snaps, 1e-5)] * exact:
@@ -906,7 +919,7 @@ class TestPlaneWaveCell:
         payload = json.loads(out)["payload"]
         assert payload["generator"] == "tdse_exact"
         rc = parse_config("{}", {"mode": "tdse", "u0": 300.0, "alpha": 1.5, "d_tau": 0.01})
-        assert rc.plan.config.n_steps == 1
+        assert rc.plan.n_steps == 1
         want = tdse.order_probabilities(propagate_cell_eigh(rc.plan))
         assert payload["orders"] == list(want.orders)
         assert np.max(np.abs(np.subtract(payload["probabilities"],
@@ -939,7 +952,7 @@ class TestDeterminism:
             runs.append((code, out, err, [(f.name, f.read_bytes()) for f in files]))
             shutil.rmtree(snap_dir)
         assert json.loads(runs[0][1])["payload"]["generator"] == "tdse_exact"
-        assert len(runs[0][3]) == 2 * (parse_config(json.dumps(doc)).plan.config.n_steps // 16) > 0
+        assert len(runs[0][3]) == 2 * (parse_config(json.dumps(doc)).plan.n_steps // 16) > 0
         assert runs[0] == runs[1]
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
@@ -1113,10 +1126,4 @@ def test_public_api_names_resolve():
                "fit_effective_amplitude", "plan_propagation", "PropagationConfig"}
     assert dropped.isdisjoint(kdsim.__all__)
     assert not hasattr(tdse, "plan_propagation")
-
-
-def test_plan_keys_are_the_planner_keywords():
-    """The CLI hands plan_run exactly its step keywords and PropagationConfig's schedule
-    fields, so the config table and the library planner cannot drift apart."""
-    fields = {f.name for f in dataclasses.fields(tdse.PropagationConfig)}
-    assert set(_PLAN_KEYS) == {"d_tau", "max_step_phase"} | fields - {"d_tau", "n_steps"}
+    assert not hasattr(tdse, "PropagationConfig")

@@ -83,6 +83,13 @@ class TestDimensionlessSetup:
         setup = DimensionlessSetup.from_alpha(2.0)
         assert math.isinf(setup.u0) and setup.tau == 0.0 and setup.alpha == 2.0
 
+    def test_infinite_depth_needs_zero_tau(self):
+        # an infinite u0 is the ideal limit alone, which takes no time
+        with pytest.raises(ValueError, match="tau must be 0 with an infinite u0"):
+            DimensionlessSetup(math.inf, 1.0, 2.0)
+        with pytest.raises(ValueError, match="got 1e-310"):
+            DimensionlessSetup(u0=2.0 / 1e-310, tau=1e-310, alpha=1.0)
+
     def test_from_u0_alpha(self):
         setup = DimensionlessSetup.from_u0_alpha(1000.0, 2.0)
         assert setup.tau == pytest.approx(0.004, rel=1e-15)

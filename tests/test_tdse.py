@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -13,9 +14,9 @@ from kdsim.model import (
     evaluate_potential,
 )
 from kdsim.tdse import (
-    _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _KICK_BLOCK, _REACH_TOL, ENVELOPES, Grid1D,
-    PropagationConfig, WaveState, _envelope_weights, _half_kicks, _order_reach, init_gaussian,
-    init_plane_wave, max_potential, order_probabilities, plan_run,
+    _EMPTY_SECTOR, _EXACT_MAX_ORDERS, _KICK_BLOCK, _REACH_TOL, ENVELOPES, Grid1D, WaveState,
+    _half_kicks, _order_reach, init_gaussian, init_plane_wave, max_potential,
+    order_probabilities, plan_run,
 )
 
 from oracles import (
@@ -97,6 +98,14 @@ class TestInitialStates:
         with pytest.raises(ValueError, match="incommensurate"):
             init_gaussian(grid, center=10.0, sigma=2.0, k0=0.3)
 
+    @pytest.mark.parametrize("center", [math.inf, -math.inf, math.nan])
+    def test_gaussian_center_must_be_finite(self, center):
+        # it gave an all-NaN state, with only numpy's RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="center must be finite"):
+                init_gaussian(Grid1D(), center, 3.0)
+
     def test_wide_gaussian_sits_in_central_order(self):
         grid = Grid1D()
         state = init_gaussian(grid, center=grid.box_length / 2.0, sigma=4.0)
@@ -104,7 +113,7 @@ class TestInitialStates:
 
 
 class TestWaveState:
-    """A state holds psi or its spectrum and derives the other, read-only."""
+    """A state holds a read-only view of its spectrum and derives psi, read-only."""
 
     @pytest.mark.parametrize("n_points, n_periods", [(1024, 8), (2048, 8), (512, 3)])
     def test_round_trip(self, n_points, n_periods):
@@ -113,26 +122,33 @@ class TestWaveState:
         starts = [init_plane_wave(grid, offset) for offset in (0, 1, -3, limit, -limit)]
         starts.append(init_gaussian(grid, 1.0, grid.box_length / 8, 6.0 / n_periods))
         for start in starts:
-            from_psi = WaveState(grid, start.psi.copy(), start.k0)
-            from_spectrum = WaveState(grid, k0=start.k0, spectrum=from_psi.spectrum.copy())
-            assert np.max(np.abs(from_spectrum.psi - start.psi)) <= 1e-15
-            assert from_spectrum.norm == pytest.approx(from_psi.norm, rel=1e-14)
+            again = WaveState(grid, spectrum=np.fft.fft(start.psi), k0=start.k0)
+            assert np.max(np.abs(again.psi - start.psi)) <= 1e-15
+            assert again.norm == pytest.approx(start.norm, rel=1e-14)
+            assert again.norm == pytest.approx(np.vdot(start.psi, start.psi).real * grid.dx,
+                                               rel=1e-14)
 
     def test_derived_arrays_are_read_only(self):
         grid = Grid1D()
-        plane, packet = init_plane_wave(grid, 2), init_gaussian(grid, 3.0, 2.0)
-        for derived in (plane.psi, packet.spectrum):
-            assert not derived.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                derived[0] = 1.0
-        assert plane.spectrum.flags.writeable and packet.psi.flags.writeable  # held
-        assert plane.psi is plane.psi and packet.spectrum is packet.spectrum  # derived once
+        for state in (init_plane_wave(grid, 2), init_gaussian(grid, 3.0, 2.0)):
+            for array in (state.spectrum, state.psi):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+            assert state.psi is state.psi  # derived once
+        given = np.fft.fft(init_gaussian(grid, 3.0, 2.0).psi)
+        state = WaveState(grid, spectrum=given)
+        assert np.shares_memory(state.spectrum, given) and given.flags.writeable  # a view
 
     def test_needs_one_array_of_the_grid(self):
         grid = Grid1D()
-        for kwargs in ({}, {"psi": np.ones(1024), "spectrum": np.ones(1024)}):
-            with pytest.raises(ValueError, match="exactly one"):
-                WaveState(grid, **kwargs)
+        psi = init_plane_wave(grid).psi
+        with pytest.raises(TypeError):
+            WaveState(grid, psi)  # never misread as a spectrum
+        with pytest.raises(TypeError):
+            WaveState(grid, psi=psi)
+        with pytest.raises(TypeError):
+            WaveState(grid)
         with pytest.raises(ValueError, match="spectrum has shape"):
             WaveState(grid, spectrum=np.ones(512))
 
@@ -157,8 +173,8 @@ class TestBinning:
         # k = -1 sits on the lower edge of order 0 and belongs to order 0
         grid = Grid1D()
         x = grid.positions()
-        up = WaveState(grid, np.exp(1j * x) / math.sqrt(grid.box_length))
-        down = WaveState(grid, np.exp(-1j * x) / math.sqrt(grid.box_length))
+        up = WaveState(grid, spectrum=np.fft.fft(np.exp(1j * x) / math.sqrt(grid.box_length)))
+        down = WaveState(grid, spectrum=np.fft.fft(np.exp(-1j * x) / math.sqrt(grid.box_length)))
         assert order_probabilities(up).probability(1) == pytest.approx(1.0, abs=1e-13)
         assert order_probabilities(down).probability(0) == pytest.approx(1.0, abs=1e-13)
 
@@ -180,7 +196,7 @@ class TestBinning:
 
     def test_zero_state_rejected(self):
         grid = Grid1D()
-        dead = WaveState(grid, np.zeros(grid.n_points))
+        dead = WaveState(grid, spectrum=np.zeros(grid.n_points))
         with pytest.raises(ValueError, match="zero norm"):
             order_probabilities(dead)
         with pytest.raises(ValueError):
@@ -190,9 +206,9 @@ class TestBinning:
 class TestPlan:
     def test_covers_tau_exactly(self):
         setup = thin_setup(2.0)
-        config = plane_plan(setup).config
-        assert config.n_steps * config.d_tau == pytest.approx(setup.tau, rel=1e-15)
-        assert max_potential(setup, POINTLIKE) * config.d_tau <= 0.05 * (1.0 + 1e-12)
+        plan = plane_plan(setup)
+        assert plan.n_steps * plan.d_tau == pytest.approx(setup.tau, rel=1e-15)
+        assert max_potential(setup, POINTLIKE) * plan.d_tau <= 0.05 * (1.0 + 1e-12)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(u0=st.floats(10.0, 1000.0), alpha=st.floats(0.0, 20.0),
@@ -202,40 +218,45 @@ class TestPlan:
         # the one planner takes the pulse length from the setup alone
         setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
         spec = build_potential(MomentSet(moments))
-        config = plane_plan(setup, spec, d_tau=d_tau, envelope=envelope,
-                            include_kinetic=kinetic).config
-        assert config.n_steps * config.d_tau == pytest.approx(setup.tau, rel=1e-15)
-        assert (config.n_steps == 0) == (setup.tau == 0.0)
+        plan = plane_plan(setup, spec, d_tau=d_tau, envelope=envelope, include_kinetic=kinetic)
+        assert plan.n_steps * plan.d_tau == pytest.approx(setup.tau, rel=1e-15)
+        assert (plan.n_steps == 0) == (setup.tau == 0.0)
         largest = 0.05 / max_potential(setup, spec) if d_tau is None else d_tau
-        assert config.d_tau <= largest * (1.0 + 1e-9)
-        assert (config.envelope, config.include_kinetic) == (envelope, kinetic)
+        assert plan.d_tau <= largest * (1.0 + 1e-9)
+        assert (plan.envelope, plan.route == "thin") == (envelope, not kinetic)
 
     def test_explicit_step_rounded_up(self):
         setup = thin_setup(2.0)  # tau = 0.004
-        config = plane_plan(setup, d_tau=0.003).config
-        assert config.n_steps == 2
-        assert config.d_tau == pytest.approx(0.002)
+        plan = plane_plan(setup, d_tau=0.003)
+        assert plan.n_steps == 2
+        assert plan.d_tau == pytest.approx(0.002)
 
     def test_zero_duration(self):
         setup = DimensionlessSetup.from_u0_tau(100.0, 0.0)
-        config = plane_plan(setup, d_tau=0.01).config
-        assert (config.n_steps, config.d_tau) == (0, 0.0)
+        plan = plane_plan(setup, d_tau=0.01)
+        assert (plan.n_steps, plan.d_tau) == (0, 0.0)
 
     def test_ideal_limit_rejected(self):
         with pytest.raises(ValueError):
             plane_plan(DimensionlessSetup.from_alpha(2.0))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PropagationConfig(d_tau=0.1, n_steps=-1)
-        with pytest.raises(ValueError):
-            PropagationConfig(d_tau=0.0, n_steps=3)
-        with pytest.raises(ValueError):
-            PropagationConfig(d_tau=0.1, n_steps=3, envelope="flat")
-        with pytest.raises(ValueError):
-            PropagationConfig(d_tau=0.1, n_steps=3, envelope="sin2_ramp", ramp_fraction=0.6)
-        with pytest.raises(ValueError):
-            PropagationConfig(d_tau=0.1, n_steps=3, snapshot_every=-1)
+    def test_schedule_validation(self):
+        for schedule, why in (
+            ({"envelope": "flat"}, "unknown envelope 'flat'"),
+            ({"envelope": "sin2_ramp", "ramp_fraction": 0.6},
+             "ramp_fraction must be in (0, 0.5], got 0.6"),
+            ({"snapshot_every": -1}, "snapshot_every must be >= 0, got -1"),
+            # checked whether or not the plan uses them: a given d_tau overrides
+            # max_step_phase, and a pulse of tau = 0 takes no step
+            ({"d_tau": 0.01, "max_step_phase": -3.0}, "max_step_phase must be finite and > 0"),
+            ({"max_step_phase": math.inf}, "max_step_phase must be finite and > 0, got inf"),
+            ({"d_tau": -1.0}, "d_tau must be finite and > 0, got -1.0"),
+            ({"d_tau": 0.0}, "d_tau must be finite and > 0, got 0.0"),
+            ({"d_tau": math.nan}, "d_tau must be finite and > 0, got nan"),
+        ):
+            for tau in (0.1, 0.0):
+                with pytest.raises(ValueError, match=re.escape(why)):
+                    plane_plan(DimensionlessSetup.from_u0_tau(100.0, tau), **schedule)
 
 
 class TestThinGratingPath:
@@ -262,7 +283,7 @@ class TestThinGratingPath:
         plan = plan_run(init_plane_wave(grid), POINTLIKE, setup, d_tau=setup.tau / 40.0,
                         include_kinetic=False, envelope="sin2_ramp", ramp_fraction=0.25)
         out = run_stepped(plan)
-        area = float(np.sum(_envelope_weights(plan.config)) * plan.config.d_tau)
+        area = float(np.sum(plan.weights) * plan.d_tau)
         assert area < setup.tau  # ramps remove pulse area
         want = pointlike_pattern(0.5 * setup.u0 * area, order_cutoff=12)
         got = order_probabilities(out, max_order=12)
@@ -345,8 +366,9 @@ class TestDiagnostics:
 
     def test_corrupted_state_raises(self):
         grid = Grid1D()
-        bad = init_plane_wave(grid)
-        bad.spectrum[3] = math.nan  # the array the state holds
+        spectrum = init_plane_wave(grid).spectrum.copy()
+        bad = WaveState(grid, spectrum=spectrum)
+        spectrum[3] = math.nan  # the state holds a view of it
         plan = plan_run(bad, POINTLIKE, DimensionlessSetup.from_u0_tau(1000.0, 1e-4), d_tau=1e-4)
         with pytest.raises(RuntimeError, match="unitarity"):
             run_stepped(plan)
@@ -365,7 +387,7 @@ class TestSnapshots:
         seen = []
         run_stepped(plan, snapshot_callback=lambda step, tau, st: seen.append((step, tau, st.norm)))
         assert [s[0] for s in seen] == [5, 10]
-        assert seen[0][1] == pytest.approx(5.0 * plan.config.d_tau)
+        assert seen[0][1] == pytest.approx(5.0 * plan.d_tau)
         assert all(abs(n - 1.0) <= 1e-10 for _, _, n in seen)
 
     def test_no_snapshots_by_default(self):
@@ -393,18 +415,18 @@ def stepped_bins(plan):
     power of two of columns; the whole cell when that is as wide, or without
     the kinetic term.
     """
-    state, spec, setup, config = plan.state, plan.spec, plan.setup, plan.config
+    state, spec, setup = plan.state, plan.spec, plan.setup
     grid = state.grid
     f = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // f
     power = np.abs(np.fft.fft(state.psi).reshape(cell, f).T) ** 2
     live = power.sum(axis=1) > _EMPTY_SECTOR / f * power.sum()
     cols = np.arange(cell)
-    if config.include_kinetic:
+    if plan.route != "thin":
         occupied = power[live] > _EMPTY_SECTOR / grid.n_points * power[live].sum()
         occupied = np.flatnonzero(occupied.any(axis=0))
         signed = np.where(occupied < cell // 2, occupied, occupied - cell)
-        area = np.sum(_envelope_weights(config)) * config.d_tau
+        area = np.sum(plan.weights) * plan.d_tau
         reach = _order_reach(0.5 * setup.u0 * area * math.hypot(spec.a_c, spec.a_s))
         low = signed.min() - reach * (grid.n_periods // f)
         width = signed.max() + reach * (grid.n_periods // f) + 1 - low
@@ -457,7 +479,7 @@ class TestBlochSectors:
         setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
         for eps, live in ((1e-11, 1), (1e-9, 2)):  # admixed weights 1e-22 and 1e-18
             psi = (np.exp(2j * x) + eps * np.exp(0.25j * x)) / math.sqrt(grid.box_length)
-            state = WaveState(grid, psi / math.sqrt(1.0 + eps**2), k0=2.0)
+            state = WaveState(grid, spectrum=np.fft.fft(psi / math.sqrt(1.0 + eps**2)), k0=2.0)
             plan = plan_run(state, POINTLIKE, setup)
             out, shapes = stepped_sectors(lambda: run_stepped(plan))
             assert shapes == {(live, stepped_bins(plan)[1])}
@@ -501,7 +523,7 @@ class TestOrderBand:
         spectrum = np.fft.fft(state.psi)
         stepped = stepped_bins(plan)[0]
         carried = np.fft.ifft(np.where(stepped, 0.0, spectrum))
-        banded = WaveState(grid, np.fft.ifft(np.where(stepped, spectrum, 0.0)), state.k0)
+        banded = WaveState(grid, spectrum=np.where(stepped, spectrum, 0.0), k0=state.k0)
         got, want = {}, {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # coarse plans warn in both
@@ -509,7 +531,7 @@ class TestOrderBand:
             ref = propagate_cell_fft(plan_run(banded, spec, setup, **schedule),
                                      lambda j, t, s: want.setdefault(j, (t, s.psi + carried)))
             whole = propagate_cell_fft(plan)
-        ref = WaveState(grid, ref.psi + carried, state.k0)
+        ref = WaveState(grid, spectrum=np.fft.fft(ref.psi + carried), k0=state.k0)
         assert max_order_gap(out, ref) <= 1e-13
         assert np.max(np.abs(out.psi - ref.psi)) <= 1e-13
         assert sorted(got) == sorted(want)
@@ -527,13 +549,13 @@ class TestOrderBand:
         v = 0.5 * 300.0 * evaluate_potential(build_potential(MomentSet((0.3, 0.1))),
                                              Grid1D().positions()[:128])
         # blocks of _KICK_BLOCK / 128 steps on a 128-point cell
-        config = PropagationConfig(d_tau=1e-4, n_steps=2 * _KICK_BLOCK // 128 + 37,
-                                   envelope=envelope)
-        weights = _envelope_weights(config)
-        kicks = list(_half_kicks(v, config, weights))
-        assert len(kicks) == config.n_steps
-        for w, kick in zip(weights, kicks):
-            want = np.exp(-0.5j * v * w * config.d_tau)
+        n_steps = 2 * _KICK_BLOCK // 128 + 37
+        setup = DimensionlessSetup.from_u0_tau(300.0, n_steps * 1e-4)
+        plan = plane_plan(setup, d_tau=1e-4, envelope=envelope)
+        kicks = list(_half_kicks(v, plan))
+        assert len(kicks) == plan.n_steps == n_steps
+        for w, kick in zip(plan.weights, kicks):
+            want = np.exp(-0.5j * v * w * plan.d_tau)
             assert np.array_equal(kick, want)
             assert np.array_equal(np.signbit(kick.view(float)), np.signbit(want.view(float)))
 
@@ -610,9 +632,9 @@ class TestExactRoute:
                                   snapshot_callback=lambda j, t, s: want.setdefault(j, (t, s.psi)))
         assert max_order_gap(out, ref) <= 1e-10
         assert np.max(np.abs(out.psi - ref.psi)) <= 1e-10
-        assert sorted(got) == list(range(17, plan.config.n_steps + 1, 17)) == sorted(want)
+        assert sorted(got) == list(range(17, plan.n_steps + 1, 17)) == sorted(want)
         for j, (tau, psi) in got.items():
-            assert tau == want[j][0] == j * plan.config.d_tau
+            assert tau == want[j][0] == j * plan.d_tau
             assert np.max(np.abs(psi - want[j][1])) <= 1e-10
 
     @pytest.mark.parametrize("case", CASES)
@@ -679,7 +701,7 @@ class TestExactRoute:
         for change, route in (({"envelope": "sin2_ramp"}, "stepped"),
                               ({"include_kinetic": False}, "thin")):
             assert plan_run(state, spec, setup, **change).route == route
-        with pytest.raises(ValueError, match="finite u0"):
+        with pytest.raises(ValueError, match="u0 must be finite"):
             plan_run(state, spec, DimensionlessSetup.from_alpha(2.0))
 
         # a start at order 63 of 1024 points over 8 periods has no order above it
@@ -721,7 +743,7 @@ class TestExactRoute:
         assert max_order_gap(even, full) <= 1e-13
         assert np.max(np.abs(even.psi - full.psi)) <= 1e-13
         assert [(j, t) for j, t, _ in even_snaps] == [(j, t) for j, t, _ in full_snaps]
-        assert len(even_snaps) == plan.config.n_steps // 17
+        assert len(even_snaps) == plan.n_steps // 17
         for (_, _, a), (_, _, b) in zip(even_snaps, full_snaps):
             assert np.max(np.abs(a - b)) <= 1e-13
 
@@ -745,7 +767,7 @@ class TestExactRoute:
     def test_plan_runs_twice_alike(self, route, change):
         # each run writes into its own copy of the plan's spectrum
         plan = exact_case(300.0, 2.0, sigma=1.0, k0_units=1, snapshot_every=7, **change)
-        assert plan.route == route and not plan.spectrum.flags.writeable
+        assert plan.route == route and not plan.state.spectrum.flags.writeable
         runs = []
         for _ in range(2):
             snaps = []
@@ -785,13 +807,13 @@ class TestExactRoute:
         # start, a ramp or a run without the kinetic term, and routes them away
         plan = exact_case(300.0, 2.0)
         state, spec, setup = plan.state, plan.spec, plan.setup
-        empty = WaveState(state.grid, np.zeros(state.grid.n_points))
+        empty = WaveState(state.grid, spectrum=np.zeros(state.grid.n_points))
         for start, change, route in ((empty, {}, "stepped"),
                                      (state, {"envelope": "sin2_ramp"}, "stepped"),
                                      (state, {"include_kinetic": False}, "thin")):
             plan = plan_run(start, spec, setup, **change)
             assert plan.route == route and plan.modes is None
-        with pytest.raises(ValueError, match="finite u0"):
+        with pytest.raises(ValueError, match="u0 must be finite"):
             plan_run(state, spec, DimensionlessSetup.from_alpha(2.0))
 
     def test_no_step_phase_warning(self, recwarn):
