@@ -264,50 +264,29 @@ def _load_constants(path: str | None) -> model.ElectronConstants:
         raise _leading_key_error(exc, "constants.") from exc
 
 
-def _resolve_setup(cfg: dict, consts: model.ElectronConstants):
+def _resolve_setup(cfg: dict, consts: model.ElectronConstants) -> model.DimensionlessSetup:
     physical = [k for k in _PHYSICAL_KEYS if k in cfg]
     dimless = [k for k in _DIMLESS_KEYS if k in cfg]
     if physical and dimless:
         raise ConfigError(
             f"config keys {physical + dimless}: give either laboratory or "
             "dimensionless parameters, not both")
-    if physical:
-        if "wavelength_m" not in cfg:
-            raise ConfigError("config key 'wavelength_m': required with laboratory inputs")
-        try:
-            laser = model.LaserSetup(
-                wavelength_m=cfg["wavelength_m"],
-                field_amplitude_V_per_m=cfg.get("field_V_per_m", 0.0))
-            setup = model.derive_scales(laser, cfg.get("time_s", 0.0), consts)
-        except ValueError as exc:
-            raise _leading_key_error(exc) from exc
-        return setup, laser
-    if not dimless:
+    if physical and "wavelength_m" not in cfg:
+        raise ConfigError("config key 'wavelength_m': required with laboratory inputs")
+    if not physical and not dimless:
         raise ConfigError(
             "config key 'alpha': either dimensionless (u0/tau/alpha) or "
             "laboratory (wavelength_m/...) parameters are required")
-    anchors = {k: cfg[k] for k in ("recoil_energy_J", "v0_V") if k in cfg}
-    u0, tau, alpha = (cfg.get(k) for k in _DIMLESS_KEYS)
-    if alpha is None and (u0 is None or tau is None):
-        raise ConfigError(f"config key '{dimless[0]}': underdetermined; give alpha, or u0 "
-                          "with tau or alpha")
-    if u0 is None and tau is not None and tau <= 0.0:
-        raise ConfigError("config key 'tau': must be > 0 when paired with alpha")
     try:
-        if u0 is not None and tau is not None:
-            setup = model.DimensionlessSetup.from_u0_tau(u0, tau, **anchors)
-        elif u0 is not None:
-            setup = model.DimensionlessSetup.from_u0_alpha(u0, alpha, **anchors)
-        elif tau is not None:
-            setup = model.DimensionlessSetup(u0=2.0 * alpha / tau, tau=tau,
-                                             alpha=alpha, **anchors)
-        else:
-            setup = model.DimensionlessSetup.from_alpha(alpha, **anchors)
+        if physical:
+            laser = model.LaserSetup(
+                wavelength_m=cfg["wavelength_m"],
+                field_amplitude_V_per_m=cfg.get("field_V_per_m", 0.0))
+            return model.derive_scales(laser, cfg.get("time_s", 0.0), consts)
+        given = {k: cfg[k] for k in (*_DIMLESS_KEYS, "recoil_energy_J", "v0_V") if k in cfg}
+        return model.DimensionlessSetup(**given)
     except ValueError as exc:
-        raise ConfigError(f"config key '{dimless[0]}': {exc}") from exc
-    if None not in (u0, tau, alpha) and abs(alpha - setup.alpha) > 1e-12 * max(1.0, abs(alpha)):
-        raise ConfigError(f"config key 'alpha': {alpha!r} contradicts u0*tau/2 = {setup.alpha!r}")
-    return setup, None
+        raise _leading_key_error(exc) from exc
 
 
 def _leading_key_error(exc: ValueError, prefix: str = "") -> ConfigError:
@@ -317,21 +296,15 @@ def _leading_key_error(exc: ValueError, prefix: str = "") -> ConfigError:
 
 def _initial_state(val: dict, grid: tdse.Grid1D) -> tdse.WaveState:
     """tdse start state on the configured grid; its errors name their key."""
-    if val["init_state"] == "plane":
-        try:
+    gaussian = val["init_state"] == "gaussian"
+    try:
+        if not gaussian:
             return tdse.init_plane_wave(grid, val["order_offset"])
-        except ValueError as exc:
-            raise _leading_key_error(exc) from exc
-    try:
-        grid.mode_index(val["gauss_k0"])
-    except ValueError as exc:
-        raise ConfigError(f"config key 'gauss_k0': {exc}") from exc
-    center = grid.box_length / 2.0 if val["gauss_center"] is None else val["gauss_center"]
-    sigma = grid.box_length / 8.0 if val["gauss_sigma"] is None else val["gauss_sigma"]
-    try:
+        center = grid.box_length / 2.0 if val["gauss_center"] is None else val["gauss_center"]
+        sigma = grid.box_length / 8.0 if val["gauss_sigma"] is None else val["gauss_sigma"]
         return tdse.init_gaussian(grid, center, sigma, val["gauss_k0"])
-    except ValueError as exc:  # carrier and center are valid here, so the width is at fault
-        raise ConfigError(f"config key 'gauss_sigma': {exc}") from exc
+    except ValueError as exc:  # led by order_offset, or by gaussian center, sigma or k0
+        raise _leading_key_error(exc, "gauss_" if gaussian else "") from exc
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -357,7 +330,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     mode = val["mode"]
 
     consts = _load_constants(val["constants"])
-    setup, laser = _resolve_setup(cfg, consts)
+    setup = _resolve_setup(cfg, consts)
     moments = model.MomentSet.from_dipole_quadrupole(
         **{k: cfg[k] for k in ("d_tilde", "q_tilde", "higher") if k in cfg})
 
@@ -422,7 +395,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if val["data"] is not None:
         datasets = [{"path": val["data"], "alpha": setup.alpha}]  # read as one dataset
 
-    val.update(setup=setup, laser=laser, consts=consts, moments=moments, grid=grid, plan=plan,
+    val.update(setup=setup, consts=consts, moments=moments, grid=grid, plan=plan,
                datasets=datasets, bounds=tuple(val["bounds"]), fmt=val["format"], echo=echo)
     return RunConfig(**val)
 

@@ -68,59 +68,67 @@ class LaserSetup:
 
 @dataclass(frozen=True)
 class DimensionlessSetup:
-    """Dimensionless run parameters.
+    """Dimensionless run parameters, built from any two of u0, tau and alpha.
 
     u0 is the well depth over the recoil energy, tau the interaction time in
     recoil units, and alpha = u0 * tau / 2 the accumulated grating phase.
-    A setup built from alpha alone represents the ideal thin-grating limit
-    and is stored as u0 = inf, tau = 0; an infinite u0 with tau > 0 is
-    rejected.  recoil_energy_J and v0_V keep the SI anchors when the setup
-    came from laboratory inputs.
+    The one left out is derived: tau = 2 alpha / u0 (u0 > 0), u0 = 2 alpha /
+    tau (tau > 0), alpha = u0 tau / 2.  Given all three, alpha is checked
+    against u0 tau / 2 (to 1e-12, relative), which is kept.  alpha alone is
+    the ideal thin-grating limit, stored as u0 = inf, tau = 0; an infinite u0
+    with tau > 0 is rejected.  recoil_energy_J and v0_V keep the SI anchors
+    when the setup came from laboratory inputs.  Each given value is checked
+    under its own name before the missing one is derived, so a ValueError's
+    message leads with the key at fault.
     """
 
-    u0: float
-    tau: float
-    alpha: float
+    u0: float | None = None
+    tau: float | None = None
+    alpha: float | None = None
     recoil_energy_J: float | None = None
     v0_V: float | None = None
 
     def __post_init__(self):
-        for name in ("u0", "tau", "alpha"):
-            v = float(getattr(self, name))
-            if math.isnan(v) or v < 0.0:
-                raise ValueError(f"{name} must be a nonnegative number, got {v!r}")
-        if not math.isfinite(self.tau) or not math.isfinite(self.alpha):
-            raise ValueError("tau and alpha must be finite")
-        if math.isinf(self.u0) and self.tau != 0.0:
+        u0 = None if self.u0 is None else float(self.u0)
+        if u0 is not None and not u0 >= 0.0:  # NaN too; inf is the ideal limit
+            raise ValueError(f"u0 must be a nonnegative number, got {u0!r}")
+        tau, alpha = (None if v is None else _require_finite(name, v, nonneg=True)
+                      for name, v in (("tau", self.tau), ("alpha", self.alpha)))
+        if alpha is None:
+            if (u0 is None) != (tau is None):
+                raise ValueError(f"{'tau' if u0 is None else 'u0'} alone is underdetermined; "
+                                 "give alpha, or u0 with tau or alpha")
+            if u0 is None or math.isinf(u0):
+                raise ValueError("alpha is required unless a finite u0 and tau are given")
+            alpha = 0.5 * u0 * tau
+        elif u0 is None and tau is None:
+            u0, tau = math.inf, 0.0
+        elif tau is None:
+            if u0 == 0.0:
+                raise ValueError("u0 must be > 0 when paired with alpha, got 0.0")
+            tau = 2.0 * alpha / u0
+        elif u0 is None:
+            if tau == 0.0:
+                raise ValueError("tau must be > 0 when paired with alpha, got 0.0")
+            u0 = 2.0 * alpha / tau
+        elif math.isfinite(u0):
+            expect = 0.5 * u0 * tau
+            if abs(alpha - expect) > _REL_TOL * max(1.0, alpha):
+                raise ValueError(f"alpha {alpha!r} contradicts u0*tau/2 = {expect!r}")
+            alpha = expect
+        if math.isinf(u0) and tau != 0.0:
             raise ValueError(f"tau must be 0 with an infinite u0 (the ideal limit), "
-                             f"got {self.tau!r}")
-        if math.isfinite(self.u0):
-            expect = 0.5 * self.u0 * self.tau
-            if abs(self.alpha - expect) > _REL_TOL * max(1.0, abs(self.alpha)):
-                raise ValueError(
-                    f"inconsistent setup: alpha={self.alpha!r} but u0*tau/2={expect!r}")
+                             f"got {tau!r}")
+        if math.isinf(tau):  # derived: 2 alpha / u0 overflowed
+            raise ValueError(f"u0 {u0!r} gives tau = {tau!r}, out of floating-point range")
+        if math.isinf(alpha):  # derived: u0 tau / 2 overflowed
+            raise ValueError(f"tau {tau!r} gives alpha = {alpha!r}, out of floating-point range")
+        for name, v in (("u0", u0), ("tau", tau), ("alpha", alpha)):
+            object.__setattr__(self, name, v)
         for name in ("recoil_energy_J", "v0_V"):
             v = getattr(self, name)
             if v is not None:
                 _require_finite(name, v, nonneg=True)
-
-    @classmethod
-    def from_u0_tau(cls, u0: float, tau: float, **kw) -> "DimensionlessSetup":
-        u0 = _require_finite("u0", u0, nonneg=True)
-        tau = _require_finite("tau", tau, nonneg=True)
-        return cls(u0=u0, tau=tau, alpha=0.5 * u0 * tau, **kw)
-
-    @classmethod
-    def from_u0_alpha(cls, u0: float, alpha: float, **kw) -> "DimensionlessSetup":
-        u0 = _require_finite("u0", u0, positive=True)
-        alpha = _require_finite("alpha", alpha, nonneg=True)
-        return cls(u0=u0, tau=2.0 * alpha / u0, alpha=alpha, **kw)
-
-    @classmethod
-    def from_alpha(cls, alpha: float, **kw) -> "DimensionlessSetup":
-        """Ideal phase-grating limit: infinitely deep, infinitely short."""
-        alpha = _require_finite("alpha", alpha, nonneg=True)
-        return cls(u0=math.inf, tau=0.0, alpha=alpha, **kw)
 
 
 def derive_scales(laser: LaserSetup, interaction_time_s: float,

@@ -89,7 +89,7 @@ class Grid1D:
         nearest = round(units)
         if abs(units - nearest) > 1e-9:
             raise ValueError(
-                f"wavenumber {k!r} is incommensurate with the box "
+                f"k0 {k!r} is incommensurate with the box "
                 f"(needs integer multiples of {2.0 / self.n_periods})")
         return int(nearest)
 
@@ -225,8 +225,9 @@ def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) 
 class RunPlan:
     """A run, its route chosen by plan_run ("exact", "stepped" or "thin": no kinetic
     term), and its schedule: n_steps steps of d_tau, which cover setup.tau.  Each
-    run writes a copy of the start's read-only spectrum.  even: the exact route
-    evolves the parity-even half of the band (plan_run)."""
+    run writes a copy of the start's read-only spectrum.  weights: the sin2_ramp
+    envelope at each step's midpoint (None for a rectangular pulse, 1 throughout).
+    even: the exact route evolves the parity-even half of the band (plan_run)."""
 
     state: WaveState
     spec: PotentialSpec
@@ -239,7 +240,7 @@ class RunPlan:
     route: str
     power: np.ndarray
     occupied: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None
     reach: int
     modes: np.ndarray | None
     valid: np.ndarray | None
@@ -271,8 +272,8 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     and for a bad step or schedule, whether or not the run would use it.
     """
     if not math.isfinite(setup.u0):
-        raise ValueError(f"u0 must be finite to propagate (not the ideal grating limit), "
-                         f"got {setup.u0!r}")
+        raise ValueError("alpha alone is the ideal grating limit (u0 = inf), and u0 must be "
+                         "finite to propagate: give u0 or tau too")
     for name, value in (("d_tau", d_tau), ("max_step_phase", max_step_phase)):
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -292,15 +293,17 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     n, h = state.grid.n_points, state.grid.n_periods
     power = np.abs(state.spectrum) ** 2
     occupied = _occupied(power, n)
-    mids = (np.arange(n_steps) + 0.5) * d_tau
-    weights = np.ones_like(mids)  # the field envelope at each step's midpoint
+    total = area = n_steps * d_tau  # area: the field envelope's integral over the pulse
+    weights = None  # the envelope at each step's midpoint; a rectangular pulse's is 1
     if envelope == "sin2_ramp":
-        total = n_steps * d_tau
+        mids = (np.arange(n_steps) + 0.5) * d_tau
+        weights = np.ones_like(mids)
         ramp = ramp_fraction * total
         rising, falling = mids < ramp, mids > total - ramp
         weights[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
         weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
-    reach = _order_reach(0.5 * setup.u0 * (float(np.sum(weights)) * d_tau)
+        area = float(np.sum(weights)) * d_tau
+    reach = _order_reach(0.5 * setup.u0 * area
                          * math.hypot(spec.a_c, spec.a_s)) if include_kinetic else 0
     exact, even, modes, valid = False, False, None, None
     if envelope == "rectangular" and include_kinetic and occupied.any():
@@ -370,7 +373,8 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
 
     every = plan.snapshot_every
     if thin:
-        area = np.cumsum(np.append(0.0, weights * d_tau))  # area[j]: after j steps
+        steps = np.full(plan.n_steps, d_tau) if weights is None else weights * d_tau
+        area = np.cumsum(np.append(0.0, steps))  # area[j]: after j steps
         if every and snapshot_callback is not None:
             for j in range(every, plan.n_steps + 1, every):
                 snapshot_callback(j, j * d_tau, on_box(np.exp(-1j * v * area[j]) * phi))

@@ -243,6 +243,21 @@ def run_exact(plan, snapshot_callback=None):
     return tdse.run(dataclasses.replace(plan, route="exact"), snapshot_callback)
 
 
+def envelope_weights(plan):
+    """The field envelope at each of plan's step midpoints: 1 throughout a rectangular
+    pulse, a sin^2 rise and fall over ramp_fraction of a sin2_ramp pulse at each end."""
+    d_tau = plan.d_tau
+    mids = (np.arange(plan.n_steps) + 0.5) * d_tau
+    weights = np.ones_like(mids)
+    if plan.envelope == "sin2_ramp":
+        total = plan.n_steps * d_tau
+        ramp = plan.ramp_fraction * total
+        rising, falling = mids < ramp, mids > total - ramp
+        weights[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
+        weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
+    return weights
+
+
 def propagate_full_box(plan, snapshot_callback=None):
     """The stepped route's result and snapshots, stepping every point of the box.
 
@@ -254,14 +269,7 @@ def propagate_full_box(plan, snapshot_callback=None):
     state, spec, setup, d_tau = plan.state, plan.spec, plan.setup, plan.d_tau
     grid = state.grid
     v = 0.5 * setup.u0 * evaluate_potential(spec, grid.positions())
-    mids = (np.arange(plan.n_steps) + 0.5) * d_tau
-    weights = np.ones_like(mids)
-    if plan.envelope == "sin2_ramp":
-        total = plan.n_steps * d_tau
-        ramp = plan.ramp_fraction * total
-        rising, falling = mids < ramp, mids > total - ramp
-        weights[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
-        weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
+    weights = envelope_weights(plan)
     every = plan.snapshot_every if snapshot_callback is not None else 0
 
     def wave(psi):
@@ -312,7 +320,7 @@ def propagate_cell_fft(plan, snapshot_callback=None):
         sectors[live] = np.fft.fft(phi)  # writes into spectrum; carried rows stay as they were
         return WaveState(grid, spectrum=spectrum.copy(), k0=state.k0)
 
-    weights = plan.weights
+    weights = envelope_weights(plan)
     every = plan.snapshot_every
     if plan.route == "thin":
         area = np.cumsum(np.append(0.0, weights * d_tau))  # area[j]: after j steps

@@ -60,7 +60,7 @@ def grid_patterns():
 
 def tdse_pattern(u0: float, alpha: float, include_kinetic: bool = True,
                  max_order: int = 32):
-    setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
+    setup = DimensionlessSetup(u0=u0, alpha=alpha)
     plan = plan_run(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup,
                     include_kinetic=include_kinetic)
     final = run_stepped(plan)
@@ -131,7 +131,7 @@ def test_06_raman_nath_convergence():
 
 
 def test_07_strang_order():
-    setup = DimensionlessSetup.from_u0_alpha(20.0, 1.0)
+    setup = DimensionlessSetup(u0=20.0, alpha=1.0)
     grid = Grid1D()
 
     def pattern(n_steps):
@@ -148,7 +148,7 @@ def test_07_strang_order():
 
 
 def test_08_norm_conservation():
-    setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+    setup = DimensionlessSetup(u0=300.0, alpha=1.5)
     plan = plan_run(init_plane_wave(Grid1D()), POINTLIKE_SPEC, setup, d_tau=setup.tau / 10000)
     out = run_stepped(plan)
     drift = abs(out.norm - 1.0)

@@ -115,12 +115,14 @@ class TestParseConfig:
     def test_physical_inputs_resolved(self):
         rc = parse_config('{"mode": "validate", "wavelength_m": 1e-10, '
                           '"field_V_per_m": 1e10, "time_s": 1e-9}')
-        assert rc.laser is not None
         assert rc.setup.recoil_energy_J == pytest.approx(2.4098669579e-17, rel=1e-9)
         assert rc.setup.alpha == pytest.approx(0.5 * rc.setup.u0 * rc.setup.tau, rel=1e-12)
 
     def test_tdse_requires_finite_depth(self):
-        with pytest.raises(ConfigError, match="finite"):
+        # named by the key given, not by u0, which the user never gave
+        with pytest.raises(ConfigError, match="^config key 'alpha': alpha alone is the ideal "
+                                              r"grating limit .* must be finite .*: give u0 "
+                                              "or tau too$"):
             parse_config('{"mode": "tdse", "alpha": 2.0}')
 
     def test_fit_needs_exactly_one_source(self):
@@ -317,7 +319,12 @@ class TestParseConfig:
             ({**_TDSE, "tau": 0.0}, "d_tau", -1.0, "d_tau must be finite and > 0, got -1.0"),
             # u0 = 2 alpha / tau overflows: analytic dropped tau, tdse named u0, never given
             (_IDEAL, "tau", 1e-310, "tau must be 0 with an infinite u0 (the ideal limit)"),
-            ({**_IDEAL, "mode": "tdse"}, "tau", 1e-309, "tau must be 0 with an infinite u0"))
+            ({**_IDEAL, "mode": "tdse"}, "tau", 1e-309, "tau must be 0 with an infinite u0"),
+            # each given value is checked under its own name, before the third is derived
+            ({**_IDEAL, "u0": 100.0}, "alpha", -1.0, "alpha must be >= 0, got -1.0"),
+            ({**_IDEAL, "tau": 0.01}, "alpha", -2.0, "alpha must be >= 0, got -2.0"),
+            ({"mode": "analytic", "u0": 100.0}, "tau", -0.1, "tau must be >= 0, got -0.1"),
+            (_IDEAL, "u0", 0.0, "u0 must be > 0 when paired with alpha"))
     ])
     def test_bad_input_named_while_parsing(self, doc, named):
         """Each config here ran before, to a meaningless interval (a NaN delta_chi2),
@@ -1127,3 +1134,5 @@ def test_public_api_names_resolve():
     assert dropped.isdisjoint(kdsim.__all__)
     assert not hasattr(tdse, "plan_propagation")
     assert not hasattr(tdse, "PropagationConfig")
+    for name in ("from_u0_tau", "from_u0_alpha", "from_alpha"):  # one constructor serves all
+        assert not hasattr(kdsim.DimensionlessSetup, name), name

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -76,12 +77,31 @@ class TestDeriveScales:
 class TestDimensionlessSetup:
     def test_consistency_enforced(self):
         DimensionlessSetup(u0=100.0, tau=0.04, alpha=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha 2.1 contradicts u0"):
             DimensionlessSetup(u0=100.0, tau=0.04, alpha=2.1)
 
+    @pytest.mark.parametrize("u0, tau, alpha", [(1000.0, 0.004, 2.0), (300.0, 0.01, 1.5),
+                                                (0.1, 3.7, 0.0), (7.3, 0.0, 1e-300)])
+    def test_any_two_derive_the_third_by_the_old_formulas(self, u0, tau, alpha):
+        # bit-equal to the classmethods this constructor replaced:
+        # from_u0_tau, from_u0_alpha, and the tau-alpha pair of the config parser
+        by_tau = DimensionlessSetup(u0=u0, tau=tau)
+        assert (by_tau.u0, by_tau.tau, by_tau.alpha) == (u0, tau, 0.5 * u0 * tau)
+        by_alpha = DimensionlessSetup(u0=u0, alpha=alpha)
+        assert (by_alpha.u0, by_alpha.tau, by_alpha.alpha) == (u0, 2.0 * alpha / u0, alpha)
+        if tau > 0.0:
+            pair = DimensionlessSetup(tau=tau, alpha=alpha)
+            assert (pair.u0, pair.tau, pair.alpha) == (2.0 * alpha / tau, tau, alpha)
+        # given all three, a consistent alpha is checked, then u0 tau / 2 is kept
+        near = 0.5 * u0 * tau * (1.0 + 1e-13)
+        assert DimensionlessSetup(u0, tau, near).alpha == 0.5 * u0 * tau
+        assert DimensionlessSetup(u0, tau, alpha=0.5 * u0 * tau) == by_tau
+
     def test_ideal_limit(self):
-        setup = DimensionlessSetup.from_alpha(2.0)
+        setup = DimensionlessSetup(alpha=2.0)
         assert math.isinf(setup.u0) and setup.tau == 0.0 and setup.alpha == 2.0
+        assert DimensionlessSetup(math.inf, 0.0, 2.0) == setup  # the stored form rebuilds it
+        assert DimensionlessSetup(u0=math.inf, alpha=2.0) == setup  # tau = 2 alpha / inf
 
     def test_infinite_depth_needs_zero_tau(self):
         # an infinite u0 is the ideal limit alone, which takes no time
@@ -89,16 +109,38 @@ class TestDimensionlessSetup:
             DimensionlessSetup(math.inf, 1.0, 2.0)
         with pytest.raises(ValueError, match="got 1e-310"):
             DimensionlessSetup(u0=2.0 / 1e-310, tau=1e-310, alpha=1.0)
+        with pytest.raises(ValueError, match="^tau must be 0 with an infinite u0 .* 1e-310"):
+            DimensionlessSetup(tau=1e-310, alpha=1.0)  # u0 = 2 alpha / tau overflows
 
     def test_from_u0_alpha(self):
-        setup = DimensionlessSetup.from_u0_alpha(1000.0, 2.0)
+        setup = DimensionlessSetup(u0=1000.0, alpha=2.0)
         assert setup.tau == pytest.approx(0.004, rel=1e-15)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            DimensionlessSetup.from_alpha(-1.0)
+            DimensionlessSetup(alpha=-1.0)
         with pytest.raises(ValueError):
-            DimensionlessSetup.from_u0_tau(-5.0, 0.1)
+            DimensionlessSetup(u0=-5.0, tau=0.1)
+
+    @pytest.mark.parametrize("given, why", [
+        ({"u0": 100.0}, "u0 alone is underdetermined"),
+        ({"tau": 0.01}, "tau alone is underdetermined"),
+        ({}, "alpha is required"),
+        ({"u0": math.inf, "tau": 0.0}, "alpha is required"),  # inf * 0 fixes no alpha
+        ({"u0": 100.0, "alpha": -1.0}, "alpha must be >= 0, got -1.0"),
+        ({"tau": 0.01, "alpha": -2.0}, "alpha must be >= 0, got -2.0"),  # before u0 = -400
+        ({"u0": 100.0, "tau": -0.1}, "tau must be >= 0, got -0.1"),
+        ({"u0": math.nan, "tau": 0.1}, "u0 must be a nonnegative number, got nan"),
+        ({"tau": math.inf, "alpha": 1.0}, "tau must be finite, got inf"),
+        ({"u0": 0.0, "alpha": 1.0}, "u0 must be > 0 when paired with alpha"),
+        ({"tau": 0.0, "alpha": 1.0}, "tau must be > 0 when paired with alpha"),
+        ({"u0": 5e-324, "alpha": 1.0}, "u0 5e-324 gives tau = inf"),
+        ({"u0": 1e300, "tau": 1e300}, "tau 1e+300 gives alpha = inf"),
+        ({"alpha": 1.0, "v0_V": -1.0}, "v0_V must be >= 0"),
+    ])
+    def test_each_error_leads_with_the_key_at_fault(self, given, why):
+        with pytest.raises(ValueError, match="^" + re.escape(why)):
+            DimensionlessSetup(**given)
 
 
 class TestMoments:
@@ -170,25 +212,25 @@ class TestPotential:
 
 class TestRegime:
     def test_good_configuration(self):
-        setup = DimensionlessSetup.from_u0_tau(1000.0, 0.004)
+        setup = DimensionlessSetup(u0=1000.0, tau=0.004)
         report = check_regime(setup, MomentSet((0.3, 0.1)))
         assert report.raman_nath_ok and report.ordering_ok
         assert report.raman_nath_ratio == 1000.0
         assert report.moment_ratios == (1.0, 0.3, 0.1)
 
     def test_marginal_band_noted(self):
-        setup = DimensionlessSetup.from_u0_tau(50.0, 0.01)
+        setup = DimensionlessSetup(u0=50.0, tau=0.01)
         report = check_regime(setup, MomentSet())
         assert not report.raman_nath_ok
         assert "marginal" in report.notes
 
     def test_ordering_violation(self):
-        setup = DimensionlessSetup.from_u0_tau(1000.0, 0.004)
+        setup = DimensionlessSetup(u0=1000.0, tau=0.004)
         assert not check_regime(setup, MomentSet((0.1, 0.2))).ordering_ok
         assert not check_regime(setup, MomentSet((1.2, 0.3))).ordering_ok
 
     def test_trailing_zero_moments_ignored(self):
-        setup = DimensionlessSetup.from_u0_tau(1000.0, 0.004)
+        setup = DimensionlessSetup(u0=1000.0, tau=0.004)
         assert check_regime(setup, MomentSet((0.0, 0.0))).ordering_ok
         assert check_regime(setup, MomentSet((0.3, 0.0))).ordering_ok
         assert not check_regime(setup, MomentSet((0.0, 0.2))).ordering_ok
@@ -196,7 +238,7 @@ class TestRegime:
     def test_ordering_scale_invariant(self):
         # scaling all moments by c in (0, 1) cannot flip a passing hierarchy
         rng = np.random.default_rng(11)
-        setup = DimensionlessSetup.from_u0_tau(1000.0, 0.004)
+        setup = DimensionlessSetup(u0=1000.0, tau=0.004)
         for _ in range(20):
             qs = tuple(sorted(rng.uniform(0.0, 0.9, size=3), reverse=True))
             if check_regime(setup, MomentSet(qs)).ordering_ok:
@@ -210,13 +252,13 @@ class TestRegime:
         assert report.explorable_length_m == pytest.approx(1e-10, rel=1e-9)
 
     def test_no_si_anchor(self):
-        report = check_regime(DimensionlessSetup.from_alpha(2.0), MomentSet())
+        report = check_regime(DimensionlessSetup(alpha=2.0), MomentSet())
         assert report.explorable_length_m is None
         assert "explorable length unknown" in report.notes
         assert report.raman_nath_ok  # ideal limit
 
     def test_report_serializes(self):
-        setup = DimensionlessSetup.from_u0_tau(1000.0, 0.004)
+        setup = DimensionlessSetup(u0=1000.0, tau=0.004)
         d = check_regime(setup, MomentSet((0.3, 0.1))).as_dict()
         assert d["raman_nath_ok"] is True
         assert d["moment_ratios"] == [1.0, 0.3, 0.1]

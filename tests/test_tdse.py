@@ -20,15 +20,16 @@ from kdsim.tdse import (
 )
 
 from oracles import (
-    binned_orders_loop, pattern_distance, pointlike_pattern, propagate_cell_eigh,
-    propagate_cell_fft, propagate_full_box, run_exact, run_stepped, stepped_sectors,
+    binned_orders_loop, envelope_weights, pattern_distance, pointlike_pattern,
+    propagate_cell_eigh, propagate_cell_fft, propagate_full_box, run_exact, run_stepped,
+    stepped_sectors,
 )
 
 POINTLIKE = build_potential(MomentSet())
 
 
 def thin_setup(alpha, u0=1000.0):
-    return DimensionlessSetup.from_u0_alpha(u0, alpha)
+    return DimensionlessSetup(u0=u0, alpha=alpha)
 
 
 def plane_plan(setup, spec=POINTLIKE, **plan_kw):
@@ -216,7 +217,7 @@ class TestPlan:
            kinetic=st.booleans(), moments=st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4)))
     def test_every_plan_covers_tau(self, u0, alpha, d_tau, envelope, kinetic, moments):
         # the one planner takes the pulse length from the setup alone
-        setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
+        setup = DimensionlessSetup(u0=u0, alpha=alpha)
         spec = build_potential(MomentSet(moments))
         plan = plane_plan(setup, spec, d_tau=d_tau, envelope=envelope, include_kinetic=kinetic)
         assert plan.n_steps * plan.d_tau == pytest.approx(setup.tau, rel=1e-15)
@@ -232,13 +233,13 @@ class TestPlan:
         assert plan.d_tau == pytest.approx(0.002)
 
     def test_zero_duration(self):
-        setup = DimensionlessSetup.from_u0_tau(100.0, 0.0)
+        setup = DimensionlessSetup(u0=100.0, tau=0.0)
         plan = plane_plan(setup, d_tau=0.01)
         assert (plan.n_steps, plan.d_tau) == (0, 0.0)
 
     def test_ideal_limit_rejected(self):
         with pytest.raises(ValueError):
-            plane_plan(DimensionlessSetup.from_alpha(2.0))
+            plane_plan(DimensionlessSetup(alpha=2.0))
 
     def test_schedule_validation(self):
         for schedule, why in (
@@ -256,7 +257,7 @@ class TestPlan:
         ):
             for tau in (0.1, 0.0):
                 with pytest.raises(ValueError, match=re.escape(why)):
-                    plane_plan(DimensionlessSetup.from_u0_tau(100.0, tau), **schedule)
+                    plane_plan(DimensionlessSetup(u0=100.0, tau=tau), **schedule)
 
 
 class TestThinGratingPath:
@@ -292,12 +293,12 @@ class TestThinGratingPath:
     def test_zero_steps_identity(self):
         grid = Grid1D()
         state = init_plane_wave(grid)
-        out = run_stepped(plan_run(state, POINTLIKE, DimensionlessSetup.from_u0_tau(1000.0, 0.0)))
+        out = run_stepped(plan_run(state, POINTLIKE, DimensionlessSetup(u0=1000.0, tau=0.0)))
         assert np.array_equal(out.psi, state.psi)
 
     def test_no_step_phase_warning(self):
         # one exact phase of the pulse area: d_tau changes nothing, so no warning
-        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        setup = DimensionlessSetup(u0=300.0, alpha=1.5)
         coarse = plane_plan(setup, d_tau=0.01, include_kinetic=False)  # 3 rad per step
         assert coarse.route == "thin"
         with warnings.catch_warnings():
@@ -308,20 +309,20 @@ class TestThinGratingPath:
 
 class TestSplitStep:
     def test_near_thin_grating_at_large_u0(self):
-        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        setup = DimensionlessSetup(u0=300.0, alpha=1.5)
         out = run_stepped(plane_plan(setup))
         got = order_probabilities(out, max_order=10)
         want = pointlike_pattern(1.5, order_cutoff=10)
         assert pattern_distance(got, want)[0] <= 1e-3
 
     def test_norm_preserved_over_many_steps(self):
-        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        setup = DimensionlessSetup(u0=300.0, alpha=1.5)
         out = run_stepped(plane_plan(setup, d_tau=setup.tau / 500.0))
         assert abs(out.norm - 1.0) <= 1e-11
 
     def test_second_order_step_convergence(self):
         grid = Grid1D()
-        setup = DimensionlessSetup.from_u0_alpha(20.0, 1.0)  # tau = 0.1
+        setup = DimensionlessSetup(u0=20.0, alpha=1.0)  # tau = 0.1
         state = init_plane_wave(grid)
 
         def final_psi(n_steps):
@@ -336,7 +337,7 @@ class TestSplitStep:
 
     def test_grating_translation_leaves_pattern_invariant(self):
         # shifting the standing wave rotates (a_c, a_s); probabilities cannot move
-        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        setup = DimensionlessSetup(u0=300.0, alpha=1.5)
         spec = build_potential(MomentSet((0.3, 0.1)))
         delta = 0.7
         c, s = math.cos(2.0 * delta), math.sin(2.0 * delta)
@@ -369,13 +370,13 @@ class TestDiagnostics:
         spectrum = init_plane_wave(grid).spectrum.copy()
         bad = WaveState(grid, spectrum=spectrum)
         spectrum[3] = math.nan  # the state holds a view of it
-        plan = plan_run(bad, POINTLIKE, DimensionlessSetup.from_u0_tau(1000.0, 1e-4), d_tau=1e-4)
+        plan = plan_run(bad, POINTLIKE, DimensionlessSetup(u0=1000.0, tau=1e-4), d_tau=1e-4)
         with pytest.raises(RuntimeError, match="unitarity"):
             run_stepped(plan)
 
     def test_ideal_limit_rejected(self):
         with pytest.raises(ValueError):  # tau = 0: no step to take, and no finite u0
-            plane_plan(DimensionlessSetup.from_alpha(2.0), d_tau=1e-4)
+            plane_plan(DimensionlessSetup(alpha=2.0), d_tau=1e-4)
 
 
 class TestSnapshots:
@@ -426,7 +427,7 @@ def stepped_bins(plan):
         occupied = power[live] > _EMPTY_SECTOR / grid.n_points * power[live].sum()
         occupied = np.flatnonzero(occupied.any(axis=0))
         signed = np.where(occupied < cell // 2, occupied, occupied - cell)
-        area = np.sum(plan.weights) * plan.d_tau
+        area = np.sum(envelope_weights(plan)) * plan.d_tau
         reach = _order_reach(0.5 * setup.u0 * area * math.hypot(spec.a_c, spec.a_s))
         low = signed.min() - reach * (grid.n_periods // f)
         width = signed.max() + reach * (grid.n_periods // f) + 1 - low
@@ -456,8 +457,8 @@ class TestBlochSectors:
                 data.draw(st.floats(4.0 * grid.dx, grid.box_length / 6.0), "sigma"), k0)
         spec = build_potential(MomentSet((data.draw(st.floats(0.0, 0.4), "d"),
                                           data.draw(st.floats(0.0, 0.4), "q"))))
-        setup = DimensionlessSetup.from_u0_alpha(data.draw(st.sampled_from([30.0, 300.0]), "u0"),
-                                                 data.draw(st.floats(0.2, 3.0), "alpha"))
+        setup = DimensionlessSetup(u0=data.draw(st.sampled_from([30.0, 300.0]), "u0"),
+                                   alpha=data.draw(st.floats(0.2, 3.0), "alpha"))
         plan = plan_run(state, spec, setup,
                         envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
                         include_kinetic=data.draw(st.booleans(), "kinetic"))
@@ -476,7 +477,7 @@ class TestBlochSectors:
     def test_threshold_steps_every_sector_above_it(self):
         grid = Grid1D()  # 8 sectors of 128 points
         x = grid.positions()
-        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        setup = DimensionlessSetup(u0=300.0, alpha=1.5)
         for eps, live in ((1e-11, 1), (1e-9, 2)):  # admixed weights 1e-22 and 1e-18
             psi = (np.exp(2j * x) + eps * np.exp(0.25j * x)) / math.sqrt(grid.box_length)
             state = WaveState(grid, spectrum=np.fft.fft(psi / math.sqrt(1.0 + eps**2)), k0=2.0)
@@ -509,8 +510,8 @@ class TestOrderBand:
                 data.draw(st.floats(4.0 * grid.dx, grid.box_length / 6.0), "sigma"), k0)
         spec = build_potential(MomentSet((data.draw(st.floats(0.0, 0.4), "d"),
                                           data.draw(st.floats(0.0, 0.4), "q"))))
-        setup = DimensionlessSetup.from_u0_alpha(data.draw(st.sampled_from([30.0, 300.0]), "u0"),
-                                                 data.draw(st.floats(0.2, 3.0), "alpha"))
+        setup = DimensionlessSetup(u0=data.draw(st.sampled_from([30.0, 300.0]), "u0"),
+                                   alpha=data.draw(st.floats(0.2, 3.0), "alpha"))
         n_steps = data.draw(st.integers(1, 300), "n_steps")  # past one kick block at m >= 64
         schedule = dict(d_tau=setup.tau / n_steps,
                         envelope=data.draw(st.sampled_from(ENVELOPES), "envelope"),
@@ -550,19 +551,34 @@ class TestOrderBand:
                                              Grid1D().positions()[:128])
         # blocks of _KICK_BLOCK / 128 steps on a 128-point cell
         n_steps = 2 * _KICK_BLOCK // 128 + 37
-        setup = DimensionlessSetup.from_u0_tau(300.0, n_steps * 1e-4)
+        setup = DimensionlessSetup(u0=300.0, tau=n_steps * 1e-4)
         plan = plane_plan(setup, d_tau=1e-4, envelope=envelope)
         kicks = list(_half_kicks(v, plan))
         assert len(kicks) == plan.n_steps == n_steps
-        for w, kick in zip(plan.weights, kicks):
+        for w, kick in zip(envelope_weights(plan), kicks):
             want = np.exp(-0.5j * v * w * plan.d_tau)
             assert np.array_equal(kick, want)
             assert np.array_equal(np.signbit(kick.view(float)), np.signbit(want.view(float)))
 
+    def test_only_a_ramp_holds_per_step_weights(self):
+        # 10^5 steps of an order-0 plane wave: the exact route takes none of them,
+        # and a rectangular pulse's area is n_steps * d_tau, as the sum of unit weights
+        setup = DimensionlessSetup(u0=300.0, tau=1e5 * 1e-7)
+        flat = plane_plan(setup, d_tau=1e-7)
+        assert flat.route == "exact" and flat.n_steps > 10 * flat.state.grid.n_points
+        assert flat.weights is None
+        for field in dataclasses.fields(flat):
+            value = getattr(flat, field.name)
+            assert not (isinstance(value, np.ndarray) and value.size >= flat.n_steps), field.name
+        area = float(np.sum(envelope_weights(flat))) * flat.d_tau
+        assert flat.reach == _order_reach(0.5 * setup.u0 * area)
+        ramp = plane_plan(setup, d_tau=1e-7, envelope="sin2_ramp")
+        assert np.array_equal(ramp.weights, envelope_weights(ramp))
+
     def test_band_cell_is_a_power_of_two_inside_the_cell(self):
         # a plane wave at order 0 of 2048 points over 8 periods (cells of 256):
         # reach 16 over the ramp's area, so 33 columns on a cell of 64 points
-        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        setup = DimensionlessSetup(u0=300.0, alpha=1.5)
         plan = plan_run(init_plane_wave(Grid1D(2048, 8)), POINTLIKE, setup, envelope="sin2_ramp")
         out, shapes = stepped_sectors(lambda: run_stepped(plan))
         assert shapes == {(1, stepped_bins(plan)[1])} == {(1, 64)}
@@ -580,7 +596,7 @@ def exact_case(u0, alpha, moments=(0.3, 0.1), order_offset=0, n_points=1024, n_p
                sigma=None, k0_units=0, **plan_kw):
     """The plan of a plane wave at order_offset, or with sigma a Gaussian packet with
     carrier k0_units grid steps, under a rectangular pulse."""
-    setup = DimensionlessSetup.from_u0_alpha(u0, alpha)
+    setup = DimensionlessSetup(u0=u0, alpha=alpha)
     spec = build_potential(MomentSet(moments))
     grid = Grid1D(n_points, n_periods)
     if sigma is None:
@@ -702,7 +718,7 @@ class TestExactRoute:
                               ({"include_kinetic": False}, "thin")):
             assert plan_run(state, spec, setup, **change).route == route
         with pytest.raises(ValueError, match="u0 must be finite"):
-            plan_run(state, spec, DimensionlessSetup.from_alpha(2.0))
+            plan_run(state, spec, DimensionlessSetup(alpha=2.0))
 
         # a start at order 63 of 1024 points over 8 periods has no order above it
         assert plan_run(init_plane_wave(grid, 63), spec, setup).route == "stepped"
@@ -814,10 +830,10 @@ class TestExactRoute:
             plan = plan_run(start, spec, setup, **change)
             assert plan.route == route and plan.modes is None
         with pytest.raises(ValueError, match="u0 must be finite"):
-            plan_run(state, spec, DimensionlessSetup.from_alpha(2.0))
+            plan_run(state, spec, DimensionlessSetup(alpha=2.0))
 
     def test_no_step_phase_warning(self, recwarn):
-        setup = DimensionlessSetup.from_u0_alpha(300.0, 1.5)
+        setup = DimensionlessSetup(u0=300.0, alpha=1.5)
         plan = plane_plan(setup, d_tau=0.01)  # 3 rad per Strang step
         out = run_exact(plan)
         assert len(recwarn) == 0
