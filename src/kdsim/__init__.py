@@ -14,8 +14,7 @@ from .model import (
 )
 from .bessel import bessel_row, bessel_rows
 from .analytic import (
-    DiffractionPattern, default_order_cutoff, closed_form_pattern,
-    effective_amplitude, grating_oracle,
+    DiffractionPattern, default_order_cutoff, closed_form_pattern, grating_oracle,
 )
 from .tdse import Grid1D, WaveState, init_plane_wave, init_gaussian, order_probabilities
 from .fit import (
@@ -34,8 +33,7 @@ __all__ = [
     "derive_scales", "moments_from_si", "build_potential", "evaluate_potential",
     "check_regime",
     "bessel_row", "bessel_rows",
-    "DiffractionPattern", "default_order_cutoff", "closed_form_pattern",
-    "effective_amplitude", "grating_oracle",
+    "DiffractionPattern", "default_order_cutoff", "closed_form_pattern", "grating_oracle",
     "Grid1D", "WaveState", "init_plane_wave", "init_gaussian", "order_probabilities",
     "ObservedPattern", "FitResult", "MomentRegion",
     "chi_square", "joint_fit", "moment_region", "band_radius",

@@ -1,17 +1,19 @@
-"""Thin-grating diffraction patterns, two independent routes.
+"""Thin-grating diffraction patterns: one serving route and one oracle.
 
 In the thin-grating limit the standing wave acts as a pure phase mask
 exp(i alpha (a_c cos 2x + a_s sin 2x)) on the incoming wave, so the order
-amplitudes are Fourier coefficients of that mask.  Two ways to get them:
+amplitudes are Fourier coefficients of that mask.  Both quadratures merge
+into one harmonic of effective amplitude r_eff = hypot(a_c, a_s)
+(``PotentialSpec.r_eff``), giving P_p = J_p(alpha r_eff)^2.
 
-* ``closed_form_pattern`` -- both quadratures merged into one harmonic of
-  effective amplitude r_eff = hypot(a_c, a_s), giving P_p = J_p(alpha r_eff)^2;
+* ``model_probabilities`` serves that model: ``closed_form_pattern`` for the
+  command line's ``analytic`` mode, the fit's chi-square, its synthetic data
+  and the scan all take their probabilities from it;
 * ``grating_oracle`` -- brute-force FFT of the sampled phase mask, kept
   deliberately independent of the Bessel code path.
 
-The command line serves the closed form; the grating oracle checks it in the
-benchmark, and the tests keep a third route, the double Bessel sum over the
-two quadratures.
+The grating oracle checks the model in the benchmark, and the tests keep a
+third route, the double Bessel sum over the two quadratures.
 
 Probabilities depend on the moments only through r_eff; the fitting module
 leans on exactly that degeneracy.
@@ -19,12 +21,12 @@ leans on exactly that degeneracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_row
-from .model import MomentSet, PotentialSpec, build_potential
+from .bessel import bessel_row, bessel_rows
+from .model import MomentSet, PotentialSpec, _require_finite, build_potential
 
 _TAIL_WARN = 1e-8
 
@@ -41,7 +43,6 @@ class DiffractionPattern:
     probabilities: dict[int, float]
     generator: str
     alpha: float | None = None
-    moments: MomentSet | None = None
     tail_mass: float = 0.0
     cutoff_warning: bool = False
 
@@ -65,48 +66,53 @@ def default_order_cutoff(alpha: float, r_eff: float = 1.0) -> int:
     return int(math.ceil(abs(alpha) * abs(r_eff))) + 30
 
 
-def _pattern(orders, probs, generator, alpha, moments=None) -> DiffractionPattern:
+def _pattern(orders, probs, generator, alpha) -> DiffractionPattern:
     table = {int(p): float(v) for p, v in zip(orders, probs)}
     tail = 1.0 - sum(table.values())
     return DiffractionPattern(
-        probabilities=table, generator=generator, alpha=alpha, moments=moments,
+        probabilities=table, generator=generator, alpha=alpha,
         tail_mass=tail, cutoff_warning=tail > _TAIL_WARN)
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    return alpha
-
-
-def _single_harmonic_pattern(alpha: float, r_eff: float, order_cutoff: int | None,
-                             generator: str, moments: MomentSet | None = None):
-    """P_p = J_p(alpha r_eff)^2 for p = -cut..cut."""
-    alpha = _check_alpha(alpha)
-    cut = default_order_cutoff(alpha, r_eff) if order_cutoff is None else int(order_cutoff)
+def _resolve_cutoff(alpha: float, r_eff: float, order_cutoff: int | None) -> int:
+    if order_cutoff is None:
+        return default_order_cutoff(alpha, r_eff)
+    cut = int(order_cutoff)
     if cut < 0:
         raise ValueError(f"order_cutoff must be >= 0, got {cut}")
-    row = bessel_row(cut, alpha * r_eff)
-    orders = range(-cut, cut + 1)
-    probs = [row[abs(p)] ** 2 for p in orders]
-    return _pattern(orders, probs, generator, alpha, moments)
+    return cut
 
 
-def effective_amplitude(moments: MomentSet) -> float:
-    """r_eff = hypot(a_c, a_s): the single number the pattern depends on."""
-    spec = build_potential(moments)
-    return math.hypot(spec.a_c, spec.a_s)
+def _model_at(alpha: float, r_eff, index: np.ndarray, order_max: int) -> np.ndarray:
+    """J_|p|(alpha r_eff)^2 at each |order| in index, squared as an array (x * x)."""
+    if np.ndim(r_eff) == 0:
+        rows = bessel_row(order_max, alpha * r_eff)
+    else:
+        rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
+    return rows[..., index] ** 2
+
+
+def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:
+    """Thin-grating model P_p = J_p(alpha r_eff)^2 at the given orders.
+
+    A scalar r_eff gives one value per order; a 1-D array of r_eff gives
+    one row per entry, from a single batched Bessel pass.
+    """
+    index = np.abs(np.asarray(orders, dtype=int))
+    return _model_at(alpha, r_eff, index, int(np.max(index)) if index.size else 0)
 
 
 def closed_form_pattern(alpha: float, moments: MomentSet,
                         order_cutoff: int | None = None) -> DiffractionPattern:
-    """Pattern via the effective amplitude: P_p = J_p(alpha r_eff)^2.
+    """Pattern via the effective amplitude: P_p = J_p(alpha r_eff)^2, p = -cut..cut.
 
     Works for any moment order since the potential has a single harmonic.
     """
-    return _single_harmonic_pattern(alpha, effective_amplitude(moments), order_cutoff,
-                                    "closed_form", moments)
+    alpha = _require_finite("alpha", alpha, nonneg=True)
+    r_eff = build_potential(moments).r_eff
+    cut = _resolve_cutoff(alpha, r_eff, order_cutoff)
+    orders = np.arange(-cut, cut + 1)
+    return _pattern(orders, model_probabilities(alpha, r_eff, orders), "closed_form", alpha)
 
 
 def grating_oracle(spec: PotentialSpec, alpha: float, n_grid: int | None = None,
@@ -118,13 +124,8 @@ def grating_oracle(spec: PotentialSpec, alpha: float, n_grid: int | None = None,
     be a power of two and >= 4 * cutoff + 16 so folded tails stay harmless.
     alpha may be negative here, which realizes the conjugate phase mask.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    r_eff = math.hypot(spec.a_c, spec.a_s)
-    cut = default_order_cutoff(alpha, r_eff) if order_cutoff is None else int(order_cutoff)
-    if cut < 0:
-        raise ValueError(f"order_cutoff must be >= 0, got {cut}")
+    alpha = _require_finite("alpha", alpha)
+    cut = _resolve_cutoff(alpha, spec.r_eff, order_cutoff)
     need = 4 * cut + 16
     n = 1 << max(6, (need - 1).bit_length()) if n_grid is None else int(n_grid)
     if n & (n - 1) or n <= 0:

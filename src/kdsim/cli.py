@@ -557,7 +557,7 @@ def _run_scan(config: RunConfig) -> dict:
     qs = RepeatedColumn(q_axis, times=len(d_axis))
     rs = list(map(fit_mod.band_radius, ds, qs))
     alpha = config.setup.alpha
-    p0s = fit_mod.model_probabilities(alpha, np.array(rs), [0])[:, 0].tolist()
+    p0s = analytic.model_probabilities(alpha, np.array(rs), [0])[:, 0].tolist()
     return {"kind": "scan", "alpha": alpha, "d_tilde": ds, "q_tilde": qs, "r_eff": rs, "p0": p0s}
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_row, bessel_rows
-from .analytic import default_order_cutoff
+from .analytic import _model_at, default_order_cutoff, model_probabilities
+from .model import _require_finite
 
 SIGMA_FLOOR = 1e-4
 MIN_ORDERS = 3          # distinct orders in an observation
@@ -58,9 +58,7 @@ class ObservedPattern:
         for s in sigmas:
             if not math.isfinite(s) or s <= 0.0:
                 raise ValueError(f"sigmas must be > 0, got {s!r}")
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 0.0:
-            raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+        alpha = _require_finite("alpha", self.alpha, nonneg=True)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sigmas", sigmas)
@@ -71,24 +69,6 @@ class ObservedPattern:
         """|order| index, the largest |order|, values and sigmas, built once for chi_square."""
         index = np.abs(np.array(self.orders))
         return index, int(index.max()), np.array(self.values), np.array(self.sigmas)
-
-
-def _model_at(alpha: float, r_eff, index: np.ndarray, order_max: int) -> np.ndarray:
-    if np.ndim(r_eff) == 0:
-        rows = bessel_row(order_max, alpha * r_eff)
-    else:
-        rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
-    return rows[..., index] ** 2
-
-
-def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:
-    """Thin-grating model P_p = J_p(alpha r_eff)^2 at the given orders.
-
-    A scalar r_eff gives one value per order; a 1-D array of r_eff gives
-    one row per entry, from a single batched Bessel pass.
-    """
-    index = np.abs(np.asarray(orders, dtype=int))
-    return _model_at(alpha, r_eff, index, int(np.max(index)) if index.size else 0)
 
 
 def chi_square(observed: ObservedPattern, r_eff):

@@ -247,6 +247,11 @@ class PotentialSpec:
     a_c: float
     a_s: float
 
+    @property
+    def r_eff(self) -> float:
+        """hypot(a_c, a_s): the one harmonic's amplitude, all a thin-grating pattern depends on."""
+        return math.hypot(self.a_c, self.a_s)
+
 
 def build_potential(moments: MomentSet) -> PotentialSpec:
     """Collapse the multipole series onto the single spatial harmonic.

@@ -170,7 +170,7 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
 
 def max_potential(setup: DimensionlessSetup, spec: PotentialSpec) -> float:
     """Bound on |V| in recoil units over the grid."""
-    return 0.5 * setup.u0 * (abs(spec.offset) + math.hypot(spec.a_c, spec.a_s))
+    return 0.5 * setup.u0 * (abs(spec.offset) + spec.r_eff)
 
 
 SnapshotCallback = Callable[[int, float, WaveState], None]
@@ -303,8 +303,7 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         weights[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
         weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
         area = float(np.sum(weights)) * d_tau
-    reach = _order_reach(0.5 * setup.u0 * area
-                         * math.hypot(spec.a_c, spec.a_s)) if include_kinetic else 0
+    reach = _order_reach(0.5 * setup.u0 * area * spec.r_eff) if include_kinetic else 0
     exact, even, modes, valid = False, False, None, None
     if envelope == "rectangular" and include_kinetic and occupied.any():
         live = _signed_modes(np.flatnonzero(occupied), n)
@@ -447,7 +446,7 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
     ham = np.zeros((chains, size * size))  # row c: chain c's matrix, flattened
     # padding rows are decoupled and start empty, so they stay empty
     ham[:, ::size + 1] = np.where(valid, (2.0 * modes / h) ** 2 + 0.5 * u0 * spec.offset, 0.0)
-    coupling = np.where(valid[:, 1:], 0.25 * u0 * math.hypot(spec.a_c, spec.a_s), 0.0)
+    coupling = np.where(valid[:, 1:], 0.25 * u0 * spec.r_eff, 0.0)
     if plan.even:
         coupling[:, :1] *= math.sqrt(2.0)  # e_0 to e_1
     ham[:, 1::size + 1] = ham[:, size::size + 1] = coupling

@@ -31,13 +31,10 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 
-from kdsim.analytic import (
-    DiffractionPattern, _check_alpha, _pattern, _single_harmonic_pattern, default_order_cutoff,
-    effective_amplitude,
-)
+from kdsim.analytic import DiffractionPattern, _pattern, closed_form_pattern, default_order_cutoff
 from kdsim.bessel import _RESCALE, _TINY_X, _start_orders, bessel_row
 from kdsim import tdse
-from kdsim.model import MomentSet, evaluate_potential
+from kdsim.model import MomentSet, _require_finite, build_potential, evaluate_potential
 from kdsim.tdse import (
     _EMPTY_SECTOR, _STEP_PHASE_WARN, WaveState, _checked_norm,
 )
@@ -71,7 +68,7 @@ def pattern_distance(first: DiffractionPattern, second: DiffractionPattern) -> t
 
 def pointlike_pattern(alpha: float, order_cutoff: int | None = None) -> DiffractionPattern:
     """Pattern of a structureless charge: P_n = J_n(alpha)^2."""
-    return _single_harmonic_pattern(alpha, 1.0, order_cutoff, "pointlike")
+    return closed_form_pattern(alpha, MomentSet(), order_cutoff)
 
 
 def _signed_orders(row_values: np.ndarray, p_max: int) -> np.ndarray:
@@ -94,7 +91,7 @@ def distribution_coefficients(alpha: float, moments: MomentSet,
 
     Returns (orders, coefficients) with orders -cut..cut.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _require_finite("alpha", alpha, nonneg=True)
     if moments.max_order > 2:
         raise ValueError(
             "distribution_coefficients handles dipole + quadrupole only; "
@@ -110,7 +107,7 @@ def distribution_coefficients(alpha: float, moments: MomentSet,
     span = p_a + p_b  # conv covers orders -span..span
 
     if order_cutoff is None:
-        cut = default_order_cutoff(alpha, effective_amplitude(moments))
+        cut = default_order_cutoff(alpha, build_potential(moments).r_eff)
     else:
         cut = int(order_cutoff)
         if cut < 0:
@@ -127,7 +124,7 @@ def distribution_pattern(alpha: float, moments: MomentSet,
     """Pattern from the explicit double Bessel sum (dipole + quadrupole)."""
     orders, coeffs = distribution_coefficients(alpha, moments, order_cutoff)
     probs = np.abs(coeffs) ** 2
-    return _pattern(orders, probs, "distribution", alpha, moments)
+    return _pattern(orders, probs, "distribution", alpha)
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kdsim.analytic import (
-    closed_form_pattern, default_order_cutoff, effective_amplitude, grating_oracle,
+    closed_form_pattern, default_order_cutoff, grating_oracle, model_probabilities,
 )
+from kdsim.bessel import bessel_row
 from kdsim.model import MomentSet, build_potential
 
 from oracles import (
@@ -50,10 +51,39 @@ class TestPointlike:
 
 class TestEffectiveAmplitude:
     def test_examples(self):
-        assert effective_amplitude(MomentSet()) == 1.0
-        assert effective_amplitude(MomentSet((0.3, 0.1))) == pytest.approx(1.0, abs=1e-15)
-        assert effective_amplitude(MomentSet((0.0, 0.5))) == 0.0
-        assert effective_amplitude(MomentSet((0.5, 0.5))) == pytest.approx(1.0, abs=1e-15)
+        # the effective amplitude of the cos(2kx) term is the potential's r_eff
+        def r_eff(moments):
+            return build_potential(moments).r_eff
+
+        assert r_eff(MomentSet()) == 1.0
+        assert r_eff(MomentSet((0.3, 0.1))) == pytest.approx(1.0, abs=1e-15)
+        assert r_eff(MomentSet((0.0, 0.5))) == 0.0
+        assert r_eff(MomentSet((0.5, 0.5))) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestOneModel:
+    def test_closed_form_is_model_probabilities(self):
+        # the command line's pattern and the fit's model are one function, whose
+        # values are the correctly rounded squares of one Bessel row
+        rng = np.random.default_rng(20251)
+        cases = [(4.001400526026084, MomentSet((0.0, 0.5 * (1.0 - 0.6896784078894238))))]
+        for _ in range(600):
+            alpha = 60.0 * (1.0 - rng.random())   # (0, 60]
+            d, q = rng.uniform(0.0, 0.45, size=2)
+            higher = tuple(rng.uniform(-0.1, 0.1, size=rng.integers(0, 3)))
+            cases.append((alpha, MomentSet((d, q) + higher)))
+        for alpha, moments in cases:
+            pattern = closed_form_pattern(alpha, moments)
+            r_eff = build_potential(moments).r_eff
+            orders = np.array(pattern.orders)
+            row = bessel_row(pattern.order_cutoff, alpha * r_eff)
+            model = model_probabilities(alpha, r_eff, orders)
+            assert list(pattern.probabilities.values()) == model.tolist(), (alpha, moments)
+            assert model.tolist() == [row[abs(p)] * row[abs(p)] for p in orders]
+        # the example that read one ulp apart while the pattern squared each scalar
+        alpha, moments = cases[0]
+        assert build_potential(moments).r_eff == 0.6896784078894238
+        assert closed_form_pattern(alpha, moments).probability(-28) == 6.383143017283809e-52
 
 
 class TestDistribution:

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 import kdsim
-from kdsim import tdse
+from kdsim import analytic, tdse
+from kdsim.analytic import model_probabilities
 from kdsim.cli import (
     _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main,
     parse_config, read_observed_csv, run,
 )
 from kdsim.emit import float_text
-from kdsim.fit import band_radius, model_probabilities
+from kdsim.fit import band_radius
 from kdsim.model import MomentSet
 
 from oracles import (
@@ -1118,9 +1119,10 @@ def test_readme_names_every_config_key():
 def test_readme_library_example_runs(capsys):
     """The README's library example runs as printed, so it names no removed function."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README.md", "exec"), {})
+    start = readme.index("```python\n", readme.index("## Library use")) + len("```python\n")
+    code = readme[start:].split("```", 1)[0]
+    # one newline per README line above the block, so a traceback names the README line
+    exec(compile("\n" * readme.count("\n", 0, start) + code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("0.0501")
 
 
@@ -1130,9 +1132,13 @@ def test_public_api_names_resolve():
         assert getattr(kdsim, name) is not None, name
     dropped = {"exact_route", "BesselRow", "distribution_pattern", "pointlike_pattern",
                "bessel_j", "pattern_distance", "propagate", "propagate_exact",
-               "fit_effective_amplitude", "plan_propagation", "PropagationConfig"}
+               "fit_effective_amplitude", "plan_propagation", "PropagationConfig",
+               "effective_amplitude"}
     assert dropped.isdisjoint(kdsim.__all__)
     assert not hasattr(tdse, "plan_propagation")
     assert not hasattr(tdse, "PropagationConfig")
     for name in ("from_u0_tau", "from_u0_alpha", "from_alpha"):  # one constructor serves all
         assert not hasattr(kdsim.DimensionlessSetup, name), name
+    for name in ("effective_amplitude", "_single_harmonic_pattern", "_check_alpha"):
+        assert not hasattr(analytic, name), name  # one model, one r_eff, one alpha check
+    assert "moments" not in {f.name for f in dataclasses.fields(kdsim.DiffractionPattern)}

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdsim.analytic import closed_form_pattern
+from kdsim.analytic import closed_form_pattern, model_probabilities
 from kdsim.fit import (
     FitResult, MomentRegion, ObservedPattern, band_radius, chi_square, joint_fit,
-    model_probabilities, moment_region, synthesize_counts, synthesize_gaussian,
+    moment_region, synthesize_counts, synthesize_gaussian,
 )
 import kdsim.fit as fit_mod
-from kdsim.model import MomentSet
+from kdsim.model import MomentSet, build_potential
 
 from oracles import (
     circle_samples_loop, distribution_pattern, local_minima_loop, max_band_radius_bruteforce,
@@ -393,7 +393,15 @@ class TestSynthesis:
 
 
 def test_band_radius_examples():
-    assert band_radius(0.0, 0.0) == 1.0
-    assert band_radius(0.3, 0.1) == pytest.approx(1.0, abs=1e-15)
-    assert band_radius(0.0, 0.5) == 0.0
-    assert band_radius(0.5, 0.5) == 1.0
+    # the scan's band_radius is the potential's r_eff, bit for bit
+    def r_eff(d, q):
+        r = build_potential(MomentSet((d, q))).r_eff
+        assert band_radius(d, q) == r, (d, q)
+        return r
+
+    assert r_eff(0.0, 0.0) == 1.0
+    assert r_eff(0.3, 0.1) == pytest.approx(1.0, abs=1e-15)
+    assert r_eff(0.0, 0.5) == 0.0
+    assert r_eff(0.5, 0.5) == 1.0
+    for d, q in np.random.default_rng(404).uniform(0.0, 1.0, size=(20000, 2)):
+        r_eff(d, q)

@@ -15,8 +15,11 @@ of the differing jobs are printed.  Each is followed by
 the largest absolute difference between corresponding numbers in its differing
 CSV files, and the file where it occurs; and, per differing JSON file, by the
 dotted key paths whose values differ (items of a list share the list's path),
-each with its largest |diff|, e.g. `payload.r_eff_hat 2.9e-08`.  The exit code
-is 1 if any job differs.
+each with its largest |diff|, e.g. `payload.r_eff_hat 2.9e-08 (2.61e+08 ulp)`.
+Each largest |diff| of a key or of the CSV files is followed by the largest
+difference in units in the last place (`math.ulp` of the larger magnitude
+of the two numbers), so a one-ulp move reads as `1 ulp` at any scale.  The
+exit code is 1 if any job differs.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -88,16 +92,36 @@ def _run_tree(src: Path, workload: str, seed: int, workdir: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def _number_change(a: str, b: str) -> float | None:
-    """Largest |x - y| over corresponding numbers of two texts; None if other text differs."""
+def _change(x: float, y: float) -> tuple[float, float]:
+    """|x - y|, and the same in units in the last place of the larger magnitude."""
+    diff = abs(x - y)
+    if not math.isfinite(diff):  # an infinity or NaN on either side
+        return diff, diff
+    return diff, diff / math.ulp(max(abs(x), abs(y)))
+
+
+def _larger(old: tuple[float, float], new: tuple[float, float]) -> tuple[float, float]:
+    return max(old[0], new[0]), max(old[1], new[1])
+
+
+def _text(change: tuple[float, float]) -> str:
+    return "{:.3g} ({:.3g} ulp)".format(*change)
+
+
+def _number_change(a: str, b: str) -> tuple[float, float] | None:
+    """Largest |x - y| and largest ulp difference over corresponding numbers of
+    two texts; None if other text differs."""
     if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
         return None
-    pairs = zip(_NUMBER.findall(a), _NUMBER.findall(b))
-    return max((abs(float(x) - float(y)) for x, y in pairs if x != y), default=0.0)
+    largest = (0.0, 0.0)
+    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+        if x != y:
+            largest = _larger(largest, _change(float(x), float(y)))
+    return largest
 
 
 def _key_changes(a, b, path: str = "", out: dict | None = None) -> dict:
-    """Largest |x - y| per dotted key path over two JSON values.
+    """Largest |x - y| and largest ulp difference per dotted key path over two JSON values.
 
     The items of a list share the list's path.  A change that is not between
     two numbers (text, a length, an absent key) is recorded as None.
@@ -112,8 +136,8 @@ def _key_changes(a, b, path: str = "", out: dict | None = None) -> dict:
             _key_changes(x, y, path, out)
     elif repr(a) != repr(b):  # NaN equals NaN here
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-        old = out.get(path, 0.0)
-        out[path] = max(abs(a - b), old) if numbers and old is not None else None
+        old = out.get(path, (0.0, 0.0))
+        out[path] = _larger(old, _change(a, b)) if numbers and old is not None else None
     return out
 
 
@@ -133,9 +157,9 @@ def _file_changes(names: list[str], dirs: tuple[Path, Path]) -> tuple[str, list[
             except ValueError:  # not JSON on one side: compared as text below
                 pass
             else:
-                largest = max([largest, *(c for c in keys.values() if c is not None)])
+                largest = max([largest, *(c[0] for c in keys.values() if c is not None)])
                 lines.append(f"{name}: " + (", ".join(
-                    f"{k or '(document)'} {'not numeric' if c is None else format(c, '.3g')}"
+                    f"{k or '(document)'} {'not numeric' if c is None else _text(c)}"
                     for k, c in keys.items()) or "equal values, other bytes"))
                 continue
         change = _number_change(*texts)
@@ -144,8 +168,10 @@ def _file_changes(names: list[str], dirs: tuple[Path, Path]) -> tuple[str, list[
         else:
             changes.append((change, name))
     if changes:
-        notes.insert(0, "max |diff| {:.3g} in {}".format(*max(changes)))
-        largest = max(largest, max(changes)[0])
+        (diff, _), name = max(changes)
+        ulps = max(ulp for (_, ulp), _ in changes)
+        notes.insert(0, f"max |diff| {_text((diff, ulps))} in {name}")
+        largest = max(largest, diff)
     return "; ".join(notes), lines, largest
 
 
