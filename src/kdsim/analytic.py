@@ -62,7 +62,14 @@ class DiffractionPattern:
 
 
 def default_order_cutoff(alpha: float, r_eff: float = 1.0) -> int:
-    """Cutoff past which the order amplitudes are negligible (< 1e-15)."""
+    """Order cutoff ceil(|alpha r_eff|) + 30.
+
+    The first omitted amplitude |J_(cut+1)(x)|, x = alpha r_eff, is 9.1e-17 at
+    x = 20 but grows with x: 2.6e-14 at 30, 9.7e-12 at 50, 4.7e-9 at 100 and
+    2.9e-6 at 300.  A pattern reads the probability past its cutoff as its
+    tail_mass, 1 minus the probabilities kept: 2.8e-11 at x = 300, under
+    cutoff_warning's 1e-8.
+    """
     return int(math.ceil(abs(alpha) * abs(r_eff))) + 30
 
 

@@ -349,9 +349,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if not val["delta_chi2"] > 0.0:
         raise ConfigError(f"config key 'delta_chi2': must be > 0, got {val['delta_chi2']!r}")
     synthetic = val["synthetic"]
-    if synthetic is not None and len(set(synthetic["orders"])) < fit_mod.MIN_ORDERS:
+    if synthetic is not None and (len(set(synthetic["orders"]))
+                                  < max(fit_mod.MIN_ORDERS, len(synthetic["orders"]))):
         raise ConfigError(f"config key 'synthetic.orders': need at least {fit_mod.MIN_ORDERS} "
-                          f"distinct orders, got {synthetic['orders']}")
+                          f"distinct orders, none repeated, got {synthetic['orders']}")
 
     plan = None
     if mode == "tdse":

@@ -344,7 +344,9 @@ def _circle_samples(r: float, r_lo: float, r_hi: float, n_samples: int) -> np.nd
         q = 0.5 * (1.0 - r * np.sin(theta))
         pts = np.column_stack([d, q])
     pts = pts[((pts >= 0.0) & (pts < 1.0)).all(axis=1)]
-    # re-check the defining inequality exactly as emitted (band_radius per point)
+    # re-check the defining inequality on the points as emitted: band_radius's
+    # formula, through np.hypot, which may differ from its math.hypot by 1 ulp;
+    # _BAND_SLACK covers that
     r_here = np.hypot(1.0 - 2.0 * pts[:, 1], 2.0 * pts[:, 0])
     return pts[(r_lo - _BAND_SLACK <= r_here) & (r_here <= r_hi + _BAND_SLACK)]
 

@@ -16,7 +16,7 @@ further into chains of diffraction orders, the modes of one residue modulo
 n_periods.  A pulse of area x = u0 r_eff (sum of envelope weights) d_tau / 2
 moves no amplitude beyond _order_reach(x) orders from where it starts, under
 the exact evolution and under Strang alike, so both routes work on one order
-band: the occupied columns +- that reach.
+band: the occupied bins (_occupied, the one occupancy rule) +- that reach.
 
 A WaveState holds its spectrum and derives psi on first use.  States stay in
 momentum space: a plane wave starts as its one nonzero bin, both routes return
@@ -24,9 +24,10 @@ spectra, and order_probabilities bins the spectrum, so a plane wave's bins off
 its chain hold exactly 0.  plan_run sizes the steps from setup.tau, takes the
 start's order band once and chooses the route that run executes, the one
 public way to propagate.  Under a rectangular pulse H is tridiagonal on each
-chain, and one stacked eigh evolves the band exactly (route "exact"; Batelaan,
-Rev. Mod. Phys. 79, 929 (2007)), for an order-0 plane wave on the parity-even
-half of it; otherwise route "stepped" steps it on its own cell.
+chain, and where the grid holds every chain whole one stacked eigh evolves the
+band exactly (route "exact"; Batelaan, Rev. Mod. Phys. 79, 929 (2007)), for an
+order-0 plane wave on the parity-even half of it; otherwise route "stepped"
+steps it on its own cell.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .model import DimensionlessSetup, PotentialSpec, evaluate_potential
 
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
-_EMPTY_SECTOR = 1e-20  # carried unstepped: moves orders by <= this, psi by <= its sqrt
+_EMPTY_SECTOR = 1e-20  # unoccupied bins in all; carried, they move orders by <= this
 _REACH_TOL = 1e-16  # amplitude left beyond the order band
 _EXACT_MAX_ORDERS = 1025  # orders^2 in the exact route's eigh stack (one of 1025: ~0.1 s)
 _DENSE_KINETIC = 1 << 15  # sectors * m^2 up to which one matmul beats an FFT pair
@@ -194,24 +195,25 @@ def _half_kicks(v: np.ndarray, plan: RunPlan):
 
 def _occupied(power: np.ndarray, n_points: int) -> np.ndarray:
     """Bins holding more than _EMPTY_SECTOR / n_points of the weight in power:
-    the others hold at most _EMPTY_SECTOR of it together."""
+    the others hold at most _EMPTY_SECTOR of it together.  The one occupancy
+    rule: plan_run applies it once, and both routes read its mask."""
     return power > _EMPTY_SECTOR / n_points * power.sum()
 
 
-def _band_columns(power: np.ndarray, n_points: int, per_order: int, reach: int) -> np.ndarray:
+def _band_columns(occupied: np.ndarray, per_order: int, reach: int) -> np.ndarray:
     """Cell columns of the stepped route's order band, in the FFT order of its cell.
 
-    power holds the live sectors' bin weights, one row each; a column is
-    occupied where one of its bins is (_occupied).  The band runs reach orders
+    occupied holds the live sectors' occupied bins, one row each; a column is
+    occupied where one of its bins is.  The band runs reach orders
     (per_order columns each) past the occupied columns on both sides, on the
     least power of two m of columns holding it, centred on it, or the whole
     cell.  Column a sits at FFT index a mod m; m divides the cell, so a band
     that wraps the cell's Nyquist column wraps the same way on its own cell.
     """
-    cell = power.shape[1]
-    occupied = np.flatnonzero(_occupied(power, n_points).any(axis=0))
-    if occupied.size:
-        signed = _signed_modes(occupied, cell)
+    cell = occupied.shape[1]
+    columns = np.flatnonzero(occupied.any(axis=0))
+    if columns.size:
+        signed = _signed_modes(columns, cell)
         low = int(signed.min()) - per_order * reach
         width = int(signed.max()) + per_order * reach + 1 - low
         if width < cell:
@@ -238,12 +240,10 @@ class RunPlan:
     ramp_fraction: float
     snapshot_every: int
     route: str
-    power: np.ndarray
     occupied: np.ndarray
     weights: np.ndarray | None
     reach: int
     modes: np.ndarray | None
-    valid: np.ndarray | None
     even: bool
 
 
@@ -259,17 +259,19 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     ramp_fraction of the pulse, and snapshot_every steps (0: never) separate
     the snapshots.
 
-    Under a rectangular pulse with the kinetic term each residue rho modulo
-    n_periods of the occupied bins (_occupied) is a chain, the modes
+    occupied marks the start's occupied bins (_occupied), from which both routes
+    take their band.  Under a rectangular pulse with the kinetic term each
+    residue rho modulo n_periods of those bins is a chain, the modes
     rho + n_periods p for the orders p from the lowest occupied - reach to the
-    highest + reach (_order_reach), cut at the Nyquist bin; modes holds one a
-    row, padded to the longest, valid the unpadded.  The route is "exact" unless
-    a chain is cut (the stepped route's cell wraps its reach round) or the eigh
-    stack holds over _EXACT_MAX_ORDERS^2 entries; else "stepped" ("thin" without
-    the kinetic term), which any plan can run.  An exact start of the one bin at
-    mode 0 is even: its band and H are symmetric under p <-> -p, so the run stays
-    in the parity-even basis of orders 0..reach.  ValueError unless u0 is finite,
-    and for a bad step or schedule, whether or not the run would use it.
+    highest + reach (_order_reach).  The route is "exact" when the grid holds
+    every chain whole and the eigh stack holds at most _EXACT_MAX_ORDERS^2
+    entries; modes then holds one chain a row, and is None on any other route.
+    Else the route is "stepped" ("thin" without the kinetic term), which any
+    plan can run: its cell wraps a cut chain's reach round.  An exact start of
+    the one bin at mode 0 is even: its band and H are symmetric under p <-> -p,
+    so the run stays in the parity-even basis of orders 0..reach.  ValueError
+    unless u0 is finite, and for a bad step or schedule, whether or not the run
+    would use it.
     """
     if not math.isfinite(setup.u0):
         raise ValueError("alpha alone is the ideal grating limit (u0 = inf), and u0 must be "
@@ -291,8 +293,7 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         n_steps = max(1, int(math.ceil(tau / d_tau - 1e-9)))
     d_tau = tau / n_steps if n_steps else 0.0
     n, h = state.grid.n_points, state.grid.n_periods
-    power = np.abs(state.spectrum) ** 2
-    occupied = _occupied(power, n)
+    occupied = _occupied(np.abs(state.spectrum) ** 2, n)
     total = area = n_steps * d_tau  # area: the field envelope's integral over the pulse
     weights = None  # the envelope at each step's midpoint; a rectangular pulse's is 1
     if envelope == "sin2_ramp":
@@ -304,21 +305,20 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
         area = float(np.sum(weights)) * d_tau
     reach = _order_reach(0.5 * setup.u0 * area * spec.r_eff) if include_kinetic else 0
-    exact, even, modes, valid = False, False, None, None
+    even, modes = False, None
     if envelope == "rectangular" and include_kinetic and occupied.any():
         live = _signed_modes(np.flatnonzero(occupied), n)
         residues = np.flatnonzero(np.bincount(live % h, minlength=h))
-        low, high = live.min() // h - reach, live.max() // h + reach  # rho + h p: order p
-        first = np.maximum(low, -((n // 2 + residues) // h))
-        last = np.minimum(high, (n // 2 - 1 - residues) // h)
-        orders = first[:, None] + np.arange(np.max(last - first) + 1)
-        modes, valid = residues[:, None] + h * orders, orders <= last[:, None]
-        exact = bool(first[0] == low and last[-1] == high  # limits fall as rho rises
-                     and modes.size * modes.shape[1] <= _EXACT_MAX_ORDERS ** 2)
-        even = exact and live.tolist() == [0]
-    route = "exact" if exact else "stepped" if include_kinetic else "thin"
+        low = int(live.min()) // h - reach  # mode rho + h p is order p of chain rho
+        high = int(live.max()) // h + reach
+        # uncut: the lowest residue's lowest mode and the highest's highest are on the grid
+        if (residues[0] + h * low >= -(n // 2) and residues[-1] + h * high < n // 2
+                and residues.size * (high - low + 1) ** 2 <= _EXACT_MAX_ORDERS ** 2):
+            modes = residues[:, None] + h * np.arange(low, high + 1)
+            even = live.tolist() == [0]
+    route = "exact" if modes is not None else "stepped" if include_kinetic else "thin"
     return RunPlan(state, spec, setup, d_tau, n_steps, envelope, ramp_fraction, snapshot_every,
-                   route, power, occupied, weights, reach, modes, valid, even)
+                   route, occupied, weights, reach, modes, even)
 
 
 def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> WaveState:
@@ -327,8 +327,8 @@ def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> Wav
     "stepped" takes plan.n_steps Strang steps and warns (UserWarning) when the
     potential phase per step exceeds _STEP_PHASE_WARN; "thin" applies the pulse
     area as one exact phase (_stepped) and "exact" (_exact) takes no step, so
-    neither warns.  The sectors and bins off the band, each set <= _EMPTY_SECTOR
-    of the weight, are carried unchanged.
+    neither warns.  The bins off the band, all unoccupied and so together
+    <= _EMPTY_SECTOR of the weight, are carried unchanged.
     snapshot_callback(step, tau, state) runs every plan.snapshot_every steps
     (never if 0), at tau = step * d_tau on every route.  RuntimeError if the
     norm drifts by more than _NORM_FAIL."""
@@ -336,11 +336,11 @@ def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> Wav
 
 
 def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
-    """Routes "stepped" and "thin": the sectors over _EMPTY_SECTOR / fold of the
-    weight as rows on the band's cell (_band_columns), each kinetic step one
-    matmul with the circulant ifft(exp(-i k^2 d_tau))[(i - j) mod m] while
-    sectors * m^2 <= _DENSE_KINETIC, else an FFT pair; without the kinetic
-    term the potentials commute, so the pulse area is one exact phase."""
+    """Routes "stepped" and "thin": the sectors holding an occupied bin
+    (plan.occupied) as rows on the band's cell (_band_columns), each kinetic
+    step one matmul with the circulant ifft(exp(-i k^2 d_tau))[(i - j) mod m]
+    while sectors * m^2 <= _DENSE_KINETIC, else an FFT pair; without the
+    kinetic term the potentials commute, so the pulse area is one exact phase."""
     state, d_tau, weights, grid = plan.state, plan.d_tau, plan.weights, plan.state.grid
     thin = plan.route == "thin"
     fold = math.gcd(grid.n_points, grid.n_periods)
@@ -352,13 +352,11 @@ def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveS
                       f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=3)
 
     sectors = state.spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
-    power = plan.power.reshape(cell, fold).T
-    sector_power = np.sum(power, axis=1)
-    # carried sectors: <= _EMPTY_SECTOR in all
-    live = np.flatnonzero(sector_power > _EMPTY_SECTOR / fold * sector_power.sum())
+    occupied = plan.occupied.reshape(cell, fold).T
+    live = np.flatnonzero(occupied.any(axis=1))  # the others are carried
     cols = np.arange(cell)
     if not thin:
-        cols = _band_columns(power[live], grid.n_points, grid.n_periods // fold, plan.reach)
+        cols = _band_columns(occupied[live], grid.n_periods // fold, plan.reach)
     band = np.ix_(live, cols)
     phi = np.fft.ifft(sectors[band])  # one row per stepped sector, on the band's cell
     m = cols.size
@@ -438,22 +436,21 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
     gives the amplitudes at every time.  Each chain starts from its occupied
     bins in units of its heaviest; the band's other bins are overwritten.
     plan.d_tau only schedules the snapshots."""
-    state, spec, d_tau, modes, valid = plan.state, plan.spec, plan.d_tau, plan.modes, plan.valid
+    state, spec, d_tau, modes = plan.state, plan.spec, plan.d_tau, plan.modes
     if plan.even:  # orders 0..reach: e_0 = |0>, e_q = (|q> + |-q>) / sqrt 2
-        modes, valid = modes[:, modes.shape[1] // 2:], valid[:, valid.shape[1] // 2:]
+        modes = modes[:, modes.shape[1] // 2:]
     grid = state.grid
     chains, size, h, u0 = *modes.shape, grid.n_periods, plan.setup.u0
     ham = np.zeros((chains, size * size))  # row c: chain c's matrix, flattened
-    # padding rows are decoupled and start empty, so they stay empty
-    ham[:, ::size + 1] = np.where(valid, (2.0 * modes / h) ** 2 + 0.5 * u0 * spec.offset, 0.0)
-    coupling = np.where(valid[:, 1:], 0.25 * u0 * spec.r_eff, 0.0)
+    ham[:, ::size + 1] = (2.0 * modes / h) ** 2 + 0.5 * u0 * spec.offset
+    coupling = np.full((chains, size - 1), 0.25 * u0 * spec.r_eff)
     if plan.even:
         coupling[:, :1] *= math.sqrt(2.0)  # e_0 to e_1
     ham[:, 1::size + 1] = ham[:, size::size + 1] = coupling
     energies, vectors = np.linalg.eigh(ham.reshape(chains, size, size))
 
     bins = modes % grid.n_points
-    amps = np.where(valid & plan.occupied[bins], state.spectrum[bins], 0.0)
+    amps = np.where(plan.occupied[bins], state.spectrum[bins], 0.0)
     rows = np.arange(chains)
     heaviest = np.argmax(np.abs(amps), axis=1)
     unit = amps[rows, heaviest]
@@ -471,10 +468,9 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
         band = np.concatenate((modes[0], -modes[0, 1:])) % grid.n_points
         half = np.exp(-1j * theta * q) / math.sqrt(2.0)
         ungauge = unit[0] * np.concatenate(([1.0], half, half.conj()))
-    else:
-        pick = np.flatnonzero(valid)
-        band = bins.ravel()[pick]
-        ungauge = (unit[:, None] * np.exp(-1j * theta * orders)).ravel()[pick]
+    else:  # the chains' bins, row by row, as the evolved vectors stack them
+        band, pick = bins.ravel(), slice(None)
+        ungauge = (unit[:, None] * np.exp(-1j * theta * orders)).ravel()
 
     def at(tau: float) -> WaveState:
         phased = np.exp(-1j * energies * tau) * coef

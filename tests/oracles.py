@@ -12,10 +12,10 @@ split into Bloch sectors, and on every live sector's whole cell, without its
 order band (the stepped route's former loop); stepped_sectors shows which
 sectors and band points a run steps.  The exact order-basis route is checked
 against a dense diagonalization of every live sector's whole cell.
-run_stepped and run_exact run tdse on the route they name, whichever one
-plan_run chose, so the two routes can be held against each other.  They and the
-three propagators take a tdse.RunPlan and read its state, spec, setup and step
-schedule.
+run_stepped runs tdse on the stepped route whichever route plan_run chose, and
+run_exact runs an exact plan on the exact route, so the two routes can be held
+against each other.  They and the three propagators take a tdse.RunPlan and
+read its state, spec, setup and step schedule.
 bessel_j, pattern_distance, pointlike_pattern and the double Bessel sum over
 the two quadratures (distribution_pattern), once exported by the package, are
 used only by tests.
@@ -236,7 +236,8 @@ def run_stepped(plan, snapshot_callback=None):
 
 
 def run_exact(plan, snapshot_callback=None):
-    """tdse.run of the plan on route "exact"; the plan must have an order band."""
+    """tdse.run of the plan on route "exact"; the plan must hold chains (plan.modes),
+    which plan_run gives only to the plans it routes "exact"."""
     return tdse.run(dataclasses.replace(plan, route="exact"), snapshot_callback)
 
 
@@ -292,9 +293,9 @@ def propagate_cell_fft(plan, snapshot_callback=None):
     """The stepped route's result and snapshots from every live sector's whole cell.
 
     The loop the stepped route ran before it stepped only the order band: the
-    sectors holding more than _EMPTY_SECTOR / f of the weight are stepped as
-    rows of one array on cells of n_points / f points, each kinetic step an
-    FFT pair over the whole cell; the other sectors are carried.
+    sectors holding a bin over _EMPTY_SECTOR / n_points of the weight are
+    stepped as rows of one array on cells of n_points / f points, each kinetic
+    step an FFT pair over the whole cell; the other sectors are carried.
     """
     state, spec, setup, d_tau = plan.state, plan.spec, plan.setup, plan.d_tau
     grid = state.grid
@@ -309,8 +310,9 @@ def propagate_cell_fft(plan, snapshot_callback=None):
 
     spectrum = np.fft.fft(state.psi)
     sectors = spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
-    power = np.sum(np.abs(sectors) ** 2, axis=1)
-    live = power > _EMPTY_SECTOR / fold * power.sum()  # carried ones: <= _EMPTY_SECTOR in all
+    power = np.abs(sectors) ** 2
+    # carried ones: all their bins, so <= _EMPTY_SECTOR in all
+    live = np.any(power > _EMPTY_SECTOR / grid.n_points * power.sum(), axis=1)
     phi = np.fft.ifft(sectors[live])  # one row per stepped sector
 
     def on_box(phi: np.ndarray) -> WaveState:
@@ -346,10 +348,10 @@ def propagate_cell_eigh(plan, snapshot_callback=None):
     """The exact route's result and snapshots from each live sector's whole cell.
 
     A Bloch sector s holds the FFT bins a*f + s, f = gcd(n_points, n_periods);
-    it is live when it holds more than _EMPTY_SECTOR / f of the weight.  H over
-    a live sector's cell bins is k^2 on the diagonal plus the circulant of the
-    cell potential's DFT, H[a, b] = DFT(V)[(a - b) mod cell] / cell, wrap-around
-    included.  Each is diagonalized as a complex Hermitian matrix: no gauge, no
+    it is live when one of its bins holds over _EMPTY_SECTOR / n_points of the
+    weight.  H over a live sector's cell bins is k^2 on the diagonal plus the
+    circulant of the cell potential's DFT, H[a, b] = DFT(V)[(a - b) mod cell] /
+    cell, wrap-around included.  Each is diagonalized as a complex Hermitian matrix: no gauge, no
     truncation to a few orders.  The other sectors are carried.
     callback(step, tau, state) is called every plan.snapshot_every steps at
     tau = step * plan.d_tau.
@@ -359,11 +361,11 @@ def propagate_cell_eigh(plan, snapshot_callback=None):
     fold = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // fold
     spectrum = np.fft.fft(state.psi)
-    power = np.sum(np.abs(spectrum.reshape(cell, fold)) ** 2, axis=0)
+    power = np.abs(spectrum.reshape(cell, fold)) ** 2
     vhat = np.fft.fft(0.5 * setup.u0 * evaluate_potential(spec, grid.positions()[:cell]))
     a = np.arange(cell)
     sectors = []
-    for s in np.flatnonzero(power > _EMPTY_SECTOR / fold * power.sum()):
+    for s in np.flatnonzero(np.any(power > _EMPTY_SECTOR / grid.n_points * power.sum(), axis=0)):
         bins = a * fold + s
         ham = vhat[(a[:, None] - a[None, :]) % cell] / cell + np.diag(grid.wavenumbers()[bins] ** 2)
         energies, vectors = np.linalg.eigh(ham)

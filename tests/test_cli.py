@@ -296,6 +296,8 @@ class TestParseConfig:
             ({"alpha": -2.0}, "'synthetic.alpha': must be >= 0"),
             ({"orders": [0, 1]}, "'synthetic.orders': need at least 3 distinct"),
             ({"orders": [0, 1, 1, 0]}, "'synthetic.orders': need at least 3 distinct"),
+            ({"orders": [0, 1, 2, 2]}, "'synthetic.orders': need at least 3 distinct orders, "
+                                       "none repeated"),
             ({"noise": "counts", "shots": 0}, "'synthetic.shots': must be >= 1"))
     ] + [
         pytest.param({**base, key.partition("[")[0]: value}, f"'{key}': {why}",

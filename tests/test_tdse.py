@@ -410,21 +410,22 @@ def sector_weights(state):
 def stepped_bins(plan):
     """(mask of the FFT bins the stepped route steps, points of the cell it steps them on).
 
-    Those are the live sectors' band columns: the columns holding a bin over
-    _EMPTY_SECTOR / n_points of the weight, widened by the pulse's reach
-    (n_periods / f columns per order) on both sides and centred in the least
-    power of two of columns; the whole cell when that is as wide, or without
-    the kinetic term.
+    Those are the live sectors' band columns.  A bin is occupied when it holds
+    over _EMPTY_SECTOR / n_points of the weight, and a sector is live when it
+    holds an occupied bin.  The band is the occupied columns, widened by the
+    pulse's reach (n_periods / f columns per order) on both sides and centred
+    in the least power of two of columns; the whole cell when that is as wide,
+    or without the kinetic term.
     """
     state, spec, setup = plan.state, plan.spec, plan.setup
     grid = state.grid
     f = math.gcd(grid.n_points, grid.n_periods)
     cell = grid.n_points // f
     power = np.abs(np.fft.fft(state.psi).reshape(cell, f).T) ** 2
-    live = power.sum(axis=1) > _EMPTY_SECTOR / f * power.sum()
+    occupied = power > _EMPTY_SECTOR / grid.n_points * power.sum()
+    live = occupied.any(axis=1)
     cols = np.arange(cell)
     if plan.route != "thin":
-        occupied = power[live] > _EMPTY_SECTOR / grid.n_points * power[live].sum()
         occupied = np.flatnonzero(occupied.any(axis=0))
         signed = np.where(occupied < cell // 2, occupied, occupied - cell)
         area = np.sum(envelope_weights(plan)) * plan.d_tau
@@ -437,6 +438,26 @@ def stepped_bins(plan):
     mask = np.zeros((f, cell), dtype=bool)
     mask[np.ix_(live, cols)] = True
     return mask.T.reshape(-1), cols.size
+
+
+def admixed_start(rng, grid):
+    """A seeded plane wave or Gaussian packet near order 0, plus one to three bins
+    within 20 orders of it, each of weight 10^U(-25, -19): the weights straddle
+    both a bin's occupancy threshold (_EMPTY_SECTOR / n_points) and a sector's
+    share of it (_EMPTY_SECTOR / f)."""
+    n, h = grid.n_points, grid.n_periods
+    if rng.random() < 0.5:
+        state = init_plane_wave(grid, int(rng.integers(-3, 4)))
+    else:
+        state = init_gaussian(grid, rng.uniform(0.0, grid.box_length),
+                              rng.uniform(1.0, grid.box_length / 6.0),
+                              2.0 * int(rng.integers(-2 * h, 2 * h + 1)) / h)
+    spectrum = state.spectrum.copy()
+    scale = math.sqrt(np.sum(np.abs(spectrum) ** 2))
+    for mode in rng.integers(-20 * h, 20 * h + 1, size=rng.integers(1, 4)):
+        weight = 10.0 ** rng.uniform(-25.0, -19.0)
+        spectrum[mode % n] += scale * math.sqrt(weight) * np.exp(2j * math.pi * rng.random())
+    return WaveState(grid, spectrum=spectrum, k0=state.k0)
 
 
 class TestBlochSectors:
@@ -475,10 +496,12 @@ class TestBlochSectors:
         assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
 
     def test_threshold_steps_every_sector_above_it(self):
-        grid = Grid1D()  # 8 sectors of 128 points
+        grid = Grid1D()  # 8 sectors of 128 points; a bin is occupied over 1e-20 / 1024
         x = grid.positions()
         setup = DimensionlessSetup(u0=300.0, alpha=1.5)
-        for eps, live in ((1e-11, 1), (1e-9, 2)):  # admixed weights 1e-22 and 1e-18
+        # admixed weights 1e-24 (carried), 1e-22 (under 1e-20 / 8 of its sector's
+        # share, but an occupied bin: stepped) and 1e-18
+        for eps, live in ((1e-12, 1), (1e-11, 2), (1e-9, 2)):
             psi = (np.exp(2j * x) + eps * np.exp(0.25j * x)) / math.sqrt(grid.box_length)
             state = WaveState(grid, spectrum=np.fft.fft(psi / math.sqrt(1.0 + eps**2)), k0=2.0)
             plan = plan_run(state, POINTLIKE, setup)
@@ -487,6 +510,37 @@ class TestBlochSectors:
             assert np.sum(sector_weights(state)[live:]) <= _EMPTY_SECTOR
             want = propagate_full_box(plan)
             assert np.max(np.abs(out.psi - want.psi)) <= 1e-13 + (eps if live == 1 else 0.0)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_one_occupancy_rule(self, seed):
+        # plan.occupied alone picks the stepped sectors and the exact chains
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(1024, int(rng.choice([8, 6, 4])))
+        n, h = grid.n_points, grid.n_periods
+        f = math.gcd(n, h)
+        state = admixed_start(rng, grid)
+        spec = build_potential(MomentSet((rng.uniform(0.0, 0.4), rng.uniform(0.0, 0.4))))
+        setup = DimensionlessSetup(u0=float(rng.choice([30.0, 300.0])), alpha=rng.uniform(0.5, 3.0))
+        envelope = ENVELOPES[int(rng.integers(2))]
+        plan = plan_run(state, spec, setup, envelope=envelope)
+        occupied = plan.occupied.reshape(-1, f).T
+        live = np.flatnonzero(occupied.any(axis=1))
+
+        out, shapes = stepped_sectors(lambda: run_stepped(plan))
+        assert shapes == {(live.size, stepped_bins(plan)[1])}
+        start = state.spectrum.reshape(-1, f).T
+        moved = np.flatnonzero(np.any(out.spectrum.reshape(-1, f).T != start, axis=1))
+        assert moved.tolist() == live.tolist()
+
+        signed = np.flatnonzero(plan.occupied)
+        signed = np.where(signed < n // 2, signed, signed - n)
+        if plan.route == "exact":
+            assert (plan.modes[:, 0] % h).tolist() == np.unique(signed % h).tolist()
+            assert np.all(np.diff(plan.modes, axis=1) == h)
+        else:
+            assert plan.modes is None
+        fields = {field.name for field in dataclasses.fields(tdse.RunPlan)}
+        assert fields.isdisjoint({"valid", "power"})
 
 
 class TestOrderBand:
@@ -655,10 +709,16 @@ class TestExactRoute:
 
     @pytest.mark.parametrize("case", CASES)
     def test_ten_more_orders_move_nothing(self, case, monkeypatch):
+        if case["alpha"] == 20.0 and case.get("n_periods", 8) == 8:
+            # reach + 10 = 65 orders: 1024 points over 8 periods bin orders
+            # -64..63, so the ten extra orders fit only on 2048 points
+            case = dict(case, n_points=2048)
         plan = exact_case(**case)
         base = order_probabilities(run_exact(plan)).probabilities
         monkeypatch.setattr(tdse, "_order_reach", lambda x: _order_reach(x) + 10)
-        more = order_probabilities(run_exact(exact_case(**case))).probabilities
+        wider = exact_case(**case)
+        assert wider.route == "exact"
+        more = order_probabilities(run_exact(wider)).probabilities
         # the added orders gain nothing; the others differ by the rounding of a
         # second, larger eigh (up to 3e-15 seen), not by what the reach left out
         x = plan.setup.alpha * math.hypot(plan.spec.a_c, plan.spec.a_s)
@@ -797,26 +857,13 @@ class TestExactRoute:
 
     def test_basis_stops_at_the_grid(self, monkeypatch):
         # 1024 points over 8 periods hold the modes -512..511: orders -64..63
-        # about a start at order 0, -65..62 about one at order 1
+        # about a start at order 0, -65..62 about one at order 1; over 6 periods
+        # the grid ends the chains at different orders.  A chain the grid cuts
+        # goes to the stepped route, whose cell wraps its reach round
         monkeypatch.setattr(tdse, "_order_reach", lambda x: 600)
-        eigh = np.linalg.eigh
-        for offset in (0, 1):
-            plan = exact_case(300.0, 2.0, order_offset=offset)
-            assert plan.route == "stepped"  # the grid cuts the reach
-            sizes = []
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape) or eigh(h))
-                out = run_exact(plan)
-            assert sizes == [(1, 128, 128)]
-            assert max_order_gap(out, propagate_cell_eigh(plan)) <= 1e-10
-        # over 6 periods the grid ends its chains at different orders: the
-        # shorter ones are padded with decoupled, empty rows
-        plan = exact_case(300.0, 2.0, n_periods=6, sigma=1.0, k0_units=1)
-        assert plan.route == "stepped"
-        out = run_exact(plan)
-        ref = propagate_cell_eigh(plan)
-        assert max_order_gap(out, ref) <= 1e-10
-        assert np.max(np.abs(out.psi - ref.psi)) <= 1e-10
+        for plan in (exact_case(300.0, 2.0), exact_case(300.0, 2.0, order_offset=1),
+                     exact_case(300.0, 2.0, n_periods=6, sigma=1.0, k0_units=1)):
+            assert plan.route == "stepped" and plan.modes is None and not plan.even
 
     def test_rejects_what_it_cannot_serve(self):
         # the exact route needs an order band: plan_run gives none to an empty
