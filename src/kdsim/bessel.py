@@ -1,23 +1,33 @@
 """Integer-order Bessel functions of the first kind, built in-package.
 
 Uses Miller's backward recurrence: run J_{k-1} = (2k/x) J_k - J_{k+1}
-downward from a start order far above both the requested order and the
-turning point (where J_n(x) begins to decay), seeded with an arbitrary
-tiny value, then fix the overall scale with J_0 + 2 sum_k J_2k = 1.
-Downward recursion keeps the recessive solution, so the seed error dies
-superexponentially.  Target: absolute error <= 1e-12 for |x| <= 200 and
-orders up to 80.
+downward from a start order N, seeded with an arbitrary tiny value, then fix
+the overall scale with J_0 + 2 sum_k J_2k = 1, its even terms summed one by
+one downward.  Downward recursion keeps the recessive solution: the seed
+leaves J_n off by about J_N Y_n / (Y_N J_n) of itself (Gautschi, SIAM Rev. 9,
+24 (1967)), which dies superexponentially once N is past both n and the
+turning point n = x, where J_n(x) begins to decay.  The start is whichever is
+higher of what the top order needs and what the argument needs
+(_start_orders), calibrated against mpmath so that the seed's share stays
+under 1e-17 of every value a row returns, and capped so that no row takes
+more steps than order_max + max(x, 20) + 30 (plus (x - 50) / 3 above 50).
+Rows then carry rounding error only: up to a few 1e-15 of J_n above the
+turning point and of the Bessel modulus below it for x <= 200, about 1e-14
+at x = 1000-3000.  Where the cap binds, for x between about 18 and 140 at
+low orders, the seed's share reaches 1e-12.  Target: absolute error <= 1e-12
+for |x| <= 200 and orders up to 80.
 
 bessel_rows runs the same recurrence once over a block of arguments, one
 buffer column per argument, so each order step is a few contiguous numpy
-operations.  Each argument keeps its own start order (its column stays zero
-until the sweep reaches it), its own 1e250 rescale and its own
-normalization sum, so every row is bit-identical to bessel_row at that
-argument.  The scalar loop steps on Python floats and stays the
-single-argument path: an order step costs it a fraction of a microsecond,
-against several microseconds of numpy calls in the sweep, which therefore
-wins only from about 15 arguments on.  Both paths are pinned bit for bit to
-the same recurrence stepped on a numpy array, kept as a test oracle.
+operations.  Each argument keeps its own order cap, its own start order (its
+column stays zero until the sweep reaches it), its own 1e250 rescale and its
+own normalization sum, so every row is bit-identical to bessel_row at that
+argument and cap: the fit's grid scan sweeps every dataset's arguments at
+once.  The scalar loop steps on Python floats and stays the single-argument
+path: an order step costs it a fraction of a microsecond, against several
+microseconds of numpy calls in the sweep, which therefore wins only from
+about 15 arguments on.  Both paths are pinned bit for bit to the same
+recurrence stepped on a numpy array, kept as a test oracle.
 """
 from __future__ import annotations
 
@@ -31,18 +41,26 @@ _BOUND_SLACK = 1.0 + 1e-12  # covers the roundings of a step and of its bound
 _BLOCK = 1024  # arguments per batched sweep; bounds the (start, block) buffer
 
 
-def _start_orders(order_max: int, x):
-    """Even recurrence start order for each x > 0: an int for a float, an int
-    array for an array."""
-    # Start well past the turning point max(x, 20); above x = 50 the margin
-    # grows with x so the seed error still dies out.  The rule is written once
-    # for both kinds: on a float, math takes a fifth of the numpy calls' time.
+def _start_orders(order_max, x):
+    """Even recurrence start order for each x > 0: an int for a float and an int
+    order_max, an int array for an array (order_max an int or one per x)."""
+    # Whichever is higher of what the top order needs, order_max + 4 + 3.5 sqrt(x),
+    # and what the argument needs, ceil(x) + 9 + 6 sqrt(x): there the seed's share
+    # is under 1e-17 at every order up to order_max (mpmath, x in [0.001, 3000],
+    # orders to 400).  Capped at order_max + max(x, 20) + 30, plus (x - 50) / 3
+    # above 50, so that no row costs more steps than under that sum rule; the cap
+    # binds for x in about (18, 140) at low orders, where the seed's share reaches
+    # 1e-12 (x = 50), within the module's target.  The rule is written once for
+    # both kinds: on a float, math takes a fifth of the numpy calls' time.
     if isinstance(x, np.ndarray):
-        ceil, maximum = (lambda a: np.ceil(a).astype(int)), np.maximum
+        ceil, maximum, minimum, sqrt = (
+            (lambda a: np.ceil(a).astype(int)), np.maximum, np.minimum, np.sqrt)
     else:
-        ceil, maximum = math.ceil, max
-    margin = 30 + maximum(ceil((x - 50.0) / 3.0), 0)
-    start = order_max + ceil(maximum(x, 20.0)) + margin
+        ceil, maximum, minimum, sqrt = math.ceil, max, min, math.sqrt
+    root = sqrt(x)
+    need = maximum(order_max + ceil(4.0 + 3.5 * root), ceil(x) + ceil(9.0 + 6.0 * root))
+    cap = order_max + ceil(maximum(x, 20.0)) + 30 + maximum(ceil((x - 50.0) / 3.0), 0)
+    start = minimum(need, cap)
     return start + start % 2
 
 
@@ -54,18 +72,21 @@ def _raw_row(order_max: int, x: float) -> np.ndarray:
         vk = v[k - 1] = (2.0 * k / x) * v[k] - v[k + 1]
         if abs(vk) > _RESCALE:
             v[k - 1:] = [u / _RESCALE for u in v[k - 1:]]
-    # numpy's pairwise sum of the even terms, as _raw_rows sums them
-    norm = v[0] + 2.0 * np.array(v[2:start + 1:2]).sum()
-    return np.array(v[:order_max + 1]) / norm
+    even = 0.0   # the even terms summed one by one downward, as _raw_rows sums them
+    for u in v[start:1:-2]:
+        even += u
+    return np.array(v[:order_max + 1]) / (v[0] + 2.0 * even)
 
 
-def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
-    """_raw_row at each x > 0 of one block, in the same floating-point steps."""
-    starts = _start_orders(order_max, xs)
+def _raw_rows(caps: np.ndarray, xs: np.ndarray, width: int) -> np.ndarray:
+    """_raw_row(caps[j], xs[j]) at each x > 0 of one block, in the same
+    floating-point steps, as the first caps[j] + 1 of width entries in its row."""
+    starts = _start_orders(caps, xs)
     perm = np.argsort(-starts, kind="stable")
     xs, starts = xs[perm], starts[perm]
     n, top = xs.size, int(starts[0])
-    v = np.zeros((top + 2, n))   # order-major: v[k, j] is _raw_row's v[k] for the j-th argument
+    # order-major: v[k, j] is _raw_row's v[k] for the j-th argument
+    v = np.zeros((max(top + 2, width), n))
     v[starts, np.arange(n)] = 1e-30
     # arguments run by falling start, so those already seeded at order k
     # (start >= k) are the first live[k]; the rest stay zero
@@ -88,15 +109,13 @@ def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
                 v[k - 1:, np.flatnonzero(mag > _RESCALE)] /= _RESCALE
                 bound = _RESCALE   # the rest are at most that, the rescaled far less
         hi, lo = lo, bound
-    # one normalization per run of equal starts: its even terms copied to C
-    # order, so numpy's pairwise sum groups each row's terms as _raw_row does
-    norm = np.empty(n)
-    firsts = np.flatnonzero(np.diff(starts, prepend=-1)).tolist()
-    for a, b in zip(firsts, firsts[1:] + [n]):
-        s = int(starts[a])
-        norm[a:b] = v[0, a:b] + 2.0 * np.ascontiguousarray(v[2:s + 1:2, a:b].T).sum(axis=1)
-    rows = np.empty((n, order_max + 1))
-    rows[perm] = v[:order_max + 1].T / norm[:, None]
+    # each argument's even terms summed downward in turn, from zeros above its start
+    even = np.zeros(n)
+    for k in range(top, 1, -2):
+        even[:live[k]] += v[k, :live[k]]
+    norm = v[0] + 2.0 * even
+    rows = np.empty((n, width))
+    rows[perm] = v[:width].T / norm[:, None]
     return rows
 
 
@@ -119,28 +138,37 @@ def bessel_row(order_max: int, x: float) -> np.ndarray:
     return vals
 
 
-def bessel_rows(order_max: int, xs) -> np.ndarray:
-    """Rows J_0..J_order_max at each of the arguments xs, shape (len(xs), order_max + 1).
+def bessel_rows(order_max, xs) -> np.ndarray:
+    """Rows J_0..J_order_max at each of the arguments xs, shape (len(xs), top + 1).
 
-    Row i is bit-identical to bessel_row(order_max, xs[i]); the
-    recurrence runs once per block of up to 1024 arguments.
+    order_max is one cap for all the arguments or a sequence of caps, one per
+    argument, and top is the largest cap; a row is zero past its own cap.
+    Row i is bit-identical to bessel_row(cap_i, xs[i]); the recurrence runs
+    once per block of up to 1024 arguments.
     """
-    if order_max < 0:
-        raise ValueError(f"order_max must be >= 0, got {order_max}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError(f"arguments must be a 1-D sequence, got shape {xs.shape}")
+    caps = np.asarray(order_max, dtype=int)
+    if caps.ndim and caps.shape != xs.shape:
+        raise ValueError(f"order_max must be one cap or one per argument, got shape "
+                         f"{caps.shape} for {xs.size} arguments")
+    if np.any(caps < 0):
+        raise ValueError(f"order_max must be >= 0, got {order_max}")
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValueError(f"argument must be finite, got {float(xs[~finite][0])!r}")
+    width = int(caps.max(initial=0)) + 1
+    caps = np.broadcast_to(caps, xs.shape)
     ax = np.abs(xs)
     tiny = ax < _TINY_X
-    out = np.zeros((xs.size, order_max + 1))
+    out = np.zeros((xs.size, width))
     out[tiny, 0] = 1.0
     live = np.flatnonzero(~tiny)
     for lo in range(0, live.size, _BLOCK):
         block = live[lo:lo + _BLOCK]
-        out[block] = _raw_rows(order_max, ax[block])
+        out[block] = _raw_rows(caps[block], ax[block], width)
     # J_n(-x) = (-1)^n J_n(x)
     out[(xs < 0.0) & ~tiny, 1::2] *= -1.0
+    out[np.arange(width) > caps[:, None]] = 0.0
     return out

@@ -264,8 +264,9 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     residue rho modulo n_periods of those bins is a chain, the modes
     rho + n_periods p for the orders p from the lowest occupied - reach to the
     highest + reach (_order_reach).  The route is "exact" when the grid holds
-    every chain whole and the eigh stack holds at most _EXACT_MAX_ORDERS^2
-    entries; modes then holds one chain a row, and is None on any other route.
+    every chain whole and the eigh stack that _exact diagonalizes holds at most
+    _EXACT_MAX_ORDERS^2 entries (an even plan's one block of reach + 1 orders);
+    modes then holds one chain a row, and is None on any other route.
     Else the route is "stepped" ("thin" without the kinetic term), which any
     plan can run: its cell wraps a cut chain's reach round.  An exact start of
     the one bin at mode 0 is even: its band and H are symmetric under p <-> -p,
@@ -311,11 +312,14 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         residues = np.flatnonzero(np.bincount(live % h, minlength=h))
         low = int(live.min()) // h - reach  # mode rho + h p is order p of chain rho
         high = int(live.max()) // h + reach
+        even = live.tolist() == [0]
+        size = reach + 1 if even else high - low + 1   # orders per chain that _exact diagonalizes
         # uncut: the lowest residue's lowest mode and the highest's highest are on the grid
         if (residues[0] + h * low >= -(n // 2) and residues[-1] + h * high < n // 2
-                and residues.size * (high - low + 1) ** 2 <= _EXACT_MAX_ORDERS ** 2):
+                and residues.size * size ** 2 <= _EXACT_MAX_ORDERS ** 2):
             modes = residues[:, None] + h * np.arange(low, high + 1)
-            even = live.tolist() == [0]
+        else:
+            even = False
     route = "exact" if modes is not None else "stepped" if include_kinetic else "thin"
     return RunPlan(state, spec, setup, d_tau, n_steps, envelope, ramp_fraction, snapshot_every,
                    route, occupied, weights, reach, modes, even)

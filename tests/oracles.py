@@ -6,7 +6,10 @@ radius maximum from a dense brute-force grid.  Where the package replaced an
 element-by-element loop with a numpy primitive, the loop is kept here as the
 reference: it adds in the same order, so results must be equal bit for bit.
 Miller's recurrence stepped on a numpy array, one argument at a time,
-pins both of the package's Bessel kernels bit for bit.
+pins both of the package's Bessel kernels bit for bit; the same recurrence
+from the sum rule's start (sum_rule_start) and in extended precision
+(miller_exact) holds the package's start rule against mpmath's own Bessel
+values.
 Split-step propagation is redone on the full box, without the package's
 split into Bloch sectors, and on every live sector's whole cell, without its
 order band (the stepped route's former loop); stepped_sectors shows which
@@ -143,17 +146,73 @@ def bessel_series(n: int, x: float, dps: int = 40) -> float:
         return float(total)
 
 
-def raw_row_numpy(order_max: int, x: float) -> np.ndarray:
-    """J_0..J_order_max at one x > 0 by Miller's recurrence on a numpy array."""
-    start = int(_start_orders(order_max, x))
+def sum_rule_start(order_max: int, x: float) -> int:
+    """The sum rule for the recurrence start, order_max plus the argument's share
+    max(x, 20) + 30 (plus (x - 50) / 3 above 50), rounded up to even: the
+    reference start, which the package's start may not exceed nor fall behind
+    in accuracy."""
+    start = order_max + math.ceil(max(x, 20.0)) + 30 + max(math.ceil((x - 50.0) / 3.0), 0)
+    return start + start % 2
+
+
+def _recurrence_numpy(x: float, start: int) -> np.ndarray:
+    """Miller's recurrence from start at one x > 0 on a numpy array, unnormalized."""
     v = np.zeros(start + 2)
     v[start] = 1e-30  # arbitrary seed, scaled out by the normalization
     for k in range(start, 0, -1):
         v[k - 1] = (2.0 * k / x) * v[k] - v[k + 1]
         if abs(v[k - 1]) > _RESCALE:
             v[k - 1:] /= _RESCALE
-    norm = v[0] + 2.0 * v[2:start + 1:2].sum()
-    return v[:order_max + 1] / norm
+    return v
+
+
+def raw_row_numpy(order_max: int, x: float) -> np.ndarray:
+    """J_0..J_order_max at one x > 0 by Miller's recurrence on a numpy array, its
+    even terms summed one by one downward."""
+    start = int(_start_orders(order_max, x))
+    v = _recurrence_numpy(x, start)
+    even = np.float64(0.0)
+    for k in range(start, 1, -2):
+        even += v[k]
+    return v[:order_max + 1] / (v[0] + 2.0 * even)
+
+
+def sum_rule_row(order_max: int, x: float) -> np.ndarray:
+    """J_0..J_order_max at one x > 0 from the reference start (sum_rule_start),
+    the even terms summed by numpy's pairwise sum."""
+    start = sum_rule_start(order_max, x)
+    v = _recurrence_numpy(x, start)
+    return v[:order_max + 1] / (v[0] + 2.0 * v[2:start + 1:2].sum())
+
+
+def miller_exact(order_max: int, x: float, start: int, dps: int = 40) -> list:
+    """Miller's recurrence from start in dps-digit arithmetic: J_0..J_order_max off
+    by the seed's share only, as mpmath numbers."""
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        v = [mp.mpf(0)] * (start + 2)
+        v[start] = mp.mpf(1)
+        for k in range(start, 0, -1):
+            v[k - 1] = 2 * k / xm * v[k] - v[k + 1]
+        norm = v[0] + 2 * mp.fsum(v[2:start + 1:2])
+        return [vk / norm for vk in v[:order_max + 1]]
+
+
+@lru_cache(maxsize=None)
+def bessel_reference(order_max: int, x: float, dps: int = 30) -> tuple[list, list]:
+    """mpmath's J_0(x)..J_order_max(x) and the scale of each value's error: |J_n|
+    above the turning point n = x, where J_n decays, and below it the Bessel
+    modulus sqrt(J_n^2 + Y_n^2), the size of the oscillation that J_n may cross
+    zero on (Y_n by its upward recurrence, stable for Y)."""
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        js = [mp.besselj(n, xm) for n in range(order_max + 1)]
+        ys = [mp.bessely(0, xm), mp.bessely(1, xm)]
+        for n in range(1, order_max):
+            ys.append(2 * n / xm * ys[n] - ys[n - 1])
+        scales = [abs(j) if n >= x else mp.sqrt(j * j + y * y)
+                  for n, (j, y) in enumerate(zip(js, ys))]
+    return js, scales
 
 
 def bessel_row_numpy(order_max: int, x: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -80,10 +81,17 @@ class TestOneModel:
             model = model_probabilities(alpha, r_eff, orders)
             assert list(pattern.probabilities.values()) == model.tolist(), (alpha, moments)
             assert model.tolist() == [row[abs(p)] * row[abs(p)] for p in orders]
-        # the example that read one ulp apart while the pattern squared each scalar
+        # the example that read one ulp apart while the pattern squared each scalar:
+        # the correctly rounded square of the row's J_28, 2.6e-16 from mpmath's
         alpha, moments = cases[0]
-        assert build_potential(moments).r_eff == 0.6896784078894238
-        assert closed_form_pattern(alpha, moments).probability(-28) == 6.383143017283809e-52
+        r_eff = build_potential(moments).r_eff
+        assert r_eff == 0.6896784078894238
+        pattern = closed_form_pattern(alpha, moments)
+        p28 = pattern.probability(-28)
+        j28 = bessel_row(pattern.order_cutoff, alpha * r_eff)[28]
+        assert p28 == j28 * j28 == 6.383143017283807e-52
+        with mp.workdps(40):
+            assert p28 == pytest.approx(float(mp.besselj(28, alpha * r_eff) ** 2), rel=1e-14)
 
 
 class TestDistribution:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from kdsim.bessel import _start_orders, bessel_row, bessel_rows
-from oracles import bessel_j, bessel_row_numpy, bessel_series
+from oracles import (
+    bessel_j, bessel_reference, bessel_row_numpy, bessel_series, miller_exact,
+    sum_rule_row, sum_rule_start,
+)
 
 # frozen from the extended-precision power series
 J0_1 = 0.7651976865579666
@@ -162,18 +165,93 @@ def test_row_independent_of_its_block():
         assert_bits_equal(rows[np.argsort(order)[size:]], ref)
 
 
-@pytest.mark.parametrize("order_max", [0, 1, 12, 80])
+@pytest.mark.parametrize("order_max", [0, 1, 12, 80, 400])
 def test_start_orders_same_for_a_float_and_an_array(order_max):
     # bessel_row takes its start order from math, bessel_rows from numpy: one
-    # rule, so the same even order at every x, across the ceilings of x, the
-    # floor at 20 and the margin that starts to grow above 50
+    # rule, so the same even order at every x, across the ceilings of x and of
+    # the two margins, the cap's floor at 20 and the margin that starts to grow
+    # above 50, and per-argument caps
     xs = np.concatenate([
         np.linspace(1e-12, 20.0, 801)[1:], np.nextafter(20.0, [0.0, 40.0]),
         np.linspace(47.0, 53.0, 601), np.nextafter(50.0, [0.0, 100.0]),
-        np.linspace(20.0, 200.0, 1801), [200.0]])
+        np.linspace(20.0, 200.0, 1801), [200.0], np.linspace(200.0, 3000.0, 561)])
     scalar = [_start_orders(order_max, float(x)) for x in xs]
     assert all(type(s) is int and s % 2 == 0 for s in scalar)
     assert scalar == _start_orders(order_max, xs).tolist()
+    caps = np.arange(xs.size) % (order_max + 1)
+    assert _start_orders(caps, xs).tolist() == [
+        _start_orders(int(c), float(x)) for c, x in zip(caps, xs)]
+
+
+def test_start_never_above_the_sum_rule():
+    xs = np.concatenate([np.geomspace(1e-6, 1.0, 200), np.linspace(1.0, 300.0, 2991),
+                         np.linspace(300.0, 3000.0, 271)])
+    for order_max in (0, 1, 5, 15, 40, 80, 150, 400):
+        new = _start_orders(order_max, xs)
+        ref = [sum_rule_start(order_max, float(x)) for x in xs]
+        assert np.all(new <= ref), order_max
+        assert np.all(new > order_max)
+
+
+# rounding moves a row's error by up to ~2e-15 of its scale when the start moves
+# by 2 past what accuracy needs (1.2e-14 at x = 1000-3000), the sum rule's rows
+# included; so a value passes at 4x the sum rule's error or under this floor
+def _rounding_floor(x):
+    return 5e-15 * max(1.0, math.sqrt(x / 100.0))
+
+
+_SWEEP_XS = np.concatenate([np.geomspace(0.01, 1.0, 8), np.linspace(1.7, 200.0, 36)])
+_SWEEP_CASES = ([(order_max, _SWEEP_XS) for order_max in (0, 1, 5, 15, 40, 80)]
+                + [(order_max, np.array([1000.0, 3000.0])) for order_max in (0, 1, 5)])
+
+
+@pytest.mark.parametrize("order_max,xs", _SWEEP_CASES)
+def test_sweep_against_mpmath_and_the_sum_rule(order_max, xs):
+    # every order with |J| >= 1e-250, against mpmath, measured on its scale (|J_n|
+    # above the turning point, the Bessel modulus below it): no worse than 4x the
+    # rows from the sum rule's start, or within rounding
+    rows = bessel_rows(order_max, xs)
+    for x, row in zip(xs.tolist(), rows):
+        js, scales = bessel_reference(80, x)
+        ref = sum_rule_row(order_max, x)
+        for n in range(order_max + 1):
+            if abs(js[n]) < 1e-250:
+                continue
+            err = float(abs(row[n] - js[n]) / scales[n])
+            err_ref = float(abs(ref[n] - js[n]) / scales[n])
+            assert err <= max(4.0 * err_ref, _rounding_floor(x)), (x, n, err, err_ref)
+
+
+@pytest.mark.parametrize("order_max", [0, 5, 15, 40, 80])
+def test_start_leaves_the_seed_under_1e17(order_max):
+    # the start rule itself, free of rounding: from the new start the seed's share
+    # (Miller in 40 digits against mpmath) is under 1e-17 of each value's scale,
+    # or no more than from the sum rule's start where that is the lower
+    for x in (0.01, 0.3, 1.0, 2.5, 4.0, 7.0, 11.0, 14.0, 19.0, 25.0, 50.0, 90.0, 150.0, 200.0):
+        js, scales = bessel_reference(80, x)
+        start, ref_start = _start_orders(order_max, x), sum_rule_start(order_max, x)
+        new = miller_exact(order_max, x, start)
+        ref = new if start == ref_start else miller_exact(order_max, x, ref_start)
+        for n in range(order_max + 1):
+            share, share_ref = (float(abs(row[n] - js[n]) / scales[n]) for row in (new, ref))
+            assert share <= max(share_ref, 1e-17), (x, n, start, share, share_ref)
+
+
+def test_rows_with_a_cap_per_argument():
+    # each row to its own cap, bit-identical to bessel_row there and zero past it
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([[0.0, 1e-31, -2.5, 0.01], rng.uniform(-60.0, 60.0, 1200)])
+    caps = rng.integers(0, 40, xs.size)
+    rows = bessel_rows(caps, xs)
+    assert rows.shape == (xs.size, caps.max() + 1)
+    for x, cap, row in zip(xs, caps, rows):
+        assert_bits_equal(row[:cap + 1], bessel_row(int(cap), x))
+        assert not row[cap + 1:].any()
+    assert_bits_equal(bessel_rows(list(caps), xs), rows)
+    with pytest.raises(ValueError, match="one per argument"):
+        bessel_rows([3, 4], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="order_max"):
+        bessel_rows([3, -1], [1.0, 2.0])
 
 
 def test_rows_shapes():

@@ -786,11 +786,19 @@ class TestExactRoute:
         packet = init_gaussian(grid, grid.box_length / 2, grid.box_length / 8)
         assert plan_run(packet, spec, setup).route == "exact"
 
-        # the size cap: a basis of 2 P + 1 orders, on a grid that bins +-1023 of them;
-        # and the grid's: 1024 points over 8 periods bin orders -64..63
+        # the size cap is on what _exact diagonalizes: a basis of 2 P + 1 orders from
+        # order 1, on a grid that bins +-1023 of them; from order 0 the even block of
+        # P + 1, so P = 513 is served there, and on a grid that bins +-2047 orders the
+        # cap falls between P = 1024 and 1025; and the grid's: 1024 points over 8
+        # periods bin orders -64..63
         wide = init_plane_wave(Grid1D(16384, 8))
+        off = init_plane_wave(Grid1D(16384, 8), 1)
+        wider = init_plane_wave(Grid1D(32768, 8))
         half = (_EXACT_MAX_ORDERS - 1) // 2
-        for reach, start, served in ((half, wide, True), (half + 1, wide, False),
+        for reach, start, served in ((half, off, True), (half + 1, off, False),
+                                     (half, wide, True), (half + 1, wide, True),
+                                     (_EXACT_MAX_ORDERS - 1, wider, True),
+                                     (_EXACT_MAX_ORDERS, wider, False),
                                      (63, state, True), (64, state, False)):
             monkeypatch.setattr(tdse, "_order_reach", lambda x, reach=reach: reach)
             assert (plan_run(start, spec, setup).route == "exact") is served
