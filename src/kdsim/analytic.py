@@ -74,7 +74,7 @@ def default_order_cutoff(alpha: float, r_eff: float = 1.0) -> int:
 
 
 def _pattern(orders, probs, generator, alpha) -> DiffractionPattern:
-    table = dict(zip(np.asarray(orders).tolist(), probs.tolist()))
+    table = {int(p): float(v) for p, v in zip(orders, probs)}
     tail = 1.0 - sum(table.values())
     return DiffractionPattern(
         probabilities=table, generator=generator, alpha=alpha,
@@ -90,17 +90,12 @@ def _resolve_cutoff(alpha: float, r_eff: float, order_cutoff: int | None) -> int
     return cut
 
 
-def _model_at(alpha: float, r_eff, index: np.ndarray, order_max: int, rows=None) -> np.ndarray:
-    """J_|p|(alpha r_eff)^2 at each |order| in index, squared as an array (x * x).
-
-    rows, when given, are the Bessel rows J_0..J_order_max (or wider) at
-    alpha r_eff, one per r_eff of an array, already swept; else they are swept here.
-    """
-    if rows is None:
-        if np.ndim(r_eff) == 0:
-            rows = bessel_row(order_max, alpha * r_eff)
-        else:
-            rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
+def _model_at(alpha: float, r_eff, index: np.ndarray, order_max: int) -> np.ndarray:
+    """J_|p|(alpha r_eff)^2 at each |order| in index, squared as an array (x * x)."""
+    if np.ndim(r_eff) == 0:
+        rows = bessel_row(order_max, alpha * r_eff)
+    else:
+        rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
     return rows[..., index] ** 2
 
 

@@ -12,22 +12,22 @@ higher of what the top order needs and what the argument needs
 under 1e-17 of every value a row returns, and capped so that no row takes
 more steps than order_max + max(x, 20) + 30 (plus (x - 50) / 3 above 50).
 Rows then carry rounding error only: up to a few 1e-15 of J_n above the
-turning point and of the Bessel modulus below it for x <= 200, about 1e-14
-at x = 1000-3000.  Where the cap binds, for x between about 18 and 140 at
-low orders, the seed's share reaches 1e-12.  Target: absolute error <= 1e-12
-for |x| <= 200 and orders up to 80.
+turning point and of the Bessel modulus below it for x <= 200, up to about
+2e-14 at x = 1000-3000.  Where the cap binds, for x between about 20 and 130
+at low orders, a row keeps the cap's start and its error: the seed's share
+reaches 9e-12 of the modulus just under x = 48 at order 0, 1.1e-12 absolute.
+Target: absolute error <= 1e-12 for |x| <= 200 and orders up to 80.
 
 bessel_rows runs the same recurrence once over a block of arguments, one
 buffer column per argument, so each order step is a few contiguous numpy
-operations.  Each argument keeps its own order cap, its own start order (its
-column stays zero until the sweep reaches it), its own 1e250 rescale and its
-own normalization sum, so every row is bit-identical to bessel_row at that
-argument and cap: the fit's grid scan sweeps every dataset's arguments at
-once.  The scalar loop steps on Python floats and stays the single-argument
-path: an order step costs it a fraction of a microsecond, against several
-microseconds of numpy calls in the sweep, which therefore wins only from
-about 15 arguments on.  Both paths are pinned bit for bit to the same
-recurrence stepped on a numpy array, kept as a test oracle.
+operations.  Each argument keeps its own start order (its column stays zero
+until the sweep reaches it), its own 1e250 rescale and its own
+normalization sum, so every row is bit-identical to bessel_row at that
+argument.  The scalar loop steps on Python floats and stays the
+single-argument path: an order step costs it a fraction of a microsecond,
+against several microseconds of numpy calls in the sweep, which therefore
+wins only from about 15 arguments on.  Both paths are pinned bit for bit to
+the same recurrence stepped on a numpy array, kept as a test oracle.
 """
 from __future__ import annotations
 
@@ -41,17 +41,18 @@ _BOUND_SLACK = 1.0 + 1e-12  # covers the roundings of a step and of its bound
 _BLOCK = 1024  # arguments per batched sweep; bounds the (start, block) buffer
 
 
-def _start_orders(order_max, x):
-    """Even recurrence start order for each x > 0: an int for a float and an int
-    order_max, an int array for an array (order_max an int or one per x)."""
+def _start_orders(order_max: int, x):
+    """Even recurrence start order for each x > 0: an int for a float, an int
+    array for an array."""
     # Whichever is higher of what the top order needs, order_max + 4 + 3.5 sqrt(x),
     # and what the argument needs, ceil(x) + 9 + 6 sqrt(x): there the seed's share
-    # is under 1e-17 at every order up to order_max (mpmath, x in [0.001, 3000],
-    # orders to 400).  Capped at order_max + max(x, 20) + 30, plus (x - 50) / 3
-    # above 50, so that no row costs more steps than under that sum rule; the cap
-    # binds for x in about (18, 140) at low orders, where the seed's share reaches
-    # 1e-12 (x = 50), within the module's target.  The rule is written once for
-    # both kinds: on a float, math takes a fifth of the numpy calls' time.
+    # is under 1e-17 at every order up to order_max (Miller in 40 digits against
+    # mpmath: orders to 80 at x <= 200, 400 at x <= 500, x = 1000 and 3000).
+    # Capped at order_max + max(x, 20) + 30, plus (x - 50) / 3 above 50, so that
+    # no row costs more steps than under that sum rule; the cap binds for x in
+    # about (20, 130) at low orders, where the seed's share is the sum rule's.
+    # The rule is written once for both kinds: on a float, math takes a fifth of
+    # the numpy calls' time.
     if isinstance(x, np.ndarray):
         ceil, maximum, minimum, sqrt = (
             (lambda a: np.ceil(a).astype(int)), np.maximum, np.minimum, np.sqrt)
@@ -78,15 +79,13 @@ def _raw_row(order_max: int, x: float) -> np.ndarray:
     return np.array(v[:order_max + 1]) / (v[0] + 2.0 * even)
 
 
-def _raw_rows(caps: np.ndarray, xs: np.ndarray, width: int) -> np.ndarray:
-    """_raw_row(caps[j], xs[j]) at each x > 0 of one block, in the same
-    floating-point steps, as the first caps[j] + 1 of width entries in its row."""
-    starts = _start_orders(caps, xs)
+def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
+    """_raw_row at each x > 0 of one block, in the same floating-point steps."""
+    starts = _start_orders(order_max, xs)
     perm = np.argsort(-starts, kind="stable")
     xs, starts = xs[perm], starts[perm]
     n, top = xs.size, int(starts[0])
-    # order-major: v[k, j] is _raw_row's v[k] for the j-th argument
-    v = np.zeros((max(top + 2, width), n))
+    v = np.zeros((top + 2, n))   # order-major: v[k, j] is _raw_row's v[k] for the j-th argument
     v[starts, np.arange(n)] = 1e-30
     # arguments run by falling start, so those already seeded at order k
     # (start >= k) are the first live[k]; the rest stay zero
@@ -114,8 +113,8 @@ def _raw_rows(caps: np.ndarray, xs: np.ndarray, width: int) -> np.ndarray:
     for k in range(top, 1, -2):
         even[:live[k]] += v[k, :live[k]]
     norm = v[0] + 2.0 * even
-    rows = np.empty((n, width))
-    rows[perm] = v[:width].T / norm[:, None]
+    rows = np.empty((n, order_max + 1))
+    rows[perm] = v[:order_max + 1].T / norm[:, None]
     return rows
 
 
@@ -138,37 +137,28 @@ def bessel_row(order_max: int, x: float) -> np.ndarray:
     return vals
 
 
-def bessel_rows(order_max, xs) -> np.ndarray:
-    """Rows J_0..J_order_max at each of the arguments xs, shape (len(xs), top + 1).
+def bessel_rows(order_max: int, xs) -> np.ndarray:
+    """Rows J_0..J_order_max at each of the arguments xs, shape (len(xs), order_max + 1).
 
-    order_max is one cap for all the arguments or a sequence of caps, one per
-    argument, and top is the largest cap; a row is zero past its own cap.
-    Row i is bit-identical to bessel_row(cap_i, xs[i]); the recurrence runs
-    once per block of up to 1024 arguments.
+    Row i is bit-identical to bessel_row(order_max, xs[i]); the
+    recurrence runs once per block of up to 1024 arguments.
     """
+    if order_max < 0:
+        raise ValueError(f"order_max must be >= 0, got {order_max}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError(f"arguments must be a 1-D sequence, got shape {xs.shape}")
-    caps = np.asarray(order_max, dtype=int)
-    if caps.ndim and caps.shape != xs.shape:
-        raise ValueError(f"order_max must be one cap or one per argument, got shape "
-                         f"{caps.shape} for {xs.size} arguments")
-    if np.any(caps < 0):
-        raise ValueError(f"order_max must be >= 0, got {order_max}")
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValueError(f"argument must be finite, got {float(xs[~finite][0])!r}")
-    width = int(caps.max(initial=0)) + 1
-    caps = np.broadcast_to(caps, xs.shape)
     ax = np.abs(xs)
     tiny = ax < _TINY_X
-    out = np.zeros((xs.size, width))
+    out = np.zeros((xs.size, order_max + 1))
     out[tiny, 0] = 1.0
     live = np.flatnonzero(~tiny)
     for lo in range(0, live.size, _BLOCK):
         block = live[lo:lo + _BLOCK]
-        out[block] = _raw_rows(caps[block], ax[block], width)
+        out[block] = _raw_rows(order_max, ax[block])
     # J_n(-x) = (-1)^n J_n(x)
     out[(xs < 0.0) & ~tiny, 1::2] *= -1.0
-    out[np.arange(width) > caps[:, None]] = 0.0
     return out

@@ -9,9 +9,9 @@ json module accepts.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's own quoting of a str
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def _scalar_text(value) -> str:
     if isinstance(value, (float, np.floating)):
         return float_text(value)
     if isinstance(value, str):
-        return _quoted(value)
+        return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -89,7 +89,7 @@ def structured_text(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {_quoted(str(k))}: {structured_text(v, indent + 1)}"
+            f"{pad}  {json.dumps(str(k))}: {structured_text(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, FloatColumn) or (

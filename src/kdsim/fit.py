@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _model_at, default_order_cutoff, model_probabilities
-from .bessel import bessel_rows
 from .model import _require_finite
 
 SIGMA_FLOOR = 1e-4
@@ -72,12 +71,8 @@ class ObservedPattern:
         return index, int(index.max()), np.array(self.values), np.array(self.sigmas)
 
 
-def chi_square(observed: ObservedPattern, r_eff, rows=None):
-    """Chi-square of the model at r_eff: a float, or an array for a 1-D array of r_eff.
-
-    rows, when given, are the Bessel rows at observed.alpha * r_eff, swept
-    already (joint_fit's scan); the model is read off them.
-    """
+def chi_square(observed: ObservedPattern, r_eff):
+    """Chi-square of the model at r_eff: a float, or an array for a 1-D array of r_eff."""
     scalar = np.ndim(r_eff) == 0
     if scalar:   # the refinement's many single evaluations: keep the check cheap
         valid = math.isfinite(r_eff) and r_eff >= 0.0
@@ -87,7 +82,7 @@ def chi_square(observed: ObservedPattern, r_eff, rows=None):
     if not valid:
         raise ValueError(f"r_eff must be finite and >= 0, got {r_eff!r}")
     index, order_max, values, sigmas = observed._arrays
-    resid = (values - _model_at(observed.alpha, r_eff, index, order_max, rows)) / sigmas
+    resid = (values - _model_at(observed.alpha, r_eff, index, order_max)) / sigmas
     # in C order each row is summed pairwise exactly as a 1-D call sums it,
     # so an array of r_eff gives the scalar calls' values bit for bit
     chi2 = np.sum(np.ascontiguousarray(resid**2), axis=-1)
@@ -240,7 +235,7 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
             raise ValueError(f"expected ObservedPattern, got {type(obs).__name__}")
     dof = sum(len(obs.orders) for obs in datasets) - 1
 
-    def objective(r: float) -> float:
+    def objective(r):   # a float, or an array over an array of r
         return sum(chi_square(obs, r) for obs in datasets)
 
     r_min, r_max = float(bounds[0]), float(bounds[1])
@@ -252,13 +247,7 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
         raise ValueError(f"grid scan needs >= {MIN_GRID} points, got {n_grid}")
 
     rs = np.linspace(r_min, r_max, n_grid)
-    # the scan: one Bessel sweep over every dataset's alpha * r, each row to its
-    # dataset's order cap and bit-identical to the refinement's scalar rows; the
-    # chi-squares summed in objective's order, so equal to its values bit for bit
-    rows = bessel_rows(np.repeat([obs._arrays[1] for obs in datasets], n_grid),
-                       np.concatenate([obs.alpha * rs for obs in datasets]))
-    chis = sum(chi_square(obs, rs, block)
-               for obs, block in zip(datasets, np.split(rows, len(datasets))))
+    chis = objective(rs)
 
     padded = np.concatenate(([math.inf], chis, [math.inf]))
     minima = np.flatnonzero((chis <= padded[:-2]) & (chis <= padded[2:]))

@@ -177,10 +177,11 @@ def raw_row_numpy(order_max: int, x: float) -> np.ndarray:
     return v[:order_max + 1] / (v[0] + 2.0 * even)
 
 
-def sum_rule_row(order_max: int, x: float) -> np.ndarray:
-    """J_0..J_order_max at one x > 0 from the reference start (sum_rule_start),
-    the even terms summed by numpy's pairwise sum."""
-    start = sum_rule_start(order_max, x)
+def sum_rule_row(order_max: int, x: float, start: int | None = None) -> np.ndarray:
+    """J_0..J_order_max at one x > 0 from start (by default the reference start,
+    sum_rule_start), the even terms summed by numpy's pairwise sum."""
+    if start is None:
+        start = sum_rule_start(order_max, x)
     v = _recurrence_numpy(x, start)
     return v[:order_max + 1] / (v[0] + 2.0 * v[2:start + 1:2].sum())
 

@@ -170,7 +170,7 @@ def test_start_orders_same_for_a_float_and_an_array(order_max):
     # bessel_row takes its start order from math, bessel_rows from numpy: one
     # rule, so the same even order at every x, across the ceilings of x and of
     # the two margins, the cap's floor at 20 and the margin that starts to grow
-    # above 50, and per-argument caps
+    # above 50
     xs = np.concatenate([
         np.linspace(1e-12, 20.0, 801)[1:], np.nextafter(20.0, [0.0, 40.0]),
         np.linspace(47.0, 53.0, 601), np.nextafter(50.0, [0.0, 100.0]),
@@ -178,9 +178,6 @@ def test_start_orders_same_for_a_float_and_an_array(order_max):
     scalar = [_start_orders(order_max, float(x)) for x in xs]
     assert all(type(s) is int and s % 2 == 0 for s in scalar)
     assert scalar == _start_orders(order_max, xs).tolist()
-    caps = np.arange(xs.size) % (order_max + 1)
-    assert _start_orders(caps, xs).tolist() == [
-        _start_orders(int(c), float(x)) for c, x in zip(caps, xs)]
 
 
 def test_start_never_above_the_sum_rule():
@@ -193,9 +190,12 @@ def test_start_never_above_the_sum_rule():
         assert np.all(new > order_max)
 
 
-# rounding moves a row's error by up to ~2e-15 of its scale when the start moves
-# by 2 past what accuracy needs (1.2e-14 at x = 1000-3000), the sum rule's rows
-# included; so a value passes at 4x the sum rule's error or under this floor
+# Past the start that accuracy needs, moving the start by 2 moves a row's error
+# by up to ~2e-15 of its scale (1.2e-14 at x = 1000-3000), the sum rule's rows
+# included, so a value passes at 4x the sum rule's error or under this floor.
+# This is not the per-order bound "relative error <= max(4x the sum rule's,
+# 1e-15)": rounding alone breaks that at 6-9 % of this grid's values, where the
+# sum rule's rows read a tiny error by chance.
 def _rounding_floor(x):
     return 5e-15 * max(1.0, math.sqrt(x / 100.0))
 
@@ -222,13 +222,19 @@ def test_sweep_against_mpmath_and_the_sum_rule(order_max, xs):
             assert err <= max(4.0 * err_ref, _rounding_floor(x)), (x, n, err, err_ref)
 
 
-@pytest.mark.parametrize("order_max", [0, 5, 15, 40, 80])
-def test_start_leaves_the_seed_under_1e17(order_max):
+_SEED_XS = (0.01, 0.3, 1.0, 2.5, 4.0, 7.0, 11.0, 14.0, 19.0, 25.0, 50.0, 90.0, 150.0, 200.0)
+_SEED_CASES = ([(order_max, _SEED_XS) for order_max in (0, 5, 15, 40, 80)]
+               + [(400, (0.01, 1.0, 25.0, 150.0, 500.0)), (5, (1000.0, 3000.0)),
+                  (80, (1000.0,))])
+
+
+@pytest.mark.parametrize("order_max,xs", _SEED_CASES)
+def test_start_leaves_the_seed_under_1e17(order_max, xs):
     # the start rule itself, free of rounding: from the new start the seed's share
     # (Miller in 40 digits against mpmath) is under 1e-17 of each value's scale,
     # or no more than from the sum rule's start where that is the lower
-    for x in (0.01, 0.3, 1.0, 2.5, 4.0, 7.0, 11.0, 14.0, 19.0, 25.0, 50.0, 90.0, 150.0, 200.0):
-        js, scales = bessel_reference(80, x)
+    for x in xs:
+        js, scales = bessel_reference(order_max, x)
         start, ref_start = _start_orders(order_max, x), sum_rule_start(order_max, x)
         new = miller_exact(order_max, x, start)
         ref = new if start == ref_start else miller_exact(order_max, x, ref_start)
@@ -237,21 +243,23 @@ def test_start_leaves_the_seed_under_1e17(order_max):
             assert share <= max(share_ref, 1e-17), (x, n, start, share, share_ref)
 
 
-def test_rows_with_a_cap_per_argument():
-    # each row to its own cap, bit-identical to bessel_row there and zero past it
-    rng = np.random.default_rng(5)
-    xs = np.concatenate([[0.0, 1e-31, -2.5, 0.01], rng.uniform(-60.0, 60.0, 1200)])
-    caps = rng.integers(0, 40, xs.size)
-    rows = bessel_rows(caps, xs)
-    assert rows.shape == (xs.size, caps.max() + 1)
-    for x, cap, row in zip(xs, caps, rows):
-        assert_bits_equal(row[:cap + 1], bessel_row(int(cap), x))
-        assert not row[cap + 1:].any()
-    assert_bits_equal(bessel_rows(list(caps), xs), rows)
-    with pytest.raises(ValueError, match="one per argument"):
-        bessel_rows([3, 4], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="order_max"):
-        bessel_rows([3, -1], [1.0, 2.0])
+def test_downward_sum_no_worse_than_pairwise_at_large_x():
+    # at x = 1000-3000 the normalization adds ~x/2 even terms; one by one downward
+    # they err no more than numpy's pairwise sum of the same terms, nor than the
+    # sum rule's rows: the recurrence's own rounding dominates either sum
+    xs = np.linspace(1000.0, 3000.0, 41)
+    errs = {"downward": [], "pairwise": [], "sum rule": []}
+    for x, row in zip(xs.tolist(), bessel_rows(5, xs)):
+        js, scales = bessel_reference(5, x)
+        rows = {"downward": row, "pairwise": sum_rule_row(5, x, _start_orders(5, x)),
+                "sum rule": sum_rule_row(5, x)}
+        for name, r in rows.items():
+            errs[name] += [float(abs(r[n] - js[n]) / scales[n]) for n in range(6)]
+    largest = {name: max(e) for name, e in errs.items()}
+    rms = {name: math.sqrt(sum(v * v for v in e) / len(e)) for name, e in errs.items()}
+    for other in ("pairwise", "sum rule"):
+        assert largest["downward"] <= 1.1 * largest[other], largest
+        assert rms["downward"] <= 1.1 * rms[other], rms
 
 
 def test_rows_shapes():
