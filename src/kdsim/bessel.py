@@ -9,13 +9,9 @@ leaves J_n off by about J_N Y_n / (Y_N J_n) of itself (Gautschi, SIAM Rev. 9,
 turning point n = x, where J_n(x) begins to decay.  The start is whichever is
 higher of what the top order needs and what the argument needs
 (_start_orders), calibrated against mpmath so that the seed's share stays
-under 1e-17 of every value a row returns, and capped so that no row takes
-more steps than order_max + max(x, 20) + 30 (plus (x - 50) / 3 above 50).
-Rows then carry rounding error only: up to a few 1e-15 of J_n above the
-turning point and of the Bessel modulus below it for x <= 200, up to about
-2e-14 at x = 1000-3000.  Where the cap binds, for x between about 20 and 130
-at low orders, a row keeps the cap's start and its error: the seed's share
-reaches 9e-12 of the modulus just under x = 48 at order 0, 1.1e-12 absolute.
+under 1e-17 of every value a row returns.  Rows then carry rounding error
+only: up to a few 1e-15 of J_n above the turning point and of the Bessel
+modulus below it for x <= 200, up to about 2e-14 at x = 1000-3000.
 Target: absolute error <= 1e-12 for |x| <= 200 and orders up to 80.
 
 bessel_rows runs the same recurrence once over a block of arguments, one
@@ -48,20 +44,14 @@ def _start_orders(order_max: int, x):
     # and what the argument needs, ceil(x) + 9 + 6 sqrt(x): there the seed's share
     # is under 1e-17 at every order up to order_max (Miller in 40 digits against
     # mpmath: orders to 80 at x <= 200, 400 at x <= 500, x = 1000 and 3000).
-    # Capped at order_max + max(x, 20) + 30, plus (x - 50) / 3 above 50, so that
-    # no row costs more steps than under that sum rule; the cap binds for x in
-    # about (20, 130) at low orders, where the seed's share is the sum rule's.
     # The rule is written once for both kinds: on a float, math takes a fifth of
     # the numpy calls' time.
     if isinstance(x, np.ndarray):
-        ceil, maximum, minimum, sqrt = (
-            (lambda a: np.ceil(a).astype(int)), np.maximum, np.minimum, np.sqrt)
+        ceil, maximum, sqrt = (lambda a: np.ceil(a).astype(int)), np.maximum, np.sqrt
     else:
-        ceil, maximum, minimum, sqrt = math.ceil, max, min, math.sqrt
+        ceil, maximum, sqrt = math.ceil, max, math.sqrt
     root = sqrt(x)
-    need = maximum(order_max + ceil(4.0 + 3.5 * root), ceil(x) + ceil(9.0 + 6.0 * root))
-    cap = order_max + ceil(maximum(x, 20.0)) + 30 + maximum(ceil((x - 50.0) / 3.0), 0)
-    start = minimum(need, cap)
+    start = maximum(order_max + ceil(4.0 + 3.5 * root), ceil(x) + ceil(9.0 + 6.0 * root))
     return start + start % 2
 
 

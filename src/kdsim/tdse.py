@@ -15,19 +15,20 @@ evolving on a cell of n_points/f points with the same dx, and each sector
 further into chains of diffraction orders, the modes of one residue modulo
 n_periods.  A pulse of area x = u0 r_eff (sum of envelope weights) d_tau / 2
 moves no amplitude beyond _order_reach(x) orders from where it starts, under
-the exact evolution and under Strang alike, so both routes work on one order
+the exact evolution and under Strang alike, so every route works on one order
 band: the occupied bins (_occupied, the one occupancy rule) +- that reach.
 
 A WaveState holds its spectrum and derives psi on first use.  States stay in
-momentum space: a plane wave starts as its one nonzero bin, both routes return
-spectra, and order_probabilities bins the spectrum, so a plane wave's bins off
-its chain hold exactly 0.  plan_run sizes the steps from setup.tau, takes the
-start's order band once and chooses the route that run executes, the one
-public way to propagate.  Under a rectangular pulse H is tridiagonal on each
-chain, and where the grid holds every chain whole one stacked eigh evolves the
-band exactly (route "exact"; Batelaan, Rev. Mod. Phys. 79, 929 (2007)), for an
-order-0 plane wave on the parity-even half of it; otherwise route "stepped"
-steps it on its own cell.
+momentum space: a plane wave starts as its one nonzero bin, every route hands
+run its band's amplitudes, and order_probabilities bins the spectrum, so a
+plane wave's bins off its chain hold exactly 0.  plan_run sizes the steps from
+setup.tau, takes the start's order band once and chooses the route that run
+executes, the one public way to propagate.  Under a rectangular pulse H is
+tridiagonal on each chain, and where the grid holds every chain whole one
+stacked eigh evolves the band exactly (route "exact"; Batelaan, Rev. Mod.
+Phys. 79, 929 (2007)), for an order-0 plane wave on the parity-even half of
+it; otherwise route "stepped" ("thin" without the kinetic term) steps it on
+its own cell.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -196,7 +197,7 @@ def _half_kicks(v: np.ndarray, plan: RunPlan):
 def _occupied(power: np.ndarray, n_points: int) -> np.ndarray:
     """Bins holding more than _EMPTY_SECTOR / n_points of the weight in power:
     the others hold at most _EMPTY_SECTOR of it together.  The one occupancy
-    rule: plan_run applies it once, and both routes read its mask."""
+    rule: plan_run applies it once, and every route reads its mask."""
     return power > _EMPTY_SECTOR / n_points * power.sum()
 
 
@@ -259,11 +260,12 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
     ramp_fraction of the pulse, and snapshot_every steps (0: never) separate
     the snapshots.
 
-    occupied marks the start's occupied bins (_occupied), from which both routes
-    take their band.  Under a rectangular pulse with the kinetic term each
-    residue rho modulo n_periods of those bins is a chain, the modes
-    rho + n_periods p for the orders p from the lowest occupied - reach to the
-    highest + reach (_order_reach).  The route is "exact" when the grid holds
+    occupied marks the start's occupied bins (_occupied), from which every route
+    takes its band, reach orders (_order_reach) on each side.  Under a
+    rectangular pulse with the kinetic term each residue rho modulo n_periods
+    of those bins is a chain, the modes rho + n_periods p for the orders p
+    from the lowest occupied - reach to the highest + reach.  The route is
+    "exact" when the grid holds
     every chain whole and the eigh stack that _exact diagonalizes holds at most
     _EXACT_MAX_ORDERS^2 entries (an even plan's one block of reach + 1 orders);
     modes then holds one chain a row, and is None on any other route.
@@ -305,7 +307,7 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
         weights[rising] = np.sin(0.5 * math.pi * mids[rising] / ramp) ** 2
         weights[falling] = np.sin(0.5 * math.pi * (total - mids[falling]) / ramp) ** 2
         area = float(np.sum(weights)) * d_tau
-    reach = _order_reach(0.5 * setup.u0 * area * spec.r_eff) if include_kinetic else 0
+    reach = _order_reach(0.5 * setup.u0 * area * spec.r_eff)
     even, modes = False, None
     if envelope == "rectangular" and include_kinetic and occupied.any():
         live = _signed_modes(np.flatnonzero(occupied), n)
@@ -328,83 +330,85 @@ def plan_run(state: WaveState, spec: PotentialSpec, setup: DimensionlessSetup,
 def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> WaveState:
     """Evolve plan.state on plan.route into a new WaveState, alike every time.
 
-    "stepped" takes plan.n_steps Strang steps and warns (UserWarning) when the
-    potential phase per step exceeds _STEP_PHASE_WARN; "thin" applies the pulse
-    area as one exact phase (_stepped) and "exact" (_exact) takes no step, so
-    neither warns.  The bins off the band, all unoccupied and so together
-    <= _EMPTY_SECTOR of the weight, are carried unchanged.
+    The route (_exact or _stepped) returns its band's bins and their amplitudes,
+    one array per snapshot step and one at the end, each written into a copy
+    of the start's spectrum: the bins off the band, all unoccupied and so
+    together <= _EMPTY_SECTOR of the weight, are carried unchanged.  "stepped"
+    takes plan.n_steps Strang steps and warns (UserWarning) when the phase per
+    step max_potential * d_tau exceeds _STEP_PHASE_WARN; "thin" applies the
+    pulse area as one exact phase and "exact" takes no step, so neither warns.
     snapshot_callback(step, tau, state) runs every plan.snapshot_every steps
     (never if 0), at tau = step * d_tau on every route.  RuntimeError if the
     norm drifts by more than _NORM_FAIL."""
-    return (_exact if plan.route == "exact" else _stepped)(plan, snapshot_callback)
+    state = plan.state
+    every = plan.snapshot_every if snapshot_callback is not None else 0
+    snapshots = range(every, plan.n_steps + 1, every) if every else range(0)
+    bins, amplitudes = (_exact if plan.route == "exact" else _stepped)(plan, snapshots)
+
+    def on_box(band: np.ndarray) -> WaveState:
+        spectrum = state.spectrum.copy()
+        spectrum[bins] = band
+        return WaveState(state.grid, k0=state.k0, spectrum=spectrum)
+
+    for j, band in zip(snapshots, amplitudes):  # snapshots first: zip leaves the last array
+        snapshot_callback(j, j * plan.d_tau, on_box(band))
+    return _checked_norm(state, on_box(next(amplitudes)))
 
 
-def _stepped(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
+def _stepped(plan: RunPlan, snapshots: range) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Routes "stepped" and "thin": the sectors holding an occupied bin
     (plan.occupied) as rows on the band's cell (_band_columns), each kinetic
     step one matmul with the circulant ifft(exp(-i k^2 d_tau))[(i - j) mod m]
     while sectors * m^2 <= _DENSE_KINETIC, else an FFT pair; without the
-    kinetic term the potentials commute, so the pulse area is one exact phase."""
-    state, d_tau, weights, grid = plan.state, plan.d_tau, plan.weights, plan.state.grid
-    thin = plan.route == "thin"
-    fold = math.gcd(grid.n_points, grid.n_periods)
-    cell = grid.n_points // fold
-    v_cell = 0.5 * plan.setup.u0 * evaluate_potential(plan.spec, grid.positions()[:cell])
-    vmax = float(np.max(np.abs(v_cell)))
-    if not thin and vmax * d_tau > _STEP_PHASE_WARN:
-        warnings.warn(f"potential phase per step = {vmax * d_tau:.3g} rad exceeds "
+    kinetic term the potentials commute, so the pulse area is one exact phase.
+    The band's bins, one row per sector, and their amplitudes (run)."""
+    d_tau, grid = plan.d_tau, plan.state.grid
+    phase = max_potential(plan.setup, plan.spec) * d_tau
+    if plan.route == "stepped" and phase > _STEP_PHASE_WARN:
+        warnings.warn(f"potential phase per step = {phase:.3g} rad exceeds "
                       f"{_STEP_PHASE_WARN}; reduce d_tau", stacklevel=3)
 
-    sectors = state.spectrum.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
-    occupied = plan.occupied.reshape(cell, fold).T
+    fold = math.gcd(grid.n_points, grid.n_periods)
+    cell = grid.n_points // fold
+    occupied = plan.occupied.reshape(cell, fold).T  # row s: sector s, FFT bins a*fold + s
     live = np.flatnonzero(occupied.any(axis=1))  # the others are carried
-    cols = np.arange(cell)
-    if not thin:
-        cols = _band_columns(occupied[live], grid.n_periods // fold, plan.reach)
-    band = np.ix_(live, cols)
-    phi = np.fft.ifft(sectors[band])  # one row per stepped sector, on the band's cell
+    cols = _band_columns(occupied[live], grid.n_periods // fold, plan.reach)
+    bins = cols * fold + live[:, None]  # [i, a]: sector live[i]'s bin in column cols[a]
+    phi = np.fft.ifft(plan.state.spectrum[bins])  # one row per stepped sector, on the band's cell
     m = cols.size
-    v = v_cell[::cell // m]  # the potential on the band's cell, exactly
+    # the potential on the band's cell: every (cell // m)-th point of the whole cell
+    v = 0.5 * plan.setup.u0 * evaluate_potential(plan.spec, grid.positions()[:cell:cell // m])
 
-    def on_box(phi: np.ndarray) -> WaveState:
-        # the band into a copy of the start's spectrum; carried bins stay as they were
-        spectrum = state.spectrum.copy()
-        spectrum.reshape(cell, fold).T[band] = np.fft.fft(phi.reshape(live.size, m))
-        return WaveState(grid, k0=state.k0, spectrum=spectrum)
-
-    every = plan.snapshot_every
-    if thin:
-        steps = np.full(plan.n_steps, d_tau) if weights is None else weights * d_tau
+    if plan.route == "thin":
+        steps = np.full(plan.n_steps, d_tau) if plan.weights is None else plan.weights * d_tau
         area = np.cumsum(np.append(0.0, steps))  # area[j]: after j steps
-        if every and snapshot_callback is not None:
-            for j in range(every, plan.n_steps + 1, every):
-                snapshot_callback(j, j * d_tau, on_box(np.exp(-1j * v * area[j]) * phi))
-        out = on_box(np.exp(-1j * v * area[-1]) * phi)
+        return bins, (np.fft.fft(np.exp(-1j * v * area[j]) * phi)
+                      for j in (*snapshots, plan.n_steps))
+
+    exp_kin = np.exp(-1j * grid.wavenumbers()[bins] ** 2 * d_tau).reshape(live.size, 1, m)
+    phi = phi.reshape(live.size, 1, m)  # contiguous rows: a stacked matmul runs on BLAS
+    if live.size * m * m <= _DENSE_KINETIC:
+        shift = np.arange(m)
+        # [j, i] = ifft(exp_kin)[(i - j) mod m]: the circulant, transposed for
+        # rows; np.take writes it C-ordered, as BLAS wants it
+        circulant = np.take(np.fft.ifft(exp_kin[:, 0]), (shift - shift[:, None]) % m, axis=1)
+
+        def kinetic(phi):
+            return np.matmul(phi, circulant)
     else:
-        k = grid.wavenumbers().reshape(cell, fold).T[band]
-        exp_kin = np.exp(-1j * k ** 2 * d_tau).reshape(live.size, 1, m)
-        phi = phi.reshape(live.size, 1, m)  # contiguous rows: a stacked matmul runs on BLAS
-        if live.size * m * m <= _DENSE_KINETIC:
-            shift = np.arange(m)
-            # [j, i] = ifft(exp_kin)[(i - j) mod m]: the circulant, transposed for
-            # rows; np.take writes it C-ordered, as BLAS wants it
-            circulant = np.take(np.fft.ifft(exp_kin[:, 0]), (shift - shift[:, None]) % m, axis=1)
+        def kinetic(phi):
+            return np.fft.ifft(exp_kin * np.fft.fft(phi))
 
-            def kinetic(phi):
-                return np.matmul(phi, circulant)
-        else:
-            def kinetic(phi):
-                return np.fft.ifft(exp_kin * np.fft.fft(phi))
-
+    def amplitudes(phi):
         for j, half in enumerate(_half_kicks(v, plan), 1):
             phi *= half
             phi = kinetic(phi)
             phi *= half
-            if every and j % every == 0 and snapshot_callback is not None:
-                snapshot_callback(j, j * d_tau, on_box(phi))
-        out = on_box(phi)
+            if j in snapshots:
+                yield np.fft.fft(phi.reshape(live.size, m))
+        yield np.fft.fft(phi.reshape(live.size, m))
 
-    return _checked_norm(state, out)
+    return bins, amplitudes(phi)
 
 
 def _checked_norm(state: WaveState, out: WaveState) -> WaveState:
@@ -432,13 +436,13 @@ def _order_reach(x: float) -> int:
     return reach
 
 
-def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveState:
+def _exact(plan: RunPlan, snapshots: range) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Route "exact".  On a chain of modes (plan_run) order p, wavenumber k_p,
     couples only to p +- 1: H[p, p] = k_p^2 + u0 offset/2, H[p+1, p] =
     u0 (a_c - i a_s)/4.  The gauge c_p = exp(-i p theta) b_p, theta =
     atan2(a_s, a_c), makes H real symmetric, so one eigh stacked over the chains
     gives the amplitudes at every time.  Each chain starts from its occupied
-    bins in units of its heaviest; the band's other bins are overwritten.
+    bins in units of its heaviest.  The band's bins and their amplitudes (run);
     plan.d_tau only schedules the snapshots."""
     state, spec, d_tau, modes = plan.state, plan.spec, plan.d_tau, plan.modes
     if plan.even:  # orders 0..reach: e_0 = |0>, e_q = (|q> + |-q>) / sqrt 2
@@ -476,20 +480,15 @@ def _exact(plan: RunPlan, snapshot_callback: SnapshotCallback | None) -> WaveSta
         band, pick = bins.ravel(), slice(None)
         ungauge = (unit[:, None] * np.exp(-1j * theta * orders)).ravel()
 
-    def at(tau: float) -> WaveState:
-        phased = np.exp(-1j * energies * tau) * coef
-        # two real products: a complex one would first copy vectors to complex
-        evolved = (np.matmul(vectors, phased.real[..., None])
-                   + 1j * np.matmul(vectors, phased.imag[..., None]))
-        spectrum = state.spectrum.copy()
-        spectrum[band] = ungauge * evolved.ravel()[pick]
-        return WaveState(grid, k0=state.k0, spectrum=spectrum)
+    def amplitudes():
+        for j in (*snapshots, plan.n_steps):
+            phased = np.exp(-1j * energies * (j * d_tau)) * coef
+            # two real products: a complex one would first copy vectors to complex
+            evolved = (np.matmul(vectors, phased.real[..., None])
+                       + 1j * np.matmul(vectors, phased.imag[..., None]))
+            yield ungauge * evolved.ravel()[pick]
 
-    every = plan.snapshot_every
-    if every and snapshot_callback is not None:
-        for j in range(every, plan.n_steps + 1, every):
-            snapshot_callback(j, j * d_tau, at(j * d_tau))
-    return _checked_norm(state, at(plan.n_steps * d_tau))
+    return band, amplitudes()
 
 
 def _signed_modes(bins: np.ndarray, n: int) -> np.ndarray:

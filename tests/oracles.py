@@ -149,8 +149,8 @@ def bessel_series(n: int, x: float, dps: int = 40) -> float:
 def sum_rule_start(order_max: int, x: float) -> int:
     """The sum rule for the recurrence start, order_max plus the argument's share
     max(x, 20) + 30 (plus (x - 50) / 3 above 50), rounded up to even: the
-    reference start, which the package's start may not exceed nor fall behind
-    in accuracy."""
+    reference start, which the package's start may not fall behind in
+    accuracy."""
     start = order_max + math.ceil(max(x, 20.0)) + 30 + max(math.ceil((x - 50.0) / 3.0), 0)
     return start + start % 2
 

@@ -185,8 +185,10 @@ def test_start_never_above_the_sum_rule():
                          np.linspace(300.0, 3000.0, 271)])
     for order_max in (0, 1, 5, 15, 40, 80, 150, 400):
         new = _start_orders(order_max, xs)
-        ref = [sum_rule_start(order_max, float(x)) for x in xs]
-        assert np.all(new <= ref), order_max
+        ref = np.array([sum_rule_start(order_max, float(x)) for x in xs])
+        # below order 23 the argument's need passes the sum rule at some x in
+        # (16, 300), by at most 24 steps (order 0, x near 59)
+        assert np.all(new <= ref + (24 if order_max < 40 else 0)), order_max
         assert np.all(new > order_max)
 
 
@@ -230,17 +232,15 @@ _SEED_CASES = ([(order_max, _SEED_XS) for order_max in (0, 5, 15, 40, 80)]
 
 @pytest.mark.parametrize("order_max,xs", _SEED_CASES)
 def test_start_leaves_the_seed_under_1e17(order_max, xs):
-    # the start rule itself, free of rounding: from the new start the seed's share
-    # (Miller in 40 digits against mpmath) is under 1e-17 of each value's scale,
-    # or no more than from the sum rule's start where that is the lower
+    # the start rule itself, free of rounding: from the start the seed's share
+    # (Miller in 40 digits against mpmath) is under 1e-17 of each value's scale
     for x in xs:
         js, scales = bessel_reference(order_max, x)
-        start, ref_start = _start_orders(order_max, x), sum_rule_start(order_max, x)
-        new = miller_exact(order_max, x, start)
-        ref = new if start == ref_start else miller_exact(order_max, x, ref_start)
+        start = _start_orders(order_max, x)
+        row = miller_exact(order_max, x, start)
         for n in range(order_max + 1):
-            share, share_ref = (float(abs(row[n] - js[n]) / scales[n]) for row in (new, ref))
-            assert share <= max(share_ref, 1e-17), (x, n, start, share, share_ref)
+            share = float(abs(row[n] - js[n]) / scales[n])
+            assert share <= 1e-17, (x, n, start, share)
 
 
 def test_downward_sum_no_worse_than_pairwise_at_large_x():

@@ -380,16 +380,32 @@ class TestDiagnostics:
 
 
 class TestSnapshots:
-    @pytest.mark.parametrize("include_kinetic", [True, False])
-    def test_callback_schedule(self, include_kinetic):
+    # (include_kinetic, runner): the stepped, thin and exact routes
+    ROUTES = [pytest.param(True, run_stepped, id="True"),
+              pytest.param(False, run_stepped, id="False"),
+              pytest.param(True, run_exact, id="exact")]
+
+    @pytest.mark.parametrize("include_kinetic, runner", ROUTES)
+    def test_callback_schedule(self, include_kinetic, runner):
         setup = thin_setup(0.5, u0=100.0)
-        plan = plane_plan(setup, d_tau=setup.tau / 12.0, include_kinetic=include_kinetic,
-                          snapshot_every=5)
+        for every, steps in ((5, [5, 10]), (4, [4, 8, 12])):  # 12 steps
+            plan = plane_plan(setup, d_tau=setup.tau / 12.0, include_kinetic=include_kinetic,
+                              snapshot_every=every)
+            seen = []
+            out = runner(plan, snapshot_callback=lambda step, tau, st: seen.append((step, tau, st)))
+            assert [s[0] for s in seen] == steps
+            assert all(tau == step * plan.d_tau for step, tau, _ in seen)
+            assert all(abs(st.norm - 1.0) <= 1e-10 for _, _, st in seen)
+        # a snapshot on the final step is the result, bit for bit
+        assert np.array_equal(seen[-1][2].spectrum, out.spectrum)
+
+    @pytest.mark.parametrize("include_kinetic, runner", ROUTES)
+    def test_zero_duration_calls_no_snapshot(self, include_kinetic, runner):
+        plan = plane_plan(DimensionlessSetup(u0=100.0, tau=0.0), include_kinetic=include_kinetic,
+                          snapshot_every=1)
         seen = []
-        run_stepped(plan, snapshot_callback=lambda step, tau, st: seen.append((step, tau, st.norm)))
-        assert [s[0] for s in seen] == [5, 10]
-        assert seen[0][1] == pytest.approx(5.0 * plan.d_tau)
-        assert all(abs(n - 1.0) <= 1e-10 for _, _, n in seen)
+        runner(plan, snapshot_callback=lambda *a: seen.append(a))
+        assert plan.n_steps == 0 and seen == []
 
     def test_no_snapshots_by_default(self):
         setup = thin_setup(0.5, u0=100.0)
@@ -414,8 +430,7 @@ def stepped_bins(plan):
     over _EMPTY_SECTOR / n_points of the weight, and a sector is live when it
     holds an occupied bin.  The band is the occupied columns, widened by the
     pulse's reach (n_periods / f columns per order) on both sides and centred
-    in the least power of two of columns; the whole cell when that is as wide,
-    or without the kinetic term.
+    in the least power of two of columns; the whole cell when that is as wide.
     """
     state, spec, setup = plan.state, plan.spec, plan.setup
     grid = state.grid
@@ -425,16 +440,15 @@ def stepped_bins(plan):
     occupied = power > _EMPTY_SECTOR / grid.n_points * power.sum()
     live = occupied.any(axis=1)
     cols = np.arange(cell)
-    if plan.route != "thin":
-        occupied = np.flatnonzero(occupied.any(axis=0))
-        signed = np.where(occupied < cell // 2, occupied, occupied - cell)
-        area = np.sum(envelope_weights(plan)) * plan.d_tau
-        reach = _order_reach(0.5 * setup.u0 * area * math.hypot(spec.a_c, spec.a_s))
-        low = signed.min() - reach * (grid.n_periods // f)
-        width = signed.max() + reach * (grid.n_periods // f) + 1 - low
-        if width < cell:
-            m = 1 << int(width - 1).bit_length()
-            cols = (low - (m - width) // 2 + np.arange(m)) % cell
+    occupied = np.flatnonzero(occupied.any(axis=0))
+    signed = np.where(occupied < cell // 2, occupied, occupied - cell)
+    area = np.sum(envelope_weights(plan)) * plan.d_tau
+    reach = _order_reach(0.5 * setup.u0 * area * math.hypot(spec.a_c, spec.a_s))
+    low = signed.min() - reach * (grid.n_periods // f)
+    width = signed.max() + reach * (grid.n_periods // f) + 1 - low
+    if width < cell:
+        m = 1 << int(width - 1).bit_length()
+        cols = (low - (m - width) // 2 + np.arange(m)) % cell
     mask = np.zeros((f, cell), dtype=bool)
     mask[np.ix_(live, cols)] = True
     return mask.T.reshape(-1), cols.size

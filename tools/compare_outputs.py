@@ -17,9 +17,11 @@ CSV files, and the file where it occurs; and, per differing JSON file, by the
 dotted key paths whose values differ (items of a list share the list's path),
 each with its largest |diff|, e.g. `payload.r_eff_hat 2.9e-08 (2.61e+08 ulp)`.
 Each largest |diff| of a key or of the CSV files is followed by the largest
-difference in units in the last place (`math.ulp` of the larger magnitude
-of the two numbers), so a one-ulp move reads as `1 ulp` at any scale.  The
-exit code is 1 if any job differs.
+difference in units in the last place, so a one-ulp move reads as `1 ulp` at
+any scale.  The unit is `math.ulp` of the largest magnitude among a list
+key's values (or a CSV column's) on both sides, so a near-zero item of a
+list moved by rounding reads under 1 ulp; for a scalar key it is that of the
+larger magnitude of the two numbers.  The exit code is 1 if any job differs.
 """
 from __future__ import annotations
 
@@ -92,12 +94,30 @@ def _run_tree(src: Path, workload: str, seed: int, workdir: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def _change(x: float, y: float) -> tuple[float, float]:
-    """|x - y|, and the same in units in the last place of the larger magnitude."""
+def _change(x: float, y: float, scale: float = 0.0) -> tuple[float, float]:
+    """|x - y|, and the same in units in the last place of the largest of |x|, |y|
+    and scale."""
     diff = abs(x - y)
     if not math.isfinite(diff):  # an infinity or NaN on either side
         return diff, diff
-    return diff, diff / math.ulp(max(abs(x), abs(y)))
+    return diff, diff / math.ulp(max(abs(x), abs(y), scale))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _magnitudes(value, path: str, out: dict) -> dict:
+    """Largest finite magnitude among the numbers at each dotted key path of a JSON value."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _magnitudes(v, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        for v in value:
+            _magnitudes(v, path, out)
+    elif _is_number(value) and math.isfinite(value):
+        out[path] = max(out.get(path, 0.0), abs(value))
+    return out
 
 
 def _larger(old: tuple[float, float], new: tuple[float, float]) -> tuple[float, float]:
@@ -110,34 +130,49 @@ def _text(change: tuple[float, float]) -> str:
 
 def _number_change(a: str, b: str) -> tuple[float, float] | None:
     """Largest |x - y| and largest ulp difference over corresponding numbers of
-    two texts; None if other text differs."""
+    two CSV texts, the ulp that of the largest magnitude in the number's
+    column on either side; None if other text differs."""
     if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
         return None
+    rows = [[[[float(t) for t in _NUMBER.findall(field)] for field in line.split(",")]
+             for line in text.splitlines()] for text in (a, b)]
+    scales: dict[int, float] = {}
+    for row in rows[0] + rows[1]:
+        for col, numbers in enumerate(row):
+            finite = [abs(v) for v in numbers if math.isfinite(v)]
+            scales[col] = max([scales.get(col, 0.0), *finite])
     largest = (0.0, 0.0)
-    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
-        if x != y:
-            largest = _larger(largest, _change(float(x), float(y)))
+    for row_a, row_b in zip(*rows):
+        for col, (xs, ys) in enumerate(zip(row_a, row_b)):
+            for x, y in zip(xs, ys):
+                if x != y:
+                    largest = _larger(largest, _change(x, y, scales[col]))
     return largest
 
 
-def _key_changes(a, b, path: str = "", out: dict | None = None) -> dict:
+def _key_changes(a, b, path: str = "", out: dict | None = None,
+                 scales: dict | None = None) -> dict:
     """Largest |x - y| and largest ulp difference per dotted key path over two JSON values.
 
-    The items of a list share the list's path.  A change that is not between
-    two numbers (text, a length, an absent key) is recorded as None.
+    The items of a list share the list's path, and their ulp is that of the
+    largest magnitude at that path on either side (scales, taken at the
+    outermost list).  A change that is not between two numbers (text, a
+    length, an absent key) is recorded as None.
     """
     out = {} if out is None else out
     if isinstance(a, dict) and isinstance(b, dict):
         for key in [*a, *(k for k in b if k not in a)]:
             _key_changes(a.get(key, _ABSENT), b.get(key, _ABSENT),
-                         f"{path}.{key}" if path else key, out)
+                         f"{path}.{key}" if path else key, out, scales)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        if scales is None:
+            scales = _magnitudes(b, path, _magnitudes(a, path, {}))
         for x, y in zip(a, b):
-            _key_changes(x, y, path, out)
+            _key_changes(x, y, path, out, scales)
     elif repr(a) != repr(b):  # NaN equals NaN here
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-        old = out.get(path, (0.0, 0.0))
-        out[path] = _larger(old, _change(a, b)) if numbers and old is not None else None
+        numbers = _is_number(a) and _is_number(b)
+        old, scale = out.get(path, (0.0, 0.0)), (scales or {}).get(path, 0.0)
+        out[path] = _larger(old, _change(a, b, scale)) if numbers and old is not None else None
     return out
 
 
