@@ -12,7 +12,7 @@ from .model import (
     derive_scales, moments_from_si, build_potential, evaluate_potential,
     check_regime,
 )
-from .bessel import bessel_row, bessel_rows
+from .bessel import bessel_row, bessel_rows, bessel_values
 from .analytic import (
     DiffractionPattern, default_order_cutoff, closed_form_pattern, grating_oracle,
 )
@@ -32,7 +32,7 @@ __all__ = [
     "PotentialSpec", "RegimeReport",
     "derive_scales", "moments_from_si", "build_potential", "evaluate_potential",
     "check_regime",
-    "bessel_row", "bessel_rows",
+    "bessel_row", "bessel_rows", "bessel_values",
     "DiffractionPattern", "default_order_cutoff", "closed_form_pattern", "grating_oracle",
     "Grid1D", "WaveState", "init_plane_wave", "init_gaussian", "order_probabilities",
     "ObservedPattern", "FitResult", "MomentRegion",

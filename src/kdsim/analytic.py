@@ -8,7 +8,8 @@ into one harmonic of effective amplitude r_eff = hypot(a_c, a_s)
 
 * ``model_probabilities`` serves that model: ``closed_form_pattern`` for the
   command line's ``analytic`` mode, the fit's chi-square, its synthetic data
-  and the scan all take their probabilities from it;
+  and the scan all take their probabilities from it (the fit's refinement
+  from ``_model_values``, the same squares at one r_eff on Python floats);
 * ``grating_oracle`` -- brute-force FFT of the sampled phase mask, kept
   deliberately independent of the Bessel code path.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_row, bessel_rows
+from .bessel import bessel_row, bessel_rows, bessel_values
 from .model import MomentSet, PotentialSpec, _require_finite, build_potential
 
 _TAIL_WARN = 1e-8
@@ -74,7 +75,7 @@ def default_order_cutoff(alpha: float, r_eff: float = 1.0) -> int:
 
 
 def _pattern(orders, probs, generator, alpha) -> DiffractionPattern:
-    table = {int(p): float(v) for p, v in zip(orders, probs)}
+    table = dict(zip(np.asarray(orders).tolist(), np.asarray(probs, dtype=float).tolist()))
     tail = 1.0 - sum(table.values())
     return DiffractionPattern(
         probabilities=table, generator=generator, alpha=alpha,
@@ -90,13 +91,19 @@ def _resolve_cutoff(alpha: float, r_eff: float, order_cutoff: int | None) -> int
     return cut
 
 
-def _model_at(alpha: float, r_eff, index: np.ndarray, order_max: int) -> np.ndarray:
+def _model_at(alpha: float, r_eff, index: np.ndarray | list[int], order_max: int) -> np.ndarray:
     """J_|p|(alpha r_eff)^2 at each |order| in index, squared as an array (x * x)."""
     if np.ndim(r_eff) == 0:
         rows = bessel_row(order_max, alpha * r_eff)
     else:
         rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
     return rows[..., index] ** 2
+
+
+def _model_values(alpha: float, r_eff: float, index: list[int], order_max: int) -> list[float]:
+    """_model_at at one r_eff on Python floats, bit for bit: J_|p| * J_|p| per |order|."""
+    row = bessel_values(order_max, alpha * r_eff)
+    return [row[i] * row[i] for i in index]
 
 
 def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:

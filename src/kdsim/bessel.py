@@ -22,7 +22,9 @@ normalization sum, so every row is bit-identical to bessel_row at that
 argument.  The scalar loop steps on Python floats and stays the
 single-argument path: an order step costs it a fraction of a microsecond,
 against several microseconds of numpy calls in the sweep, which therefore
-wins only from about 15 arguments on.  Both paths are pinned bit for bit to
+wins only from about 15 arguments on.  bessel_values hands that loop's row
+out as Python floats, equal to bessel_row's bit for bit, to callers that
+go on in floats (the fit's refinement).  Both paths are pinned bit for bit to
 the same recurrence stepped on a numpy array, kept as a test oracle.
 """
 from __future__ import annotations
@@ -55,18 +57,22 @@ def _start_orders(order_max: int, x):
     return start + start % 2
 
 
-def _raw_row(order_max: int, x: float) -> np.ndarray:
+def _raw_row(order_max: int, x: float) -> tuple[list[float], float]:
+    """Unscaled J_0..J_order_max at x > 0 as Python floats, and the scale to divide by."""
     start = _start_orders(order_max, x)
     v = [0.0] * (start + 2)   # Python floats: one step costs far less than a numpy call
-    v[start] = 1e-30  # arbitrary seed, scaled out by the normalization
+    v[start] = here = 1e-30  # arbitrary seed, scaled out by the normalization
+    above = 0.0   # v[k + 1] and v[k] ride in locals: reading them back from v slows a step
     for k in range(start, 0, -1):
-        vk = v[k - 1] = (2.0 * k / x) * v[k] - v[k + 1]
-        if abs(vk) > _RESCALE:
+        here, above = (2.0 * k / x) * here - above, here
+        v[k - 1] = here
+        if abs(here) > _RESCALE:
             v[k - 1:] = [u / _RESCALE for u in v[k - 1:]]
+            here, above = v[k - 1], v[k]
     even = 0.0   # the even terms summed one by one downward, as _raw_rows sums them
     for u in v[start:1:-2]:
         even += u
-    return np.array(v[:order_max + 1]) / (v[0] + 2.0 * even)
+    return v[:order_max + 1], v[0] + 2.0 * even
 
 
 def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
@@ -108,22 +114,39 @@ def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def bessel_row(order_max: int, x: float) -> np.ndarray:
-    """J_0(x)..J_order_max(x) as one contiguous row, in a single recurrence pass."""
+def _checked(order_max: int, x) -> float:
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
-    ax = abs(x)
-    if ax < _TINY_X:
+    return x
+
+
+def bessel_row(order_max: int, x: float) -> np.ndarray:
+    """J_0(x)..J_order_max(x) as one contiguous row, in a single recurrence pass."""
+    x = _checked(order_max, x)
+    if abs(x) < _TINY_X:
         vals = np.zeros(order_max + 1)
         vals[0] = 1.0
     else:
-        vals = _raw_row(order_max, ax)
+        raw, norm = _raw_row(order_max, abs(x))
+        vals = np.array(raw) / norm
         if x < 0.0:
             # J_n(-x) = (-1)^n J_n(x)
             vals[1::2] *= -1.0
+    return vals
+
+
+def bessel_values(order_max: int, x: float) -> list[float]:
+    """bessel_row(order_max, x) as a list of Python floats, bit for bit, built without numpy."""
+    x = _checked(order_max, x)
+    if abs(x) < _TINY_X:
+        return [1.0] + [0.0] * order_max
+    raw, norm = _raw_row(order_max, abs(x))
+    vals = [u / norm for u in raw]
+    if x < 0.0:
+        vals[1::2] = [-u for u in vals[1::2]]
     return vals
 
 

@@ -9,7 +9,9 @@ point and its neighbours, and Brent's root search for each interval end on
 the chi-square threshold, its bracket values taken from the scan and its
 first point from the minimizer's curvature.  r_eff_hat is bracketed within
 1e-7 of the chi-square minimum; each interval end within 1e-12 * max(1, |r|)
-of its crossing.
+of its crossing.  The refinement evaluates chi_square at one r on Python
+floats, the scan as one numpy block; both add the terms in one order
+(_pairwise_sum), so the scan equals the summed single calls by construction.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _model_at, default_order_cutoff, model_probabilities
+from .analytic import _model_at, _model_values, default_order_cutoff, model_probabilities
 from .model import _require_finite
 
 SIGMA_FLOOR = 1e-4
@@ -65,28 +67,52 @@ class ObservedPattern:
         object.__setattr__(self, "alpha", alpha)
 
     @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-        """|order| index, the largest |order|, values and sigmas, built once for chi_square."""
-        index = np.abs(np.array(self.orders))
-        return index, int(index.max()), np.array(self.values), np.array(self.sigmas)
+    def _index(self) -> tuple[list[int], int]:
+        """|order| per entry and the largest |order|, built once for chi_square."""
+        index = [abs(p) for p in self.orders]
+        return index, max(index)
+
+
+def _pairwise_sum(terms):
+    """Sum of floats, or of equal-length arrays term by term, in np.sum's order.
+
+    Pairwise: under 8 terms one by one, up to 128 in 8 interleaved partial
+    sums, above that each half (cut at a multiple of 8) the same way.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    total, tail = 0.0, 0
+    if n >= 8:
+        acc = list(terms[:8])
+        tail = n - n % 8
+        for i in range(8, tail):
+            acc[i % 8] = acc[i % 8] + terms[i]   # not +=: acc starts as views of an array's rows
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for t in terms[tail:]:
+        total = total + t
+    return total
 
 
 def chi_square(observed: ObservedPattern, r_eff):
-    """Chi-square of the model at r_eff: a float, or an array for a 1-D array of r_eff."""
-    scalar = np.ndim(r_eff) == 0
-    if scalar:   # the refinement's many single evaluations: keep the check cheap
-        valid = math.isfinite(r_eff) and r_eff >= 0.0
-    else:
-        r = np.asarray(r_eff, dtype=float)
-        valid = bool(np.all(np.isfinite(r) & (r >= 0.0)))
-    if not valid:
+    """Chi-square of the model at r_eff: a float, or an array for a 1-D array of r_eff.
+
+    An array gives the single calls' values bit for bit (module docstring).
+    """
+    index, order_max = observed._index
+    if isinstance(r_eff, float) or np.ndim(r_eff) == 0:   # a float first: np.ndim takes ~1 us
+        if not (math.isfinite(r_eff) and r_eff >= 0.0):
+            raise ValueError(f"r_eff must be finite and >= 0, got {r_eff!r}")
+        model = _model_values(observed.alpha, r_eff, index, order_max)
+        return _pairwise_sum([(d := (v - m) / s) * d
+                              for v, m, s in zip(observed.values, model, observed.sigmas)])
+    r = np.asarray(r_eff, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise ValueError(f"r_eff must be finite and >= 0, got {r_eff!r}")
-    index, order_max, values, sigmas = observed._arrays
-    resid = (values - _model_at(observed.alpha, r_eff, index, order_max)) / sigmas
-    # in C order each row is summed pairwise exactly as a 1-D call sums it,
-    # so an array of r_eff gives the scalar calls' values bit for bit
-    chi2 = np.sum(np.ascontiguousarray(resid**2), axis=-1)
-    return float(chi2) if scalar else chi2
+    model = _model_at(observed.alpha, r, index, order_max)
+    resid = (np.array(observed.values) - model) / np.array(observed.sigmas)
+    return _pairwise_sum(np.ascontiguousarray((resid * resid).T))
 
 
 @dataclass(frozen=True)

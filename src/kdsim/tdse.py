@@ -512,14 +512,14 @@ def order_probabilities(state: WaveState, max_order: int | None = None) -> Diffr
         raise ValueError("state has zero norm")
 
     n, h = grid.n_points, grid.n_periods
-    rel = _signed_modes(np.arange(n), n) - k0_units
-    orders = (2 * rel + h) // (2 * h)  # floor((rel + h/2) / h) in exact ints
-
     max_order = n // (2 * h) - 1 if max_order is None else int(max_order)
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
 
+    held = np.flatnonzero(spectrum)   # empty bins add nothing to any order
+    rel = _signed_modes(held, n) - k0_units
+    orders = (2 * rel + h) // (2 * h)  # floor((rel + h/2) / h) in exact ints
     keep = np.abs(orders) <= max_order
-    probs = np.bincount(orders[keep] + max_order, weights=spectrum[keep] / total,
+    probs = np.bincount(orders[keep] + max_order, weights=spectrum[held[keep]] / total,
                         minlength=2 * max_order + 1)
-    return _pattern(range(-max_order, max_order + 1), probs, "tdse", None)
+    return _pattern(np.arange(-max_order, max_order + 1), probs, "tdse", None)

@@ -75,6 +75,29 @@ class TestBatchedEvaluation:
             with pytest.raises(ValueError, match="r_eff"):
                 chi_square(obs, np.array(bad))
 
+    def test_scalar_r_gives_a_float_and_is_validated(self):
+        obs = exact_observation(2.0, 0.8)
+        for r in (0.8, np.float64(0.8), np.array(0.8), 1):
+            assert type(chi_square(obs, r)) is float
+        for bad in (-0.1, -1e-300, math.nan, math.inf, -math.inf, np.float64(math.nan), -1):
+            with pytest.raises(ValueError, match="r_eff"):
+                chi_square(obs, bad)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_scalar_calls_equal_the_array_call_bit_for_bit(self, data):
+        # 3 to 200 orders (an observation holds at least 3), |p| up to 150:
+        # past 128 terms both add each half on its own
+        n = data.draw(st.integers(fit_mod.MIN_ORDERS, 200), "n_orders")
+        alpha = data.draw(st.floats(0.1, 120.0), "alpha")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31), "seed"))
+        orders = rng.choice(np.arange(-150, 151), n, replace=False).tolist()
+        obs = ObservedPattern(orders, tuple(rng.random(len(orders)) ** 4),
+                              tuple(10.0 ** rng.uniform(-4, -1, len(orders))), alpha)
+        rs = np.concatenate([[0.0], rng.uniform(0.0, 2.0, 6)])
+        chis = chi_square(obs, rs)
+        assert np.array([chi_square(obs, float(r)) for r in rs]).tobytes() == chis.tobytes()
+
     def test_grid_scan_is_one_chi_square_call_per_dataset(self, monkeypatch):
         # the benchmark counts chi-square evaluations as np.size of the r
         # argument and splits them into grid scan and refinement on this shape
@@ -103,6 +126,21 @@ class TestBatchedEvaluation:
         fit = joint_fit(data, bounds=(0.1, 1.9), n_grid=233)
         want = [sum(chi_square(obs, r) for obs in data) for r in fit.scan_r]
         assert list(fit.scan_chi2) == want
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pairwise_sum_is_np_sum(data):
+    # the helper adds floats, and the rows of an (order, r) block column by
+    # column, in np.sum's order: under 8, up to 128 and over 128 terms
+    n = data.draw(st.integers(1, 300), "n_terms")
+    rows = data.draw(st.integers(1, 4), "n_rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31), "seed"))
+    a = rng.random((rows, n)) * 10.0 ** rng.uniform(-10.0, 10.0, (rows, n))
+    want = np.sum(a, axis=-1)
+    assert np.array([fit_mod._pairwise_sum(row.tolist()) for row in a]).tobytes() \
+        == want.tobytes()
+    assert fit_mod._pairwise_sum(np.ascontiguousarray(a.T)).tobytes() == want.tobytes()
 
 
 def scalar_chi_square_calls(monkeypatch):
