@@ -9,7 +9,10 @@ into one harmonic of effective amplitude r_eff = hypot(a_c, a_s)
 * ``model_probabilities`` serves that model: ``closed_form_pattern`` for the
   command line's ``analytic`` mode, the fit's chi-square, its synthetic data
   and the scan all take their probabilities from it (the fit's refinement
-  from ``_model_values``, the same squares at one r_eff on Python floats);
+  from ``_model_values``, the same squares at one r_eff on Python floats).
+  Its Bessel rows come from ``bessel_values`` at one r_eff, squared as a
+  numpy array (which is the removed ``bessel_row``'s row, bit for bit),
+  and from ``bessel_rows`` at many;
 * ``grating_oracle`` -- brute-force FFT of the sampled phase mask, kept
   deliberately independent of the Bessel code path.
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_row, bessel_rows, bessel_values
+from .bessel import bessel_rows, bessel_values
 from .model import MomentSet, PotentialSpec, _require_finite, build_potential
 
 _TAIL_WARN = 1e-8
@@ -94,7 +97,7 @@ def _resolve_cutoff(alpha: float, r_eff: float, order_cutoff: int | None) -> int
 def _model_at(alpha: float, r_eff, index: np.ndarray | list[int], order_max: int) -> np.ndarray:
     """J_|p|(alpha r_eff)^2 at each |order| in index, squared as an array (x * x)."""
     if np.ndim(r_eff) == 0:
-        rows = bessel_row(order_max, alpha * r_eff)
+        rows = np.array(bessel_values(order_max, alpha * r_eff))
     else:
         rows = bessel_rows(order_max, alpha * np.asarray(r_eff, dtype=float))
     return rows[..., index] ** 2

@@ -14,18 +14,18 @@ only: up to a few 1e-15 of J_n above the turning point and of the Bessel
 modulus below it for x <= 200, up to about 2e-14 at x = 1000-3000.
 Target: absolute error <= 1e-12 for |x| <= 200 and orders up to 80.
 
-bessel_rows runs the same recurrence once over a block of arguments, one
-buffer column per argument, so each order step is a few contiguous numpy
-operations.  Each argument keeps its own start order (its column stays zero
-until the sweep reaches it), its own 1e250 rescale and its own
-normalization sum, so every row is bit-identical to bessel_row at that
-argument.  The scalar loop steps on Python floats and stays the
-single-argument path: an order step costs it a fraction of a microsecond,
-against several microseconds of numpy calls in the sweep, which therefore
-wins only from about 15 arguments on.  bessel_values hands that loop's row
-out as Python floats, equal to bessel_row's bit for bit, to callers that
-go on in floats (the fit's refinement).  Both paths are pinned bit for bit to
-the same recurrence stepped on a numpy array, kept as a test oracle.
+Two functions serve a row.  bessel_values gives the row at one argument as
+Python floats, from a loop that steps on floats: an order step costs it a
+fraction of a microsecond, against several microseconds of numpy calls in a
+sweep.  bessel_rows runs the same recurrence once over a block of arguments,
+one buffer column per argument, so each order step is a few contiguous numpy
+operations, and wins from about 15 arguments on.  Each argument keeps its own
+start order (its column stays zero until the sweep reaches it), its own 1e250
+rescale and its own normalization sum, so every row is bit-identical to
+bessel_values at that argument.  Both are pinned bit for bit to the same
+recurrence stepped on a numpy array, kept as a test oracle.  API change:
+bessel_row, the one-argument row as a numpy array, is removed;
+np.array(bessel_values(n, x)) is that row, bit for bit.
 """
 from __future__ import annotations
 
@@ -114,33 +114,13 @@ def _raw_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _checked(order_max: int, x) -> float:
+def bessel_values(order_max: int, x: float) -> list[float]:
+    """J_0(x)..J_order_max(x) as Python floats, in a single recurrence pass without numpy."""
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
-    return x
-
-
-def bessel_row(order_max: int, x: float) -> np.ndarray:
-    """J_0(x)..J_order_max(x) as one contiguous row, in a single recurrence pass."""
-    x = _checked(order_max, x)
-    if abs(x) < _TINY_X:
-        vals = np.zeros(order_max + 1)
-        vals[0] = 1.0
-    else:
-        raw, norm = _raw_row(order_max, abs(x))
-        vals = np.array(raw) / norm
-        if x < 0.0:
-            # J_n(-x) = (-1)^n J_n(x)
-            vals[1::2] *= -1.0
-    return vals
-
-
-def bessel_values(order_max: int, x: float) -> list[float]:
-    """bessel_row(order_max, x) as a list of Python floats, bit for bit, built without numpy."""
-    x = _checked(order_max, x)
     if abs(x) < _TINY_X:
         return [1.0] + [0.0] * order_max
     raw, norm = _raw_row(order_max, abs(x))
@@ -153,7 +133,7 @@ def bessel_values(order_max: int, x: float) -> list[float]:
 def bessel_rows(order_max: int, xs) -> np.ndarray:
     """Rows J_0..J_order_max at each of the arguments xs, shape (len(xs), order_max + 1).
 
-    Row i is bit-identical to bessel_row(order_max, xs[i]); the
+    Row i is bit-identical to bessel_values(order_max, xs[i]); the
     recurrence runs once per block of up to 1024 arguments.
     """
     if order_max < 0:

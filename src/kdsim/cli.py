@@ -354,7 +354,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config key 'synthetic.orders': need at least {fit_mod.MIN_ORDERS} "
                           f"distinct orders, none repeated, got {synthetic['orders']}")
 
-    plan = None
+    plan = datasets = None
     if mode == "tdse":
         state = _initial_state(val, grid)
         try:
@@ -370,6 +370,13 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 f"or synthetic, got {sources or 'none'}")
         if synthetic is not None and val["seed"] is None:
             raise ConfigError("config key 'seed': required when synthesizing noisy data")
+        # every source as one dataset list: entries, a CSV file, or a synthetic draw
+        if val["datasets"] is not None:
+            datasets = val["datasets"]["entries"]
+        elif val["data"] is not None:
+            datasets = [{"path": val["data"], "alpha": setup.alpha}]
+        else:  # a new dict, so the echo keeps synthetic as given
+            datasets = [{**synthetic, "alpha": synthetic.get("alpha", setup.alpha)}]
     if mode == "scan":
         if "higher" in cfg:  # the scan maps the band radius of d~ and q~ alone
             raise ConfigError("config key 'higher': scan mode takes d_tilde and q_tilde only; "
@@ -392,9 +399,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             echo.pop(k, None)
         else:
             echo[k] = v
-    datasets = val["datasets"]["entries"] if val["datasets"] else None
-    if val["data"] is not None:
-        datasets = [{"path": val["data"], "alpha": setup.alpha}]  # read as one dataset
 
     val.update(setup=setup, consts=consts, moments=moments, grid=grid, plan=plan,
                datasets=datasets, bounds=tuple(val["bounds"]), fmt=val["format"], echo=echo)
@@ -456,21 +460,22 @@ def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
     """Load an observation from CSV columns order, probability, sigma (after an optional
     header row); each error names the file, and a bad cell its line and column."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: drop a byte-order mark
             rows = [(i, row) for i, row in enumerate(_csvmod.reader(fh), 1)
                     if "".join(row).strip()]
+        try:
+            float(rows[0][1][0])
+        except (IndexError, ValueError):  # no rows, or a header: its order cell is not a number
+            rows = rows[1:]
         columns = [], [], []
-        for n, (line, row) in enumerate(rows):
+        for line, row in rows:
             for (name, cast), text, column in zip(_OBS_COLUMNS, row, columns):
                 try:
                     column.append(cast(text))
                 except ValueError:
-                    if n == 0 and name == "order":
-                        break  # header row
                     raise ValueError(f"line {line}: bad {name} {text!r}") from None
-            else:
-                if len(row) < 3:
-                    raise ValueError(f"line {line}: need order,probability,sigma")
+            if len(row) < 3:
+                raise ValueError(f"line {line}: need order,probability,sigma")
         return fit_mod.ObservedPattern(*columns, alpha=alpha)  # it casts each column to a tuple
     except OSError as exc:
         raise ValueError(f"cannot read observation file {path!r}: {exc}") from exc
@@ -531,24 +536,21 @@ def _run_tdse(config: RunConfig) -> dict:
     return payload
 
 
+def _observation(entry: dict, seed: int | None) -> fit_mod.ObservedPattern:
+    """One fit dataset: a CSV file read at its alpha, or a synthetic draw seeded by seed."""
+    if "path" in entry:
+        return read_observed_csv(entry["path"], entry["alpha"])
+    args = entry["alpha"], entry["r_eff"], entry["orders"], seed
+    if entry["noise"] == "gaussian":
+        return fit_mod.synthesize_gaussian(*args, rel_sigma=entry["rel_sigma"])
+    return fit_mod.synthesize_counts(*args, shots=entry["shots"])
+
+
 def _run_fit(config: RunConfig) -> dict:
-    if config.datasets is not None:
-        datasets = [read_observed_csv(e["path"], e["alpha"]) for e in config.datasets]
-    else:
-        syn = config.synthetic
-        rng = np.random.default_rng(config.seed)
-        alpha = syn.get("alpha", config.setup.alpha)
-        if syn["noise"] == "gaussian":
-            obs = fit_mod.synthesize_gaussian(alpha, syn["r_eff"], syn["orders"], rng,
-                                              rel_sigma=syn["rel_sigma"])
-        else:
-            obs = fit_mod.synthesize_counts(alpha, syn["r_eff"], syn["orders"], rng,
-                                            shots=syn["shots"])
-        datasets = [obs]
-    result = fit_mod.joint_fit(datasets, bounds=config.bounds,
-                               delta_chi2=config.delta_chi2, n_grid=config.n_grid)
-    region = fit_mod.moment_region(result, config.region_samples)
-    return _fit_payload(result, region)
+    result = fit_mod.joint_fit([_observation(e, config.seed) for e in config.datasets],
+                               bounds=config.bounds, delta_chi2=config.delta_chi2,
+                               n_grid=config.n_grid)
+    return _fit_payload(result, fit_mod.moment_region(result, config.region_samples))
 
 
 def _run_scan(config: RunConfig) -> dict:

@@ -35,7 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from kdsim.analytic import DiffractionPattern, _pattern, closed_form_pattern, default_order_cutoff
-from kdsim.bessel import _RESCALE, _TINY_X, _start_orders, bessel_row
+from kdsim.bessel import _RESCALE, _TINY_X, _start_orders, bessel_values
 from kdsim import tdse
 from kdsim.model import MomentSet, _require_finite, build_potential, evaluate_potential
 from kdsim.tdse import (
@@ -57,7 +57,7 @@ def bessel_j(n: int, x: float) -> float:
         n = -n
         if n % 2:
             sign = -sign
-    return sign * float(bessel_row(n, x)[n])
+    return sign * bessel_values(n, x)[n]
 
 
 def pattern_distance(first: DiffractionPattern, second: DiffractionPattern) -> tuple[float, float]:
@@ -103,8 +103,8 @@ def distribution_coefficients(alpha: float, moments: MomentSet,
     b_amp = -2.0 * alpha * moments.dipole
     p_a = int(math.ceil(abs(a_amp))) + 30
     p_b = int(math.ceil(abs(b_amp))) + 30
-    ja = _signed_orders(bessel_row(p_a, a_amp), p_a)
-    jb = _signed_orders(bessel_row(p_b, b_amp), p_b)
+    ja = _signed_orders(np.array(bessel_values(p_a, a_amp)), p_a)
+    jb = _signed_orders(np.array(bessel_values(p_b, b_amp)), p_b)
     twists = np.array([_I_POW[n % 4] for n in range(-p_a, p_a + 1)])
     conv = np.convolve(twists * ja, jb.astype(complex))
     span = p_a + p_b  # conv covers orders -span..span

@@ -16,7 +16,7 @@ from kdsim.cli import main
 from kdsim.fit import (
     ObservedPattern, joint_fit, model_probabilities, synthesize_gaussian,
 )
-from kdsim.bessel import bessel_row
+from kdsim.bessel import bessel_values
 from kdsim.model import (
     DimensionlessSetup, LaserSetup, MomentSet, build_potential, check_regime,
     derive_scales,
@@ -185,13 +185,13 @@ def test_09_fit_round_trip():
 def test_10_bessel_oracle():
     worst = 0.0
     for x in (0.5, 1.0, 2.0, 5.0, -7.5, 10.0, 20.0):
-        row = bessel_row(40, x) if x >= 0 else None
+        row = bessel_values(40, x) if x >= 0 else None
         for n in range(41):
             mine = row[n] if row is not None else bessel_j(n, x)
             worst = max(worst, abs(mine - float(bessel_series(n, x))))
     worst_norm = 0.0
     for x in (0.5, 5.0, 20.0):
-        row = bessel_row(120, x)
+        row = np.array(bessel_values(120, x))
         residual = abs(row[0] + 2.0 * row[2::2].sum() - 1.0)
         worst_norm = max(worst_norm, residual)
     ok = worst <= 1e-12 and worst_norm <= 1e-10

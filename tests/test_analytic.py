@@ -7,7 +7,7 @@ import pytest
 from kdsim.analytic import (
     closed_form_pattern, default_order_cutoff, grating_oracle, model_probabilities,
 )
-from kdsim.bessel import bessel_row
+from kdsim.bessel import bessel_values
 from kdsim.model import MomentSet, build_potential
 
 from oracles import (
@@ -77,7 +77,7 @@ class TestOneModel:
             pattern = closed_form_pattern(alpha, moments)
             r_eff = build_potential(moments).r_eff
             orders = np.array(pattern.orders)
-            row = bessel_row(pattern.order_cutoff, alpha * r_eff)
+            row = bessel_values(pattern.order_cutoff, alpha * r_eff)
             model = model_probabilities(alpha, r_eff, orders)
             assert list(pattern.probabilities.values()) == model.tolist(), (alpha, moments)
             assert model.tolist() == [row[abs(p)] * row[abs(p)] for p in orders]
@@ -88,7 +88,7 @@ class TestOneModel:
         assert r_eff == 0.6896784078894238
         pattern = closed_form_pattern(alpha, moments)
         p28 = pattern.probability(-28)
-        j28 = bessel_row(pattern.order_cutoff, alpha * r_eff)[28]
+        j28 = bessel_values(pattern.order_cutoff, alpha * r_eff)[28]
         assert p28 == j28 * j28 == 6.383143017283807e-52
         with mp.workdps(40):
             assert p28 == pytest.approx(float(mp.besselj(28, alpha * r_eff) ** 2), rel=1e-14)

@@ -17,11 +17,13 @@ import kdsim
 from kdsim import analytic, tdse
 from kdsim.analytic import model_probabilities
 from kdsim.cli import (
-    _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _flag_name, main,
-    parse_config, read_observed_csv, run,
+    _ENTRY_LEAVES, _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _fit_payload,
+    _flag_name, main, parse_config, read_observed_csv, run,
 )
-from kdsim.emit import float_text
-from kdsim.fit import band_radius
+from kdsim.emit import float_text, structured_text
+from kdsim.fit import (
+    band_radius, joint_fit, moment_region, synthesize_counts, synthesize_gaussian,
+)
 from kdsim.model import MomentSet
 
 from oracles import (
@@ -427,6 +429,22 @@ class TestObservationFiles:
         with pytest.raises(ValueError, match="cannot read"):
             read_observed_csv("/nonexistent/obs.csv", 2.0)
 
+    def test_numeric_first_row_is_data(self, tmp_path):
+        # a first row is a header only when its order cell is not a number, so
+        # a fractional order there is a bad cell, not a header to skip
+        path = tmp_path / "obs.csv"
+        path.write_text("1.5,0.3,0.01\n0,0.5,0.01\n2,0.1,0.01\n3,0.05,0.01\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: bad order '1.5'")):
+            read_observed_csv(str(path), 2.0)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        rows = "0,0.5,0.01\n1,0.3,0.01\n2,0.1,0.01\n3,0.05,0.01\n"
+        path.write_text("\ufeff" + rows, encoding="utf-8")
+        assert read_observed_csv(str(path), 2.0).orders == (0, 1, 2, 3)
+        path.write_text("\ufefforder,probability,sigma\n" + rows, encoding="utf-8")
+        assert read_observed_csv(str(path), 2.0).orders == (0, 1, 2, 3)
+
 
 class TestMainAnalytic:
     def test_json_output(self, tmp_path, capsys):
@@ -581,6 +599,23 @@ class TestMainFit:
         region_lines = region_out.read_text().splitlines()
         assert region_lines[0] == "d_tilde,q_tilde"
         assert len(region_lines) > 10
+
+    @pytest.mark.parametrize("syn_alpha", [None, 1.5], ids=["run-alpha", "own-alpha"])
+    @pytest.mark.parametrize("noise,extra", [("gaussian", {"rel_sigma": 0.02}),
+                                             ("counts", {"shots": 5000})])
+    def test_synthetic_fit_draws_the_seeded_stream(self, noise, extra, syn_alpha):
+        # the CLI's synthetic fit is the library's fit of one draw from default_rng(seed)
+        synthetic = {"r_eff": 0.8, "noise": noise, **extra}
+        if syn_alpha is not None:
+            synthetic["alpha"] = syn_alpha
+        config = parse_config(json.dumps({**_SYN, "seed": 5, "synthetic": synthetic}))
+        alpha = 2.0 if syn_alpha is None else syn_alpha
+        synthesize = synthesize_gaussian if noise == "gaussian" else synthesize_counts
+        obs = synthesize(alpha, 0.8, [0, 1, 2, 3, 4], np.random.default_rng(5), **extra)
+        result = joint_fit([obs])
+        want = _fit_payload(result, moment_region(result))
+        assert structured_text(run(config).payload) == structured_text(want)
+        assert ("alpha" in config.echo["synthetic"]) == (syn_alpha is not None)
 
     def test_data_file_end_to_end(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -1110,12 +1145,13 @@ class TestConstantsOverride:
 
 
 def test_readme_names_every_config_key():
-    """The README's config-key paragraph names every leaf and synthetic entry."""
+    """The README's config-key paragraph names every leaf, synthetic and dataset entry."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
     named = set(re.findall(r"`([A-Za-z_0-9]+)`", section))
     assert set(_LEAVES) - named == set()
     assert set(_SYNTHETIC_LEAVES) - named == set()
+    assert set(_ENTRY_LEAVES) - named == set()
 
 
 def test_readme_library_example_runs(capsys):
@@ -1135,7 +1171,7 @@ def test_public_api_names_resolve():
     dropped = {"exact_route", "BesselRow", "distribution_pattern", "pointlike_pattern",
                "bessel_j", "pattern_distance", "propagate", "propagate_exact",
                "fit_effective_amplitude", "plan_propagation", "PropagationConfig",
-               "effective_amplitude"}
+               "effective_amplitude", "bessel_row"}
     assert dropped.isdisjoint(kdsim.__all__)
     assert not hasattr(tdse, "plan_propagation")
     assert not hasattr(tdse, "PropagationConfig")
