@@ -17,7 +17,9 @@ into one harmonic of effective amplitude r_eff = hypot(a_c, a_s)
   deliberately independent of the Bessel code path.
 
 The grating oracle checks the model in the benchmark, and the tests keep a
-third route, the double Bessel sum over the two quadratures.
+third route in tests/oracles.py, the double Bessel sum over the two
+quadratures (dipole and quadrupole only), and the point-charge pattern
+J_n(alpha)^2.
 
 Probabilities depend on the moments only through r_eff; the fitting module
 leans on exactly that degeneracy.
@@ -113,7 +115,8 @@ def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:
     """Thin-grating model P_p = J_p(alpha r_eff)^2 at the given orders.
 
     A scalar r_eff gives one value per order; a 1-D array of r_eff gives
-    one row per entry, from a single batched Bessel pass.
+    one row per entry, from a single batched Bessel pass, bit-identical to
+    the scalar calls.
     """
     index = np.abs(np.asarray(orders, dtype=int))
     return _model_at(alpha, r_eff, index, int(np.max(index)) if index.size else 0)

@@ -1,5 +1,8 @@
 """Integer-order Bessel functions of the first kind, built in-package.
 
+Hand-rolled on purpose: the diffraction amplitudes are Bessel values, so
+this path stays independent of scipy.
+
 Uses Miller's backward recurrence: run J_{k-1} = (2k/x) J_k - J_{k+1}
 downward from a start order N, seeded with an arbitrary tiny value, then fix
 the overall scale with J_0 + 2 sum_k J_2k = 1, its even terms summed one by
@@ -41,11 +44,13 @@ _BLOCK = 1024  # arguments per batched sweep; bounds the (start, block) buffer
 
 def _start_orders(order_max: int, x):
     """Even recurrence start order for each x > 0: an int for a float, an int
-    array for an array."""
-    # Whichever is higher of what the top order needs, order_max + 4 + 3.5 sqrt(x),
-    # and what the argument needs, ceil(x) + 9 + 6 sqrt(x): there the seed's share
-    # is under 1e-17 at every order up to order_max (Miller in 40 digits against
-    # mpmath: orders to 80 at x <= 200, 400 at x <= 500, x = 1000 and 3000).
+    array for an array.
+
+    Whichever is higher of what the top order needs, order_max + 4 + 3.5 sqrt(x),
+    and what the argument needs, ceil(x) + 9 + 6 sqrt(x): there the seed's share
+    is under 1e-17 at every order up to order_max (Miller in 40 digits against
+    mpmath: orders to 80 at x <= 200, 400 at x <= 500, x = 1000 and 3000).
+    """
     # The rule is written once for both kinds: on a float, math takes a fifth of
     # the numpy calls' time.
     if isinstance(x, np.ndarray):

@@ -458,7 +458,7 @@ _OBS_COLUMNS = (("order", int), ("probability", float), ("sigma", float))
 
 def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
     """Load an observation from CSV columns order, probability, sigma (after an optional
-    header row); each error names the file, and a bad cell its line and column."""
+    header row naming them); each error names the file, and a bad cell or row its line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: drop a byte-order mark
             rows = [(i, row) for i, row in enumerate(_csvmod.reader(fh), 1)
@@ -466,6 +466,10 @@ def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
         try:
             float(rows[0][1][0])
         except (IndexError, ValueError):  # no rows, or a header: its order cell is not a number
+            for line, header in rows[:1]:
+                if [c.strip() for c in header if c.strip()] != [name for name, _ in _OBS_COLUMNS]:
+                    raise ValueError(f"line {line}: header must read order,probability,sigma, "
+                                     f"got {','.join(header)!r}") from None
             rows = rows[1:]
         columns = [], [], []
         for line, row in rows:
@@ -476,6 +480,8 @@ def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
                     raise ValueError(f"line {line}: bad {name} {text!r}") from None
             if len(row) < 3:
                 raise ValueError(f"line {line}: need order,probability,sigma")
+            if any(c.strip() for c in row[3:]):   # empty cells past the third are allowed
+                raise ValueError(f"line {line}: more than three cells in order,probability,sigma")
         return fit_mod.ObservedPattern(*columns, alpha=alpha)  # it casts each column to a tuple
     except OSError as exc:
         raise ValueError(f"cannot read observation file {path!r}: {exc}") from exc

@@ -7,16 +7,21 @@ The minimizer is deterministic by construction: a coarse grid scan, then
 Brent's parabolic/golden-section minimizer started from the scan's best
 point and its neighbours, and Brent's root search for each interval end on
 the chi-square threshold, its bracket values taken from the scan and its
-first point from the minimizer's curvature.  r_eff_hat is bracketed within
-1e-7 of the chi-square minimum; each interval end within 1e-12 * max(1, |r|)
-of its crossing.  The refinement evaluates chi_square at one r on Python
-floats, the scan as one numpy block; both add the terms in one order
-(_pairwise_sum), so the scan equals the summed single calls by construction.
+first point r_hat -+ sqrt(2 delta_chi2 / c) from the curvature c of the
+minimizer's last three points.  r_eff_hat is bracketed within 1e-7 of the
+chi-square minimum; each interval end within 1e-12 * max(1, |r|) of its
+crossing.  Each refinement step is one chi_square call per dataset at one r,
+on Python floats; the scan is one call per dataset on a numpy array of r.
+Every chi-square total, over a dataset's orders and over the datasets of a
+joint fit, is added left to right from 0.0 by one helper (_total), on floats
+and on arrays alike, so the scan equals the summed single calls by
+construction, whatever builtin sum() does.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,26 +78,12 @@ class ObservedPattern:
         return index, max(index)
 
 
-def _pairwise_sum(terms):
-    """Sum of floats, or of equal-length arrays term by term, in np.sum's order.
+def _total(terms):
+    """Sum of floats, or of equal-length arrays term by term, left to right from 0.0.
 
-    Pairwise: under 8 terms one by one, up to 128 in 8 interleaved partial
-    sums, above that each half (cut at a multiple of 8) the same way.
+    Chi-square terms are >= +0.0, so the 0.0 start changes no total.
     """
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    total, tail = 0.0, 0
-    if n >= 8:
-        acc = list(terms[:8])
-        tail = n - n % 8
-        for i in range(8, tail):
-            acc[i % 8] = acc[i % 8] + terms[i]   # not +=: acc starts as views of an array's rows
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for t in terms[tail:]:
-        total = total + t
-    return total
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 def chi_square(observed: ObservedPattern, r_eff):
@@ -105,14 +96,14 @@ def chi_square(observed: ObservedPattern, r_eff):
         if not (math.isfinite(r_eff) and r_eff >= 0.0):
             raise ValueError(f"r_eff must be finite and >= 0, got {r_eff!r}")
         model = _model_values(observed.alpha, r_eff, index, order_max)
-        return _pairwise_sum([(d := (v - m) / s) * d
-                              for v, m, s in zip(observed.values, model, observed.sigmas)])
+        return _total([(d := (v - m) / s) * d
+                       for v, m, s in zip(observed.values, model, observed.sigmas)])
     r = np.asarray(r_eff, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise ValueError(f"r_eff must be finite and >= 0, got {r_eff!r}")
     model = _model_at(observed.alpha, r, index, order_max)
     resid = (np.array(observed.values) - model) / np.array(observed.sigmas)
-    return _pairwise_sum(np.ascontiguousarray((resid * resid).T))
+    return _total(np.ascontiguousarray((resid * resid).T))
 
 
 @dataclass(frozen=True)
@@ -262,9 +253,9 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
     dof = sum(len(obs.orders) for obs in datasets) - 1
 
     def objective(r):   # a float, or an array over an array of r
-        return sum(chi_square(obs, r) for obs in datasets)
+        return _total([chi_square(obs, r) for obs in datasets])
 
-    r_min, r_max = float(bounds[0]), float(bounds[1])
+    r_min, r_max = (float(b) for b in bounds) if len(bounds) == 2 else (math.nan, math.nan)
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or not 0.0 <= r_min < r_max:
         raise ValueError(f"bounds must satisfy 0 <= r_min < r_max, got {bounds!r}")
     if not delta_chi2 > 0.0:

@@ -1,10 +1,10 @@
-"""Split-operator propagation on the standing-wave potential.
+"""Propagation on the standing wave, exact in the order basis or by split-operator (Strang) steps.
 
 Scaled units throughout: position in 1/k_L (potential period pi), energy in
 recoil units, time tau in hbar over recoil energy.  A plane wave exp(i k x)
 then has kinetic energy k^2 and diffraction orders live at k = k0 + 2p.
 
-The propagator is the symmetric (Strang) splitting
+The stepped propagator is the symmetric (Strang) splitting
     exp(-i V dtau/2) . F^-1 exp(-i k^2 dtau) F . exp(-i V dtau/2),
 second order in dtau.  The physical sign convention exp(-i H t / hbar) is
 used; order probabilities are insensitive to conjugating the evolution.
@@ -104,7 +104,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class WaveState:
     """A state on grid, held as its spectrum np.fft.fft(psi): a read-only view of
     the array given, never a copy.  psi is derived once, on first use, and is
-    read-only too.  k0 is the carrier the orders are counted from."""
+    read-only too; norm is the spectrum's, by Parseval.  k0 is the carrier the
+    orders are counted from.  spectrum and k0 are keyword-only."""
 
     def __init__(self, grid: Grid1D, *, spectrum, k0: float = 0.0):
         spectrum = np.asarray(spectrum, dtype=complex)
@@ -127,7 +128,8 @@ class WaveState:
 
 def init_plane_wave(grid: Grid1D, order_offset: int = 0) -> WaveState:
     """Normalized plane wave sitting exactly on diffraction order order_offset: its
-    spectrum, one nonzero bin, exp(i k0 x) / sqrt(L) with no rounding of the phase."""
+    spectrum, one nonzero bin of exactly n_points / sqrt(L), is exp(i k0 x) / sqrt(L)
+    with no rounding of the phase."""
     if order_offset != int(order_offset):
         raise ValueError(f"order_offset must be an integer, got {order_offset!r}")
     if 2 * abs(int(order_offset)) >= grid.n_points / grid.n_periods:
@@ -333,10 +335,12 @@ def run(plan: RunPlan, snapshot_callback: SnapshotCallback | None = None) -> Wav
     The route (_exact or _stepped) returns its band's bins and their amplitudes,
     one array per snapshot step and one at the end, each written into a copy
     of the start's spectrum: the bins off the band, all unoccupied and so
-    together <= _EMPTY_SECTOR of the weight, are carried unchanged.  "stepped"
-    takes plan.n_steps Strang steps and warns (UserWarning) when the phase per
-    step max_potential * d_tau exceeds _STEP_PHASE_WARN; "thin" applies the
-    pulse area as one exact phase and "exact" takes no step, so neither warns.
+    together <= _EMPTY_SECTOR of the weight, are carried unchanged, so they
+    move no order probability by more than that, nor psi by more than its
+    square root in amplitude.  "stepped" takes plan.n_steps Strang steps and
+    warns (UserWarning) when the phase per step max_potential * d_tau exceeds
+    _STEP_PHASE_WARN; "thin" applies the pulse area as one exact phase and
+    "exact" takes no step, so neither warns.
     snapshot_callback(step, tau, state) runs every plan.snapshot_every steps
     (never if 0), at tau = step * d_tau on every route.  RuntimeError if the
     norm drifts by more than _NORM_FAIL."""
@@ -442,8 +446,11 @@ def _exact(plan: RunPlan, snapshots: range) -> tuple[np.ndarray, Iterator[np.nda
     u0 (a_c - i a_s)/4.  The gauge c_p = exp(-i p theta) b_p, theta =
     atan2(a_s, a_c), makes H real symmetric, so one eigh stacked over the chains
     gives the amplitudes at every time.  Each chain starts from its occupied
-    bins in units of its heaviest.  The band's bins and their amplitudes (run);
-    plan.d_tau only schedules the snapshots."""
+    bins in units of its heaviest.  An even plan evolves orders 0..reach in
+    the parity-even basis, its coupling between orders 0 and 1 sqrt(2) times
+    H[1, 0]: one block of (reach + 1)^2 entries instead of (2 reach + 1)^2,
+    equal to the whole band's evolution to 1e-13.  The band's bins and their
+    amplitudes (run); plan.d_tau only schedules the snapshots."""
     state, spec, d_tau, modes = plan.state, plan.spec, plan.d_tau, plan.modes
     if plan.even:  # orders 0..reach: e_0 = |0>, e_q = (|q> + |-q>) / sqrt 2
         modes = modes[:, modes.shape[1] // 2:]

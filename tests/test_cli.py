@@ -437,6 +437,27 @@ class TestObservationFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: bad order '1.5'")):
             read_observed_csv(str(path), 2.0)
 
+    def test_header_names_the_columns_in_order(self, tmp_path):
+        # a header of the same names in another order loaded sigmas as probabilities
+        path = tmp_path / "obs.csv"
+        rows = "0,0.5,0.01\n1,0.3,0.01\n2,0.1,0.01\n"
+        for header in ("order,sigma,probability", "order,probability,sigma,count", "p,P,s"):
+            path.write_text(f"{header}\n{rows}")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: line 1: header must read order,probability,sigma, got {header!r}")):
+                read_observed_csv(str(path), 2.0)
+        path.write_text(f" order , probability ,sigma,\n{rows}")   # spaces, an empty cell
+        assert read_observed_csv(str(path), 2.0).values == (0.5, 0.3, 0.1)
+
+    def test_a_fourth_cell_is_an_error(self, tmp_path):
+        # a fourth column was dropped without a word
+        path = tmp_path / "obs.csv"
+        path.write_text("order,probability,sigma\n0,0.5,0.01\n1,0.3,0.01,7\n2,0.1,0.01\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: more than three cells")):
+            read_observed_csv(str(path), 2.0)
+        path.write_text("0,0.5,0.01,\n1,0.3,0.01, \n2,0.1,0.01,,\n")   # empty cells past the third
+        assert read_observed_csv(str(path), 2.0).sigmas == (0.01, 0.01, 0.01)
+
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "obs.csv"
         rows = "0,0.5,0.01\n1,0.3,0.01\n2,0.1,0.01\n3,0.05,0.01\n"
@@ -1152,6 +1173,18 @@ def test_readme_names_every_config_key():
     assert set(_LEAVES) - named == set()
     assert set(_SYNTHETIC_LEAVES) - named == set()
     assert set(_ENTRY_LEAVES) - named == set()
+
+
+def test_readme_module_rows_are_the_docstrings_first_lines():
+    """Each module row of the README's "What is in the box" is its docstring's first line,
+    so the README states no API fact that a docstring states again."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What is in the box", 1)[1].split("\n#", 1)[0]
+    rows = dict(re.findall(r"^\| `(kdsim\.\w+)` \| (.*) \|$", section, re.MULTILINE))
+    assert set(rows) == {f"kdsim.{name}" for name in
+                         ("model", "bessel", "analytic", "tdse", "fit", "emit", "cli")}
+    for name, purpose in rows.items():
+        assert purpose == importlib.import_module(name).__doc__.splitlines()[0], name
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,4 +1,6 @@
+import builtins
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,7 +89,7 @@ class TestBatchedEvaluation:
     @given(data=st.data())
     def test_scalar_calls_equal_the_array_call_bit_for_bit(self, data):
         # 3 to 200 orders (an observation holds at least 3), |p| up to 150:
-        # past 128 terms both add each half on its own
+        # both add the terms left to right, however many there are
         n = data.draw(st.integers(fit_mod.MIN_ORDERS, 200), "n_orders")
         alpha = data.draw(st.floats(0.1, 120.0), "alpha")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31), "seed"))
@@ -120,27 +122,68 @@ class TestBatchedEvaluation:
     def test_joint_scan_equals_the_summed_scalar_calls(self, n_sets):
         # datasets with their own alpha and order cap: each scan value is the
         # scalar chi-squares summed, bit for bit
-        data = [synthesize_gaussian(1.3, 0.7, range(-2, 5), 3),
-                synthesize_counts(4.6, 0.7, range(0, 13), 4, shots=20000),
-                synthesize_gaussian(2.9, 0.7, (0, 1, 3, 6, 9), 5, rel_sigma=0.03)][:n_sets]
+        data = three_datasets()[:n_sets]
         fit = joint_fit(data, bounds=(0.1, 1.9), n_grid=233)
-        want = [sum(chi_square(obs, r) for obs in data) for r in fit.scan_r]
+        want = [fit_mod._total([chi_square(obs, r) for obs in data]) for r in fit.scan_r]
         assert list(fit.scan_chi2) == want
+
+    def test_refinement_objective_equals_the_scan_under_a_compensated_sum(self, monkeypatch):
+        # from Python 3.12 on, builtin sum() adds floats with Neumaier's
+        # compensation but arrays without it; the objective the refinement
+        # steps on must still give the scan's values at the grid points
+        original_sum, original_brent = builtins.sum, fit_mod._brent_minimum
+
+        def compensated_sum(items, start=0):
+            items = list(items)
+            if not (items and type(start) is int and all(type(x) is float for x in items)):
+                return original_sum(items, start)
+            total, c = float(start), 0.0
+            for x in items:
+                t = total + x
+                c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + c if c and math.isfinite(c) else total
+
+        objectives = []
+
+        def capturing(f, points, tol):
+            objectives.append(f)
+            return original_brent(f, points, tol)
+
+        data = three_datasets()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        monkeypatch.setattr(fit_mod, "_brent_minimum", capturing)
+        assert sum([0.1] * 10) != original_sum([0.1] * 10)   # the patch is in force
+        fit = joint_fit(data, bounds=(0.1, 1.9), n_grid=233)
+        objective, = objectives
+        assert [objective(r) for r in fit.scan_r] == list(fit.scan_chi2)
+
+
+def three_datasets():
+    """Three observations with their own alpha, noise and order cap."""
+    return [synthesize_gaussian(1.3, 0.7, range(-2, 5), 3),
+            synthesize_counts(4.6, 0.7, range(0, 13), 4, shots=20000),
+            synthesize_gaussian(2.9, 0.7, (0, 1, 3, 6, 9), 5, rel_sigma=0.03)]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_pairwise_sum_is_np_sum(data):
-    # the helper adds floats, and the rows of an (order, r) block column by
-    # column, in np.sum's order: under 8, up to 128 and over 128 terms
+def test_total_adds_a_float_list_and_array_rows_alike(data):
+    # one summation order for every chi-square total: the terms of each row
+    # as floats, and the rows stacked as one (term, row) block, both added
+    # left to right as a plain loop adds them
     n = data.draw(st.integers(1, 300), "n_terms")
     rows = data.draw(st.integers(1, 4), "n_rows")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31), "seed"))
     a = rng.random((rows, n)) * 10.0 ** rng.uniform(-10.0, 10.0, (rows, n))
-    want = np.sum(a, axis=-1)
-    assert np.array([fit_mod._pairwise_sum(row.tolist()) for row in a]).tobytes() \
-        == want.tobytes()
-    assert fit_mod._pairwise_sum(np.ascontiguousarray(a.T)).tobytes() == want.tobytes()
+    want = []
+    for row in a.tolist():
+        total = 0.0
+        for t in row:
+            total += t
+        want.append(total)
+    assert [fit_mod._total(row) for row in a.tolist()] == want
+    assert fit_mod._total(np.ascontiguousarray(a.T)).tobytes() == np.array(want).tobytes()
 
 
 def scalar_chi_square_calls(monkeypatch):
@@ -350,6 +393,12 @@ class TestJointFit:
             joint_fit([obs], delta_chi2=0.0)
         with pytest.raises(ValueError, match="delta_chi2"):  # a NaN rise gave an interval
             joint_fit([obs], delta_chi2=math.nan)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1.5, 99.0), (1.5,), ()])
+    def test_bounds_need_exactly_two_entries(self, bounds):
+        # a third entry was ignored: the fit scanned 0 to 1.5 and returned
+        with pytest.raises(ValueError, match=re.escape("bounds must satisfy 0 <= r_min < r_max")):
+            joint_fit([exact_observation(2.0, 0.8)], bounds=bounds)
 
 
 class TestMomentRegion:
