@@ -466,8 +466,10 @@ def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
         try:
             float(rows[0][1][0])
         except (IndexError, ValueError):  # no rows, or a header: its order cell is not a number
-            for line, header in rows[:1]:
-                if [c.strip() for c in header if c.strip()] != [name for name, _ in _OBS_COLUMNS]:
+            if rows:   # empty cells past the third are allowed, as in a data row
+                line, header = rows[0]
+                if ([c.strip() for c in header[:3]] != [name for name, _ in _OBS_COLUMNS]
+                        or any(c.strip() for c in header[3:])):
                     raise ValueError(f"line {line}: header must read order,probability,sigma, "
                                      f"got {','.join(header)!r}") from None
             rows = rows[1:]

@@ -255,9 +255,9 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
     def objective(r):   # a float, or an array over an array of r
         return _total([chi_square(obs, r) for obs in datasets])
 
-    r_min, r_max = (float(b) for b in bounds) if len(bounds) == 2 else (math.nan, math.nan)
-    if not (math.isfinite(r_min) and math.isfinite(r_max)) or not 0.0 <= r_min < r_max:
+    if len(bounds) != 2 or not all(map(math.isfinite, bounds)) or not 0.0 <= bounds[0] < bounds[1]:
         raise ValueError(f"bounds must satisfy 0 <= r_min < r_max, got {bounds!r}")
+    r_min, r_max = map(float, bounds)
     if not delta_chi2 > 0.0:
         raise ValueError(f"delta_chi2 must be > 0, got {delta_chi2!r}")
     if n_grid < MIN_GRID:

@@ -441,7 +441,8 @@ class TestObservationFiles:
         # a header of the same names in another order loaded sigmas as probabilities
         path = tmp_path / "obs.csv"
         rows = "0,0.5,0.01\n1,0.3,0.01\n2,0.1,0.01\n"
-        for header in ("order,sigma,probability", "order,probability,sigma,count", "p,P,s"):
+        for header in ("order,sigma,probability", "order,probability,sigma,count", "p,P,s",
+                       ",order,probability,sigma", "order,,probability,sigma"):
             path.write_text(f"{header}\n{rows}")
             with pytest.raises(ValueError, match=re.escape(
                     f"{path}: line 1: header must read order,probability,sigma, got {header!r}")):
