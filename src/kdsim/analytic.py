@@ -11,8 +11,7 @@ into one harmonic of effective amplitude r_eff = hypot(a_c, a_s)
   and the scan all take their probabilities from it (the fit's refinement
   from ``_model_values``, the same squares at one r_eff on Python floats).
   Its Bessel rows come from ``bessel_values`` at one r_eff, squared as a
-  numpy array (which is the removed ``bessel_row``'s row, bit for bit),
-  and from ``bessel_rows`` at many;
+  numpy array, and from ``bessel_rows`` at many;
 * ``grating_oracle`` -- brute-force FFT of the sampled phase mask, kept
   deliberately independent of the Bessel code path.
 
@@ -26,7 +25,9 @@ leans on exactly that degeneracy.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +42,22 @@ _TAIL_WARN = 1e-8
 class DiffractionPattern:
     """Probabilities per diffraction order with generation metadata.
 
-    probabilities maps order p (momentum transfer 2p in units of k_L) to
-    P_p.  tail_mass is the probability estimated to lie beyond the cutoff;
-    cutoff_warning trips when it exceeds 1e-8.
+    probabilities maps order p (momentum transfer 2p in units of k_L) to P_p.
+    tail_mass, the probability estimated to lie beyond the cutoff, is 1 minus
+    total(), their sum left to right; cutoff_warning trips when it exceeds 1e-8.
     """
 
     probabilities: dict[int, float]
     generator: str
     alpha: float | None = None
-    tail_mass: float = 0.0
-    cutoff_warning: bool = False
+
+    @functools.cached_property
+    def tail_mass(self) -> float:
+        return 1.0 - self.total()
+
+    @functools.cached_property
+    def cutoff_warning(self) -> bool:
+        return self.tail_mass > _TAIL_WARN
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -64,7 +71,16 @@ class DiffractionPattern:
         return self.probabilities.get(p, 0.0)
 
     def total(self) -> float:
-        return float(sum(self.probabilities.values()))
+        return _total(self.probabilities.values())
+
+
+def _total(terms):
+    """Sum of floats, or of equal-length arrays term by term, left to right from 0.0.
+
+    The terms are >= +0.0, so the start changes no total.  Unlike builtin sum(),
+    which compensates float sums from Python 3.12 on, it adds alike on every Python.
+    """
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 def default_order_cutoff(alpha: float, r_eff: float = 1.0) -> int:
@@ -81,10 +97,7 @@ def default_order_cutoff(alpha: float, r_eff: float = 1.0) -> int:
 
 def _pattern(orders, probs, generator, alpha) -> DiffractionPattern:
     table = dict(zip(np.asarray(orders).tolist(), np.asarray(probs, dtype=float).tolist()))
-    tail = 1.0 - sum(table.values())
-    return DiffractionPattern(
-        probabilities=table, generator=generator, alpha=alpha,
-        tail_mass=tail, cutoff_warning=tail > _TAIL_WARN)
+    return DiffractionPattern(table, generator, alpha)
 
 
 def _resolve_cutoff(alpha: float, r_eff: float, order_cutoff: int | None) -> int:

@@ -13,20 +13,19 @@ chi-square minimum; each interval end within 1e-12 * max(1, |r|) of its
 crossing.  Each refinement step is one chi_square call per dataset at one r,
 on Python floats; the scan is one call per dataset on a numpy array of r.
 Every chi-square total, over a dataset's orders and over the datasets of a
-joint fit, is added left to right from 0.0 by one helper (_total), on floats
-and on arrays alike, so the scan equals the summed single calls by
-construction, whatever builtin sum() does.
+joint fit, is added left to right from 0.0 by analytic._total, on floats and
+on arrays alike, so the scan equals the summed single calls by construction,
+whatever builtin sum() does.
 """
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _model_at, _model_values, default_order_cutoff, model_probabilities
+from .analytic import _model_at, _model_values, _total, default_order_cutoff, model_probabilities
 from .model import _require_finite
 
 SIGMA_FLOOR = 1e-4
@@ -76,14 +75,6 @@ class ObservedPattern:
         """|order| per entry and the largest |order|, built once for chi_square."""
         index = [abs(p) for p in self.orders]
         return index, max(index)
-
-
-def _total(terms):
-    """Sum of floats, or of equal-length arrays term by term, left to right from 0.0.
-
-    Chi-square terms are >= +0.0, so the 0.0 start changes no total.
-    """
-    return functools.reduce(operator.add, terms, 0.0)
 
 
 def chi_square(observed: ObservedPattern, r_eff):
@@ -319,9 +310,9 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
         dof=dof,
         ci=(float(min(ci_lo, r_hat)), float(max(ci_hi, r_hat))),
         delta_chi2=float(delta_chi2),
-        scan_r=tuple(float(r) for r in rs),
-        scan_chi2=tuple(float(c) for c in chis),
-        local_minima=tuple((float(rs[i]), float(chis[i])) for i in minima),
+        scan_r=tuple(rs.tolist()),
+        scan_chi2=tuple(chis.tolist()),
+        local_minima=tuple(zip(rs[minima].tolist(), chis[minima].tolist())),
         at_bound=at_bound,
         ci_at_bounds=(ci_lo_bound, ci_hi_bound),
         misfit=misfit,
@@ -405,8 +396,7 @@ def synthesize_gaussian(alpha: float, r_eff: float, orders, rng,
     model = model_probabilities(alpha, r_eff, orders)
     sig = np.maximum(rel_sigma * model, SIGMA_FLOOR)
     values = np.clip(model + gen.normal(size=len(orders)) * sig, 0.0, 1.0)
-    return ObservedPattern(orders=orders, values=tuple(values),
-                           sigmas=tuple(sig), alpha=alpha)
+    return ObservedPattern(orders=orders, values=values, sigmas=sig, alpha=alpha)
 
 
 def synthesize_counts(alpha: float, r_eff: float, orders, rng,
@@ -424,10 +414,8 @@ def synthesize_counts(alpha: float, r_eff: float, orders, rng,
     cut = default_order_cutoff(alpha, r_eff)
     full = np.arange(-cut, cut + 1)
     probs = model_probabilities(alpha, r_eff, full)
-    rest = max(0.0, 1.0 - probs.sum())
-    pvec = np.append(probs, rest)
+    pvec = np.append(probs, max(0.0, 1.0 - _total(probs.tolist())))  # the tail beyond the cut
     counts = gen.multinomial(shots, pvec / pvec.sum())
     est = np.array([counts[p + cut] / shots if abs(p) <= cut else 0.0 for p in orders])
     sig = np.maximum(np.sqrt(np.clip(est * (1.0 - est), 0.0, None) / shots), SIGMA_FLOOR)
-    return ObservedPattern(orders=orders, values=tuple(np.clip(est, 0.0, 1.0)),
-                           sigmas=tuple(sig), alpha=alpha)
+    return ObservedPattern(orders=orders, values=np.clip(est, 0.0, 1.0), sigmas=sig, alpha=alpha)

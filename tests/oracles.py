@@ -22,9 +22,13 @@ read its state, spec, setup and step schedule.
 bessel_j, pattern_distance, pointlike_pattern and the double Bessel sum over
 the two quadratures (distribution_pattern), once exported by the package, are
 used only by tests.
+compensated_sum adds floats as builtin sum() does from CPython 3.12 on, with
+Neumaier's compensation; patched in for builtins.sum on any interpreter, it
+shows whether a result depends on how sum() adds floats.
 """
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import math
 import warnings
@@ -72,6 +76,26 @@ def pattern_distance(first: DiffractionPattern, second: DiffractionPattern) -> t
 def pointlike_pattern(alpha: float, order_cutoff: int | None = None) -> DiffractionPattern:
     """Pattern of a structureless charge: P_n = J_n(alpha)^2."""
     return closed_form_pattern(alpha, MomentSet(), order_cutoff)
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(items, start=0):
+    """sum() as CPython >= 3.12 adds floats: Neumaier's compensated sum (ZAMM 54, 39 (1974)).
+
+    Items that are not all floats, or a start that is not an int, go to the
+    interpreter's own builtin sum().
+    """
+    items = list(items)
+    if not (items and type(start) is int and all(type(x) is float for x in items)):
+        return _BUILTIN_SUM(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
 
 
 def _signed_orders(row_values: np.ndarray, p_max: int) -> np.ndarray:

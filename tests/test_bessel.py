@@ -124,6 +124,8 @@ def test_rejects_bad_inputs():
     for bad in ((-1, 2.0), (4, math.inf), (4, math.nan)):
         with pytest.raises(ValueError):
             bessel_values(*bad)
+    with pytest.raises(ValueError, match=r"must be a 1-D sequence, got shape \(2, 2\)"):
+        bessel_rows(4, [[1.0, 2.0], [3.0, 4.0]])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

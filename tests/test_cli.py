@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import dataclasses
 import importlib
 import json
@@ -27,8 +28,8 @@ from kdsim.fit import (
 from kdsim.model import MomentSet
 
 from oracles import (
-    distribution_pattern, pointlike_pattern, propagate_cell_eigh, propagate_full_box,
-    stepped_sectors,
+    compensated_sum, distribution_pattern, pointlike_pattern, propagate_cell_eigh,
+    propagate_full_box, stepped_sectors,
 )
 
 J0_2_SQ = 0.050127080984469568505
@@ -94,6 +95,30 @@ class TestParseConfig:
         for key, value in (("n_points", "NaN"), ("order_cutoff", "-Infinity")):
             with pytest.raises(ConfigError, match=f"'{key}': expected an integer"):
                 parse_config(f'{{"mode": "tdse", "u0": 100, "tau": 0.01, "{key}": {value}}}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"alpha": [1]}, "config key 'alpha': expected a number, got list"),
+        ({"alpha": 1, "n_points": "ten"}, "config key 'n_points': cannot parse 'ten' as an integer"),
+        ({"alpha": 1, "out": 5}, "config key 'out': expected a string, got int"),
+        ({"field_V_per_m": 1e10}, "config key 'wavelength_m': required with laboratory inputs"),
+        ({"seed": 1}, "config key 'alpha': either dimensionless (u0/tau/alpha) or laboratory"),
+    ])
+    def test_rejections_name_the_key(self, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(json.dumps({"mode": "validate", **doc}))
+
+    def test_whole_float_read_as_an_integer(self):
+        n_points = parse_config('{"mode": "tdse", "u0": 100, "tau": 0.01, "n_points": 1024.0}'
+                                ).grid.n_points
+        assert n_points == 1024 and type(n_points) is int
+
+    def test_unreadable_constants_file_named(self, tmp_path):
+        bad = tmp_path / "constants.json"
+        bad.write_text("{not json")
+        for path in (bad, tmp_path / "missing.json"):
+            with pytest.raises(ConfigError, match=re.escape(f"config key 'constants': cannot read "
+                                                           f"{str(path)!r}: ")):
+                parse_config(json.dumps({"mode": "validate", "alpha": 1, "constants": str(path)}))
 
     def test_physical_and_dimensionless_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
@@ -1021,6 +1046,30 @@ class TestDeterminism:
         assert json.loads(runs[0][1])["payload"]["generator"] == "tdse_exact"
         assert len(runs[0][3]) == 2 * (parse_config(json.dumps(doc)).plan.n_steps // 16) > 0
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("doc", [
+        {"mode": "analytic", "alpha": 2.0, "d_tilde": 0.3, "q_tilde": 0.1},
+        {"mode": "analytic", "alpha": 2.0, "d_tilde": 0.3, "q_tilde": 0.1, "format": "csv"},
+        {"mode": "tdse", "u0": 100.0, "alpha": 2.0, "d_tilde": 0.3, "q_tilde": 0.1},
+        {"mode": "tdse", "u0": 100.0, "alpha": 2.0, "d_tilde": 0.3, "q_tilde": 0.1,
+         "envelope": "sin2_ramp"},
+        {"mode": "fit", "alpha": 4.6, "seed": 4,
+         "synthetic": {"r_eff": 0.7, "noise": "counts", "orders": list(range(13))}},
+        {"mode": "scan", "alpha": 2.0, "d_range": [0, 0.4, 5], "q_range": [0, 0.4, 5]},
+        {"mode": "validate", "wavelength_m": 1e-10, "field_V_per_m": 1e10, "time_s": 1e-15},
+    ], ids=["analytic", "analytic-csv", "tdse-exact", "tdse-stepped", "fit", "scan", "validate"])
+    def test_outputs_do_not_depend_on_how_sum_adds_floats(self, tmp_path, capsys, monkeypatch,
+                                                          doc):
+        # builtin sum() compensates float sums from CPython 3.12 on; kdsim adds
+        # none of its floats through it, so every interpreter writes the same bytes
+        plain = run_main(tmp_path, doc, capsys)
+        assert plain[0] == 0
+        if doc["mode"] == "tdse":   # the exact route, and the stepped one under a ramp
+            generator = json.loads(plain[1])["payload"]["generator"]
+            assert generator == ("tdse" if "envelope" in doc else "tdse_exact")
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert sum([0.1] * 10) == 1.0   # compensated, on every interpreter
+        assert run_main(tmp_path, doc, capsys) == plain
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         doc = {"mode": "analytic", "alpha": 2.0}

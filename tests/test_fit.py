@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdsim.analytic import closed_form_pattern, model_probabilities
+from kdsim.analytic import _total, closed_form_pattern, model_probabilities
 from kdsim.fit import (
     FitResult, MomentRegion, ObservedPattern, band_radius, chi_square, joint_fit,
     moment_region, synthesize_counts, synthesize_gaussian,
@@ -15,8 +15,8 @@ import kdsim.fit as fit_mod
 from kdsim.model import MomentSet, build_potential
 
 from oracles import (
-    circle_samples_loop, distribution_pattern, local_minima_loop, max_band_radius_bruteforce,
-    scan_fit_golden_bisect,
+    circle_samples_loop, compensated_sum, distribution_pattern, local_minima_loop,
+    max_band_radius_bruteforce, scan_fit_golden_bisect,
 )
 
 
@@ -124,26 +124,14 @@ class TestBatchedEvaluation:
         # scalar chi-squares summed, bit for bit
         data = three_datasets()[:n_sets]
         fit = joint_fit(data, bounds=(0.1, 1.9), n_grid=233)
-        want = [fit_mod._total([chi_square(obs, r) for obs in data]) for r in fit.scan_r]
+        want = [_total([chi_square(obs, r) for obs in data]) for r in fit.scan_r]
         assert list(fit.scan_chi2) == want
 
     def test_refinement_objective_equals_the_scan_under_a_compensated_sum(self, monkeypatch):
         # from Python 3.12 on, builtin sum() adds floats with Neumaier's
         # compensation but arrays without it; the objective the refinement
         # steps on must still give the scan's values at the grid points
-        original_sum, original_brent = builtins.sum, fit_mod._brent_minimum
-
-        def compensated_sum(items, start=0):
-            items = list(items)
-            if not (items and type(start) is int and all(type(x) is float for x in items)):
-                return original_sum(items, start)
-            total, c = float(start), 0.0
-            for x in items:
-                t = total + x
-                c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-                total = t
-            return total + c if c and math.isfinite(c) else total
-
+        original_brent = fit_mod._brent_minimum
         objectives = []
 
         def capturing(f, points, tol):
@@ -175,8 +163,8 @@ def test_total_adds_a_float_list_and_array_rows_alike(data):
     rows = data.draw(st.integers(1, 4), "n_rows")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31), "seed"))
     a = rng.random((rows, n)) * 10.0 ** rng.uniform(-10.0, 10.0, (rows, n))
-    want = [fit_mod._total(row) for row in a.tolist()]
-    assert fit_mod._total(np.ascontiguousarray(a.T)).tobytes() == np.array(want).tobytes()
+    want = [_total(row) for row in a.tolist()]
+    assert _total(np.ascontiguousarray(a.T)).tobytes() == np.array(want).tobytes()
 
 
 def scalar_chi_square_calls(monkeypatch):
@@ -261,6 +249,27 @@ class TestRefinement:
         assert len(seen) <= 20
         for end in fit.ci:
             assert chi_square(obs, end) == pytest.approx(fit.chi2_min + 1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("g, out, inn, root", [
+        (lambda r: math.tanh((r - 0.6180339887) / 1e-3), 2.0, 0.0, 0.6180339887),
+        (lambda r: math.tanh((0.3 - r) / 1e-3), 0.0, 1.0, 0.3),   # crossing downwards
+        (lambda r: (r - 0.7) ** 3, 2.0, 0.0, 0.7),
+        (lambda r: -1.0 if r <= 0.7 else 1.0, 2.0, 0.0, 0.7),
+    ], ids=["tanh-step", "tanh-step-down", "cubic", "sign"])
+    @pytest.mark.parametrize("seed", [math.nan, 1.0])
+    def test_root_search_bisects_where_interpolation_fails(self, g, out, inn, root, seed):
+        # steep or flat crossings reject the inverse interpolation and the
+        # secant: both bisection fallbacks still end within the stopping width
+        r = fit_mod._brent_root(g, out, g(out), inn, g(inn), seed)
+        assert abs(r - root) <= 1e-12 * max(1.0, abs(r))
+
+    def test_curvature_of_coincident_points_is_nan(self):
+        parabola = [(r, 3.0 * r * r) for r in (0.5, 0.25, 1.0)]
+        assert fit_mod._curvature(parabola) == pytest.approx(6.0, rel=1e-14)
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            points = list(parabola)
+            points[j] = (points[i][0], points[j][1])
+            assert math.isnan(fit_mod._curvature(points))
 
 
 class TestDegeneracy:

@@ -153,6 +153,11 @@ class TestWaveState:
         with pytest.raises(ValueError, match="spectrum has shape"):
             WaveState(grid, spectrum=np.ones(512))
 
+    def test_plane_wave_offset_must_be_an_integer(self):
+        assert init_plane_wave(Grid1D(), 2.0).k0 == init_plane_wave(Grid1D(), 2).k0
+        with pytest.raises(ValueError, match=r"order_offset must be an integer, got 1\.5"):
+            init_plane_wave(Grid1D(), 1.5)
+
     @pytest.mark.parametrize("n_points, n_periods", [(1024, 8), (16384, 8), (512, 3)])
     def test_plane_wave_is_one_exact_bin(self, n_points, n_periods):
         grid = Grid1D(n_points, n_periods)
