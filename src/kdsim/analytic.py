@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_rows, bessel_values
-from .model import MomentSet, PotentialSpec, _require_finite, build_potential
+from .model import MomentSet, PotentialSpec, _require_finite, _require_integral, build_potential
 
 _TAIL_WARN = 1e-8
 
@@ -103,7 +103,7 @@ def _pattern(orders, probs, generator, alpha) -> DiffractionPattern:
 def _resolve_cutoff(alpha: float, r_eff: float, order_cutoff: int | None) -> int:
     if order_cutoff is None:
         return default_order_cutoff(alpha, r_eff)
-    cut = int(order_cutoff)
+    cut = int(_require_integral("order_cutoff", order_cutoff))
     if cut < 0:
         raise ValueError(f"order_cutoff must be >= 0, got {cut}")
     return cut
@@ -131,7 +131,7 @@ def model_probabilities(alpha: float, r_eff, orders) -> np.ndarray:
     one row per entry, from a single batched Bessel pass, bit-identical to
     the scalar calls.
     """
-    index = np.abs(np.asarray(orders, dtype=int))
+    index = np.abs(_require_integral("orders", orders))
     return _model_at(alpha, r_eff, index, int(np.max(index)) if index.size else 0)
 
 

@@ -46,14 +46,14 @@ class ConfigError(ValueError):
     """Config rejection; the message names the failing key."""
 
 
-def _cast_float(key, v, finite: bool = True) -> float:
+def _cast_float(key, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ConfigError(f"config key '{key}': expected a number, got {type(v).__name__}")
     try:
         x = float(v)
     except (ValueError, OverflowError):
         raise ConfigError(f"config key '{key}': cannot parse {v!r} as a number") from None
-    if finite and not math.isfinite(x):
+    if not math.isfinite(x):
         raise ConfigError(f"config key '{key}': must be finite, got {x!r}")
     return x
 
@@ -99,8 +99,6 @@ def _cast_list(cast_item, noun: str, nonempty: bool = False):
 
 
 _cast_float_list = _cast_list(_cast_float, "numbers")
-# a scan range [lo, hi, n] that is not finite is named whole by parse_config
-_cast_range = _cast_list(lambda key, v: _cast_float(key, v, finite=False), "numbers")
 
 
 def _default(func, name: str):
@@ -200,8 +198,8 @@ _LEAVES = {
     "region_samples": _Leaf(_cast_int, _default(fit_mod.moment_region, "n_samples"),
                             low=fit_mod.MIN_REGION_SAMPLES),
     "region_out": _Leaf(_cast_str),
-    "d_range": _Leaf(_cast_range),
-    "q_range": _Leaf(_cast_range),
+    "d_range": _Leaf(_cast_float_list),
+    "q_range": _Leaf(_cast_float_list),
     "order_cutoff": _Leaf(_cast_int, low=0),
     "out": _Leaf(_cast_str),
     "format": _Leaf(_cast_str, "json", choices=("csv", "json", "svg")),
@@ -385,9 +383,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             rng = val[key]
             if rng is None or len(rng) != 3:
                 raise ConfigError(f"config key '{key}': expected [lo, hi, n]")
-            if not math.isfinite(rng[2]) or int(rng[2]) != rng[2] or rng[2] < 1:
+            if int(rng[2]) != rng[2] or rng[2] < 1:
                 raise ConfigError(f"config key '{key}': n must be a positive integer")
-            if not -math.inf < rng[0] <= rng[1] < math.inf:
+            if not rng[0] <= rng[1]:
                 raise ConfigError(f"config key '{key}': lo must be <= hi, both finite")
 
     echo = {k: val[k] for k in merged if k not in _PHYSICAL_KEYS}
@@ -458,7 +456,8 @@ _OBS_COLUMNS = (("order", int), ("probability", float), ("sigma", float))
 
 def read_observed_csv(path: str, alpha: float) -> fit_mod.ObservedPattern:
     """Load an observation from CSV columns order, probability, sigma (after an optional
-    header row naming them); each error names the file, and a bad cell or row its line."""
+    header row naming them), dropping a byte-order mark; a non-empty cell past the third
+    is an error.  Each error names the file, and a bad cell or row its line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: drop a byte-order mark
             rows = [(i, row) for i, row in enumerate(_csvmod.reader(fh), 1)

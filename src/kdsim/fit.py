@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _model_at, _model_values, _total, default_order_cutoff, model_probabilities
-from .model import _require_finite
+from .model import _require_finite, _require_integral
 
 SIGMA_FLOOR = 1e-4
 MIN_ORDERS = 3          # distinct orders in an observation
@@ -49,7 +49,7 @@ class ObservedPattern:
     alpha: float
 
     def __post_init__(self):
-        orders = tuple(int(p) for p in self.orders)
+        orders = tuple(_require_integral("orders", self.orders).tolist())
         values = tuple(float(v) for v in self.values)
         sigmas = tuple(float(s) for s in self.sigmas)
         if not (len(orders) == len(values) == len(sigmas)):
@@ -392,7 +392,7 @@ def synthesize_gaussian(alpha: float, r_eff: float, orders, rng,
     SIGMA_FLOOR; draws are clipped back into [0, 1].
     """
     gen = _as_rng(rng)
-    orders = tuple(int(p) for p in orders)
+    orders = tuple(_require_integral("orders", orders).tolist())
     model = model_probabilities(alpha, r_eff, orders)
     sig = np.maximum(rel_sigma * model, SIGMA_FLOOR)
     values = np.clip(model + gen.normal(size=len(orders)) * sig, 0.0, 1.0)
@@ -410,7 +410,7 @@ def synthesize_counts(alpha: float, r_eff: float, orders, rng,
     gen = _as_rng(rng)
     if shots < MIN_SHOTS:
         raise ValueError(f"shots must be >= {MIN_SHOTS}, got {shots}")
-    orders = tuple(int(p) for p in orders)
+    orders = tuple(_require_integral("orders", orders).tolist())
     cut = default_order_cutoff(alpha, r_eff)
     full = np.arange(-cut, cut + 1)
     probs = model_probabilities(alpha, r_eff, full)

@@ -36,6 +36,17 @@ def _require_finite(name: str, value: float, nonneg: bool = False, positive: boo
     return value
 
 
+def _require_integral(name: str, value) -> np.ndarray:
+    """value (a number or an array-like) as an integer array; each float in it must be
+    integral.  An integer-dtype array passes as it is, without a per-element check."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "iu":
+        return arr
+    if arr.dtype.kind != "f" or not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        raise ValueError(f"{name} must be integral, got {value!r}")
+    return arr.astype(int)
+
+
 @dataclass(frozen=True)
 class ElectronConstants:
     """Particle constants used for scale conversion, overridable in bulk."""

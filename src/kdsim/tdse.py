@@ -41,7 +41,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analytic import DiffractionPattern, _pattern
-from .model import DimensionlessSetup, PotentialSpec, evaluate_potential
+from .model import DimensionlessSetup, PotentialSpec, _require_integral, evaluate_potential
 
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
@@ -519,7 +519,8 @@ def order_probabilities(state: WaveState, max_order: int | None = None) -> Diffr
         raise ValueError("state has zero norm")
 
     n, h = grid.n_points, grid.n_periods
-    max_order = n // (2 * h) - 1 if max_order is None else int(max_order)
+    max_order = (n // (2 * h) - 1 if max_order is None
+                 else int(_require_integral("max_order", max_order)))
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
 

@@ -93,6 +93,19 @@ class TestOneModel:
         with mp.workdps(40):
             assert p28 == pytest.approx(float(mp.besselj(28, alpha * r_eff) ** 2), rel=1e-14)
 
+    @pytest.mark.parametrize("orders", [[0, 1.5, 2.7], [0, 1, math.inf], np.array([0.0, 0.5])])
+    def test_model_refuses_fractional_orders(self, orders):
+        with pytest.raises(ValueError, match="orders must be integral"):
+            model_probabilities(1.0, 1.0, orders)
+        assert model_probabilities(1.0, 1.0, [0, 1.0, np.int64(2)]).tolist() == (
+            model_probabilities(1.0, 1.0, [0, 1, 2]).tolist())
+
+    @pytest.mark.parametrize("cutoff", [2.9, math.nan, math.inf])
+    def test_closed_form_refuses_a_fractional_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="order_cutoff must be integral"):
+            closed_form_pattern(1.0, MomentSet(), order_cutoff=cutoff)
+        assert closed_form_pattern(1.0, MomentSet(), order_cutoff=2.0).orders == tuple(range(-2, 3))
+
 
 class TestDistribution:
     def test_matches_closed_form_on_grid(self):

@@ -1,11 +1,15 @@
 import argparse
+import ast
 import builtins
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,8 +22,8 @@ import kdsim
 from kdsim import analytic, tdse
 from kdsim.analytic import model_probabilities
 from kdsim.cli import (
-    _ENTRY_LEAVES, _LEAVES, _PARSER, _SYNTHETIC_LEAVES, MODES, ConfigError, _fit_payload,
-    _flag_name, main, parse_config, read_observed_csv, run,
+    _LEAVES, _PARSER, _REQUIRED, MODES, ConfigError, _fit_payload, _flag_name, main,
+    parse_config, read_observed_csv, run,
 )
 from kdsim.emit import float_text, structured_text
 from kdsim.fit import (
@@ -204,11 +208,11 @@ class TestParseConfig:
             parse_config(json.dumps({**base, "d_range": [0, 1, 2.5]}))
         with pytest.raises(ConfigError, match="lo must be"):
             parse_config(json.dumps({**base, "d_range": [1, 0, 5]}))
-        for bad in ([0, math.inf, 5], [math.nan, 1, 5]):
-            with pytest.raises(ConfigError, match="'d_range'"):
+        for bad, at in (([0, math.inf, 5], 1), ([math.nan, 1, 5], 0)):
+            with pytest.raises(ConfigError, match=rf"'d_range\[{at}\]': must be finite"):
                 parse_config(json.dumps({**base, "d_range": bad}))
         for bad in ([0, 1, math.inf], [0, 1, math.nan]):
-            with pytest.raises(ConfigError, match="'q_range': n must be a positive integer"):
+            with pytest.raises(ConfigError, match=r"'q_range\[2\]': must be finite"):
                 parse_config(json.dumps({**base, "d_range": [0, 1, 5], "q_range": bad}))
 
     def test_bounds_and_format_checked(self):
@@ -1215,14 +1219,87 @@ class TestConstantsOverride:
         assert "unknown entries" in json.loads(err)["message"]
 
 
-def test_readme_names_every_config_key():
-    """The README's config-key paragraph names every leaf, synthetic and dataset entry."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
-    named = set(re.findall(r"`([A-Za-z_0-9]+)`", section))
-    assert set(_LEAVES) - named == set()
-    assert set(_SYNTHETIC_LEAVES) - named == set()
-    assert set(_ENTRY_LEAVES) - named == set()
+README = Path(__file__).resolve().parent.parent / "README.md"
+_TYPE_NAMES = {"_cast_float": "number", "_cast_int": "integer", "_cast_bool": "true/false",
+               "_cast_str": "string"}
+
+
+def key_table_rows(leaves, prefix=""):
+    """Cells key, type, default and allowed values or least value of each leaf's row.
+
+    The entries of an object leaf follow it, named by dotted path, with [i] for
+    the items of a list of objects.
+    """
+    for key, leaf in leaves.items():
+        scope = inspect.getclosurevars(leaf.cast).nonlocals  # a _cast_list or _cast_object's
+        kind = (f"{'nonempty ' * scope['nonempty']}list of {scope['noun']}" if "noun" in scope
+                else _TYPE_NAMES.get(leaf.cast.__name__, "object"))
+        default = ("required" if leaf.default is _REQUIRED
+                   else "" if leaf.default is None else f"`{json.dumps(leaf.default)}`")
+        limit = (", ".join(f"`{c}`" for c in leaf.choices) if leaf.choices is not None
+                 else "" if leaf.low is None else f">= {leaf.low}")
+        yield f"`{prefix}{key}`", kind, default, limit
+        if "leaves" in scope:
+            yield from key_table_rows(scope["leaves"], f"{prefix}{key}.")
+        elif "cast_item" in scope:
+            items = inspect.getclosurevars(scope["cast_item"]).nonlocals
+            if "leaves" in items:
+                yield from key_table_rows(items["leaves"], f"{prefix}{key}[i].")
+
+
+def test_readme_key_table_is_rendered_from_the_leaf_tables():
+    """The README's key table has one row per leaf, nested ones included, in table order;
+    its first four columns are those key_table_rows renders, the fifth is free text."""
+    section = README.read_text(encoding="utf-8").split("### Config keys", 1)[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `.*\|$", section, re.MULTILINE)
+    got = [tuple(cell.strip() for cell in row.strip("|").split("|"))[:4] for row in rows]
+    want = list(key_table_rows(_LEAVES))
+    assert got == want, "expected, with a meaning column added:\n" + "\n".join(
+        f"| {' | '.join(cells)} |" for cells in want)
+
+
+def test_readme_constant_names_resolve():
+    """Each backticked `module.NAME` of a kdsim module in the README names one of its
+    attributes: the README names a constant instead of restating its value."""
+    modules = {info.name for info in pkgutil.iter_modules(kdsim.__path__)}
+    named = [(module, name) for module, name in
+             re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+             if module in modules]
+    assert named
+    missing = [f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"kdsim.{module}"), name)]
+    assert not missing, f"not found: {missing}"
+
+
+def test_readme_cited_tests_exist():
+    """Each `tests/<file>::[<class>::]<test>` the README cites is a test function of that
+    file, in that class where one is given."""
+    cited = re.findall(r"`tests/(\w+\.py)::([\w:]+)`", README.read_text(encoding="utf-8"))
+    assert cited
+    missing = []
+    for file, path in cited:
+        *classes, name = path.split("::")
+        body = ast.parse((Path(__file__).parent / file).read_text(encoding="utf-8")).body
+        for cls in classes:
+            body = next((node.body for node in body
+                         if isinstance(node, ast.ClassDef) and node.name == cls), [])
+        if not any(isinstance(node, ast.FunctionDef) and node.name == name for node in body):
+            missing.append(f"tests/{file}::{path}")
+    assert not missing, f"not found: {missing}"
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
+    """Each kdsim line of the README's command-line examples exits 0 through main with
+    nothing on stderr; the README's fit config block is the fit.json they read."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    examples = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "fit.json").write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in examples.splitlines() if line.startswith("kdsim ")]
+    assert lines
+    for line in lines:
+        code = main(shlex.split(line)[1:])
+        assert (code, capsys.readouterr().err) == (0, ""), line
 
 
 def test_readme_module_rows_are_the_docstrings_first_lines():

@@ -48,6 +48,13 @@ class TestObservedPattern:
         with pytest.raises(ValueError):
             ObservedPattern((0, 1, 2), (0.1,) * 3, (0.01,) * 3, -1.0)
 
+    @pytest.mark.parametrize("orders", [(0, 1.5, 2), (0, 1, 2.7), (0, 1, math.nan)])
+    def test_fractional_orders_refused(self, orders):
+        with pytest.raises(ValueError, match="orders must be integral"):
+            ObservedPattern(orders, (0.1,) * 3, (0.01,) * 3, 1.0)
+        assert ObservedPattern((0, 1.0, np.int64(2)), (0.1,) * 3, (0.01,) * 3, 1.0).orders == (
+            0, 1, 2)
+
     def test_chi_square_zero_at_truth(self):
         obs = exact_observation(2.0, 0.8)
         assert chi_square(obs, 0.8) == 0.0
@@ -471,6 +478,13 @@ class TestSynthesis:
     def test_rng_required(self):
         with pytest.raises(ValueError, match="seed"):
             synthesize_gaussian(2.0, 0.8, (0, 1, 2), None)
+
+    @pytest.mark.parametrize("synthesize", [synthesize_gaussian, synthesize_counts])
+    @pytest.mark.parametrize("orders", [(0, 1.5, 2), (0, 1, 2.7), (0, 1, math.nan)])
+    def test_fractional_orders_refused(self, synthesize, orders):
+        with pytest.raises(ValueError, match="orders must be integral"):
+            synthesize(2.0, 0.8, orders, 7)
+        assert synthesize(2.0, 0.8, (0, 1.0, np.int64(2)), 7).orders == (0, 1, 2)
 
     def test_counts_close_to_model(self):
         shots = 200000

@@ -208,6 +208,14 @@ class TestBinning:
         with pytest.raises(ValueError):
             order_probabilities(init_plane_wave(grid), max_order=-1)
 
+    @pytest.mark.parametrize("max_order", [2.5, math.nan, math.inf])
+    def test_fractional_max_order_refused(self, max_order):
+        state = init_plane_wave(Grid1D())
+        with pytest.raises(ValueError, match="max_order must be integral"):
+            order_probabilities(state, max_order=max_order)
+        assert order_probabilities(state, max_order=np.int32(2)).order_cutoff == 2
+        assert order_probabilities(state, max_order=2.0).order_cutoff == 2
+
 
 class TestPlan:
     def test_covers_tau_exactly(self):
