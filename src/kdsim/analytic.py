@@ -44,7 +44,7 @@ class DiffractionPattern:
 
     probabilities maps order p (momentum transfer 2p in units of k_L) to P_p.
     tail_mass, the probability estimated to lie beyond the cutoff, is 1 minus
-    total(), their sum left to right; cutoff_warning trips when it exceeds 1e-8.
+    total(), their sum left to right; cutoff_warning trips when it exceeds _TAIL_WARN.
     """
 
     probabilities: dict[int, float]
@@ -90,7 +90,7 @@ def default_order_cutoff(alpha: float, r_eff: float = 1.0) -> int:
     x = 20 but grows with x: 2.6e-14 at 30, 9.7e-12 at 50, 4.7e-9 at 100 and
     2.9e-6 at 300.  A pattern reads the probability past its cutoff as its
     tail_mass, 1 minus the probabilities kept: 2.8e-11 at x = 300, under
-    cutoff_warning's 1e-8.
+    cutoff_warning's _TAIL_WARN.
     """
     return int(math.ceil(abs(alpha) * abs(r_eff))) + 30
 

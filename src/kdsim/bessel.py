@@ -26,9 +26,7 @@ operations, and wins from about 15 arguments on.  Each argument keeps its own
 start order (its column stays zero until the sweep reaches it), its own 1e250
 rescale and its own normalization sum, so every row is bit-identical to
 bessel_values at that argument.  Both are pinned bit for bit to the same
-recurrence stepped on a numpy array, kept as a test oracle.  API change:
-bessel_row, the one-argument row as a numpy array, is removed;
-np.array(bessel_values(n, x)) is that row, bit for bit.
+recurrence stepped on a numpy array, kept as a test oracle.
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csvmod
+import dataclasses
 import inspect
 import json
 import math
@@ -281,8 +282,8 @@ def _resolve_setup(cfg: dict, consts: model.ElectronConstants) -> model.Dimensio
                 wavelength_m=cfg["wavelength_m"],
                 field_amplitude_V_per_m=cfg.get("field_V_per_m", 0.0))
             return model.derive_scales(laser, cfg.get("time_s", 0.0), consts)
-        given = {k: cfg[k] for k in (*_DIMLESS_KEYS, "recoil_energy_J", "v0_V") if k in cfg}
-        return model.DimensionlessSetup(**given)
+        names = (f.name for f in dataclasses.fields(model.DimensionlessSetup))
+        return model.DimensionlessSetup(**{k: cfg[k] for k in names if k in cfg})
     except ValueError as exc:
         raise _leading_key_error(exc) from exc
 
@@ -389,11 +390,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"config key '{key}': lo must be <= hi, both finite")
 
     echo = {k: val[k] for k in merged if k not in _PHYSICAL_KEYS}
-    deep = math.isfinite(setup.u0)  # the ideal limit is echoed by alpha alone
-    for k, v in (("mode", mode), ("u0", setup.u0 if deep else None),
-                 ("tau", setup.tau if deep else None), ("alpha", setup.alpha),
-                 ("recoil_energy_J", setup.recoil_energy_J), ("v0_V", setup.v0_V)):
-        if v is None:
+    ideal = math.isinf(setup.u0)  # the ideal limit is echoed by alpha alone
+    for k, v in vars(setup).items():
+        if v is None or (ideal and k in ("u0", "tau")):
             echo.pop(k, None)
         else:
             echo[k] = v
@@ -432,23 +431,7 @@ def _region_payload(region: fit_mod.MomentRegion) -> dict:
 
 
 def _fit_payload(result: fit_mod.FitResult, region: fit_mod.MomentRegion) -> dict:
-    return {
-        "kind": "fit",
-        "r_eff_hat": result.r_eff_hat,
-        "chi2_min": result.chi2_min,
-        "dof": result.dof,
-        "reduced_chi2": result.reduced_chi2,
-        "ci": list(result.ci),
-        "delta_chi2": result.delta_chi2,
-        "at_bound": result.at_bound,
-        "ci_at_bounds": list(result.ci_at_bounds),
-        "misfit": result.misfit,
-        "notes": result.notes,
-        "local_minima": [[r, c] for r, c in result.local_minima],
-        "scan_r": list(result.scan_r),
-        "scan_chi2": list(result.scan_chi2),
-        "region": _region_payload(region),
-    }
+    return {"kind": "fit", **vars(result), "region": _region_payload(region)}
 
 
 _OBS_COLUMNS = (("order", int), ("probability", float), ("sigma", float))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,20 +104,19 @@ def structured_text(obj, indent: int = 0) -> str:
 
 @dataclass(frozen=True)
 class ResultEnvelope:
-    """Top-level result document: version, setup echo, regime, payload."""
+    """Top-level result document: version, setup echo, regime, payload.
 
+    The field order is the order of the document's keys; version is
+    keyword-only, so ResultEnvelope(setup, regime, payload) still works.
+    """
+
+    version: str = field(default=__version__, kw_only=True)
     setup: dict
     regime: dict
     payload: dict
-    version: str = __version__
 
     def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "setup": self.setup,
-            "regime": self.regime,
-            "payload": self.payload,
-        }
+        return dict(vars(self))
 
 
 def csv_table(header: str, *columns) -> str:

@@ -99,24 +99,24 @@ def chi_square(observed: ObservedPattern, r_eff):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best-fit r_eff with its chi-square landscape and interval."""
+    """Best-fit r_eff with its chi-square landscape and interval.
+
+    The field order is the order of the fit payload's keys.
+    """
 
     r_eff_hat: float
     chi2_min: float
     dof: int
+    reduced_chi2: float  # chi2_min / dof, NaN at dof 0
     ci: tuple[float, float]
     delta_chi2: float
-    scan_r: tuple[float, ...]
-    scan_chi2: tuple[float, ...]
-    local_minima: tuple[tuple[float, float], ...]
     at_bound: bool
     ci_at_bounds: tuple[bool, bool]
     misfit: bool
     notes: str
-
-    @property
-    def reduced_chi2(self) -> float:
-        return self.chi2_min / self.dof if self.dof > 0 else math.nan
+    local_minima: tuple[tuple[float, float], ...]
+    scan_r: tuple[float, ...]
+    scan_chi2: tuple[float, ...]
 
 
 def _brent_minimum(f, points, tol: float):
@@ -300,23 +300,25 @@ def joint_fit(datasets, bounds: tuple[float, float] = (0.0, 2.0),
     if ci_lo_bound or ci_hi_bound:
         notes.append("confidence interval clipped by the scan bounds")
 
-    misfit = dof > 0 and chi_hat / dof > _MISFIT_REDUCED
+    reduced_chi2 = chi_hat / dof if dof > 0 else math.nan
+    misfit = reduced_chi2 > _MISFIT_REDUCED
     if misfit:
-        notes.append(f"model misfit: reduced chi-square = {chi_hat / dof:.3g}")
+        notes.append(f"model misfit: reduced chi-square = {reduced_chi2:.3g}")
 
     return FitResult(
         r_eff_hat=float(r_hat),
         chi2_min=float(chi_hat),
         dof=dof,
+        reduced_chi2=reduced_chi2,
         ci=(float(min(ci_lo, r_hat)), float(max(ci_hi, r_hat))),
         delta_chi2=float(delta_chi2),
-        scan_r=tuple(rs.tolist()),
-        scan_chi2=tuple(chis.tolist()),
-        local_minima=tuple(zip(rs[minima].tolist(), chis[minima].tolist())),
         at_bound=at_bound,
         ci_at_bounds=(ci_lo_bound, ci_hi_bound),
         misfit=misfit,
         notes="; ".join(notes),
+        local_minima=tuple(zip(rs[minima].tolist(), chis[minima].tolist())),
+        scan_r=tuple(rs.tolist()),
+        scan_chi2=tuple(chis.tolist()),
     )
 
 

@@ -289,7 +289,10 @@ def evaluate_potential(spec: PotentialSpec, x):
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Validity diagnostics; advisory only, nothing here raises."""
+    """Validity diagnostics; advisory only, nothing here raises.
+
+    The field order is the order of the regime block's keys.
+    """
 
     raman_nath_ratio: float
     raman_nath_ok: bool
@@ -300,15 +303,7 @@ class RegimeReport:
     notes: str
 
     def as_dict(self) -> dict:
-        return {
-            "raman_nath_ratio": self.raman_nath_ratio,
-            "raman_nath_ok": self.raman_nath_ok,
-            "moment_ratios": list(self.moment_ratios),
-            "ordering_ok": self.ordering_ok,
-            "recoil_energy_J": self.recoil_energy_J,
-            "explorable_length_m": self.explorable_length_m,
-            "notes": self.notes,
-        }
+        return dict(vars(self))
 
 
 def check_regime(setup: DimensionlessSetup, moments: MomentSet,

@@ -41,7 +41,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analytic import DiffractionPattern, _pattern
-from .model import DimensionlessSetup, PotentialSpec, _require_integral, evaluate_potential
+from .model import (
+    DimensionlessSetup, PotentialSpec, _require_finite, _require_integral, evaluate_potential,
+)
 
 _NORM_FAIL = 1e-9
 _STEP_PHASE_WARN = 0.1
@@ -61,6 +63,8 @@ class Grid1D:
     n_periods: int = 8
 
     def __post_init__(self):
+        for name in ("n_points", "n_periods"):
+            object.__setattr__(self, name, int(_require_integral(name, getattr(self, name))))
         n = self.n_points
         if n <= 0 or n & (n - 1):
             raise ValueError(f"n_points must be a power of two, got {n}")
@@ -130,15 +134,14 @@ def init_plane_wave(grid: Grid1D, order_offset: int = 0) -> WaveState:
     """Normalized plane wave sitting exactly on diffraction order order_offset: its
     spectrum, one nonzero bin of exactly n_points / sqrt(L), is exp(i k0 x) / sqrt(L)
     with no rounding of the phase."""
-    if order_offset != int(order_offset):
-        raise ValueError(f"order_offset must be an integer, got {order_offset!r}")
-    if 2 * abs(int(order_offset)) >= grid.n_points / grid.n_periods:
+    order_offset = int(_require_integral("order_offset", order_offset))
+    if 2 * abs(order_offset) >= grid.n_points / grid.n_periods:
         raise ValueError(f"order_offset {order_offset} aliases: need 2*|order_offset| < "
                          f"n_points/n_periods = {grid.n_points / grid.n_periods:.6g}")
     spectrum = np.zeros(grid.n_points, dtype=complex)
-    spectrum[int(order_offset) * grid.n_periods % grid.n_points] = (
+    spectrum[order_offset * grid.n_periods % grid.n_points] = (
         grid.n_points / math.sqrt(grid.box_length))
-    return WaveState(grid, k0=2.0 * int(order_offset), spectrum=spectrum)
+    return WaveState(grid, k0=2.0 * order_offset, spectrum=spectrum)
 
 
 def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) -> WaveState:
@@ -159,6 +162,7 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
     if sigma > grid.box_length / 6.0 * (1.0 + 1e-12):
         raise ValueError(
             f"sigma = {sigma!r} too wide: need <= box_length/6 = {grid.box_length / 6.0:.4g}")
+    k0 = _require_finite("k0", k0)
     grid.mode_index(k0)  # rejects incommensurate carriers
     x = grid.positions()
     length = grid.box_length
@@ -169,7 +173,7 @@ def init_gaussian(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) ->
         envelope += np.exp(-((x - center + image * length) ** 2) / (4.0 * sigma**2))
     psi = envelope * np.exp(1j * k0 * x)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    return WaveState(grid, spectrum=np.fft.fft(psi), k0=float(k0))
+    return WaveState(grid, spectrum=np.fft.fft(psi), k0=k0)
 
 
 def max_potential(setup: DimensionlessSetup, spec: PotentialSpec) -> float:

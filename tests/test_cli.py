@@ -25,11 +25,11 @@ from kdsim.cli import (
     _LEAVES, _PARSER, _REQUIRED, MODES, ConfigError, _fit_payload, _flag_name, main,
     parse_config, read_observed_csv, run,
 )
-from kdsim.emit import float_text, structured_text
+from kdsim.emit import ResultEnvelope, float_text, structured_text
 from kdsim.fit import (
-    band_radius, joint_fit, moment_region, synthesize_counts, synthesize_gaussian,
+    FitResult, band_radius, joint_fit, moment_region, synthesize_counts, synthesize_gaussian,
 )
-from kdsim.model import MomentSet
+from kdsim.model import MomentSet, RegimeReport
 
 from oracles import (
     compensated_sum, distribution_pattern, pointlike_pattern, propagate_cell_eigh,
@@ -667,6 +667,17 @@ class TestMainFit:
         want = _fit_payload(result, moment_region(result))
         assert structured_text(run(config).payload) == structured_text(want)
         assert ("alpha" in config.echo["synthetic"]) == (syn_alpha is not None)
+
+    def test_output_keys_are_the_records_fields(self):
+        # each record's fields, in declaration order, are its keys in the document
+        def names(record):
+            return [f.name for f in dataclasses.fields(record)]
+
+        document = run(parse_config(json.dumps(_SYN))).as_dict()
+        assert list(document["payload"]) == ["kind", *names(FitResult), "region"]
+        assert list(document["regime"]) == names(RegimeReport)
+        assert list(document) == names(ResultEnvelope) == ["version", "setup", "regime",
+                                                           "payload"]
 
     def test_data_file_end_to_end(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"

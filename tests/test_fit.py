@@ -1,6 +1,8 @@
 import builtins
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ def exact_observation(alpha, r_eff, orders=(0, 1, 2, 3), sigma=0.01):
 
 
 def make_result(ci):
-    return FitResult(r_eff_hat=0.5 * (ci[0] + ci[1]), chi2_min=0.0, dof=3,
+    return FitResult(r_eff_hat=0.5 * (ci[0] + ci[1]), chi2_min=0.0, dof=3, reduced_chi2=0.0,
                      ci=ci, delta_chi2=1.0, scan_r=(), scan_chi2=(),
                      local_minima=(), at_bound=False,
                      ci_at_bounds=(False, False), misfit=False, notes="")
@@ -519,3 +521,12 @@ def test_band_radius_examples():
     assert r_eff(0.5, 0.5) == 1.0
     for d, q in np.random.default_rng(404).uniform(0.0, 1.0, size=(20000, 2)):
         r_eff(d, q)
+
+
+def test_benchmark_sigma_floor_is_the_package_floor():
+    # perfbench/workloads.py keeps its own copy of the floor for its reference checks
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.SIGMA_FLOOR == fit_mod.SIGMA_FLOOR

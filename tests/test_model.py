@@ -261,4 +261,4 @@ class TestRegime:
         setup = DimensionlessSetup(u0=1000.0, tau=0.004)
         d = check_regime(setup, MomentSet((0.3, 0.1))).as_dict()
         assert d["raman_nath_ok"] is True
-        assert d["moment_ratios"] == [1.0, 0.3, 0.1]
+        assert d["moment_ratios"] == (1.0, 0.3, 0.1)

@@ -59,6 +59,23 @@ class TestGrid:
         with pytest.raises(ValueError, match="incommensurate"):
             grid.mode_index(0.3)
 
+    @pytest.mark.parametrize("kw, error", [
+        ({"n_points": 1024.0}, None), ({"n_periods": 8.0}, None),
+        ({"n_points": np.int64(1024), "n_periods": np.int64(8)}, None),
+        ({"n_periods": 2.5}, "n_periods"), ({"n_points": 1024.5}, "n_points"),
+        ({"n_points": math.nan}, "n_points"), ({"n_periods": math.inf}, "n_periods"),
+    ], ids=["float-points", "float-periods", "numpy-ints", "half-period", "half-point",
+            "nan-points", "inf-periods"])
+    def test_sizes_are_integral(self, kw, error):
+        # a library caller's float sizes are held to the integral rule, stored as ints
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{error} must be integral"):
+                Grid1D(**kw)
+            return
+        grid = Grid1D(**kw)
+        assert grid == Grid1D()
+        assert type(grid.n_points) is int and type(grid.n_periods) is int
+
 
 class TestInitialStates:
     def test_plane_wave_normalized_single_bin(self):
@@ -98,6 +115,27 @@ class TestInitialStates:
         grid = Grid1D()
         with pytest.raises(ValueError, match="incommensurate"):
             init_gaussian(grid, center=10.0, sigma=2.0, k0=0.3)
+
+    @pytest.mark.parametrize("n_periods, offset", [
+        (8.0, 3), (8, math.inf), (8, -math.inf), (8, math.nan),
+    ])
+    def test_plane_wave_offset_is_integral(self, n_periods, offset):
+        # a float box size indexed the spectrum with a float; a non-finite offset
+        # failed in int() without naming order_offset
+        grid = Grid1D(n_periods=n_periods)
+        if not math.isfinite(offset):
+            with pytest.raises(ValueError, match="^order_offset must be integral"):
+                init_plane_wave(grid, offset)
+            return
+        state = init_plane_wave(grid, offset)
+        assert state.k0 == 2.0 * offset
+        assert np.array_equal(state.spectrum, init_plane_wave(Grid1D(), offset).spectrum)
+
+    @pytest.mark.parametrize("k0", [math.inf, -math.inf, math.nan])
+    def test_gaussian_carrier_must_be_finite(self, k0):
+        # inf overflowed and NaN failed in round(), neither naming k0
+        with pytest.raises(ValueError, match="^k0 must be finite"):
+            init_gaussian(Grid1D(), 10.0, 3.0, k0=k0)
 
     @pytest.mark.parametrize("center", [math.inf, -math.inf, math.nan])
     def test_gaussian_center_must_be_finite(self, center):
@@ -155,7 +193,7 @@ class TestWaveState:
 
     def test_plane_wave_offset_must_be_an_integer(self):
         assert init_plane_wave(Grid1D(), 2.0).k0 == init_plane_wave(Grid1D(), 2).k0
-        with pytest.raises(ValueError, match=r"order_offset must be an integer, got 1\.5"):
+        with pytest.raises(ValueError, match=r"order_offset must be integral, got 1\.5"):
             init_plane_wave(Grid1D(), 1.5)
 
     @pytest.mark.parametrize("n_points, n_periods", [(1024, 8), (16384, 8), (512, 3)])
